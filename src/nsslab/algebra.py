@@ -101,11 +101,6 @@ class SectorDecomposition:
         return sorted((s.n_J, s.d_J) for s in self.sectors)
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product trace(a^dag b)."""
-    return complex(np.vdot(a, b))
-
-
 def _project_out(rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Remove the span of orthonormal `rows` from candidate row vectors."""
     if rows.size == 0:
@@ -246,8 +241,9 @@ def from_pauli_span(paulis, config: EngineConfig = DEFAULT_CONFIG) -> MatrixAlge
     return MatrixAlgebra(d, basis, closed=True, closure_residual=0.0)
 
 
-# stacked-commutator SVD is used when the stacked matrix stays below this
-# many complex entries; beyond it the squared map keeps memory bounded
+# the stacked-commutator SVD is used while the stack, and the thin U of the
+# same shape, hold at most this many complex entries each; beyond it the
+# d^2 x d^2 squared map keeps memory bounded
 _COMMUTANT_SVD_ENTRIES = 1 << 22
 
 
@@ -268,8 +264,8 @@ def commutant(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Matr
     eye = np.eye(d)
     if len(alg.basis) * d**4 <= _COMMUTANT_SVD_ENTRIES:
         stack = np.vstack([np.kron(eye, b.T) - np.kron(b, eye) for b in alg.basis])
-        _, s, vh = np.linalg.svd(stack, full_matrices=True)
-        s = np.concatenate([s, np.zeros(d * d - len(s))])
+        # the stack has at least d^2 rows, so thin vh is the full d^2 x d^2
+        _, s, vh = np.linalg.svd(stack, full_matrices=False)
         null_tol = config.span_membership_tol * max(1.0, float(s[0]) if s.size else 1.0)
         cols = vh.conj().T[:, s < null_tol]
     else:
@@ -332,9 +328,10 @@ def decompose(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Sect
         comm = np.matmul(mats, mats[i]) - np.matmul(mats[i], mats)
         blocks.append(rows.conj() @ comm.reshape(m, d * d).T)
     T = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(T)
+    # T has m^2 >= m rows, so thin vh is the full m x m
+    _, s, vh = np.linalg.svd(T, full_matrices=False)
     tol = config.span_membership_tol * max(1.0, float(s[0]) if len(s) else 1.0)
-    null = vh.conj().T[:, np.concatenate([s, np.zeros(m - len(s))]) < tol]
+    null = vh.conj().T[:, s < tol]
 
     rng_central = spawn_rng(config.seed, 1)
     if null.shape[1] <= 1:
@@ -415,13 +412,19 @@ def block_structure_residual(sector: Sector, mat: np.ndarray):
 
 
 def span_projector_distance(a: MatrixAlgebra, b: MatrixAlgebra) -> float:
-    """Frobenius distance between the HS-space span projectors of a and b."""
+    """Frobenius distance between the HS-space span projectors of a and b.
+
+    ||Pa - Pb||^2 = ||Pa (1 - Pb)||^2 + ||(1 - Pa) Pb||^2, each term read
+    from the residual of one basis projected onto the other span.  The
+    expanded form len_a + len_b - 2 ||Qa Qb^dag||^2 cancels to a noise
+    floor near 1e-7 for equal spans.
+    """
     if a.dim != b.dim:
         raise ValueError("algebras live on different spaces")
     Qa, Qb = a.stacked(), b.stacked()
-    cross = np.linalg.norm(Qa @ Qb.conj().T) ** 2
-    val = len(a.basis) + len(b.basis) - 2 * cross
-    return float(np.sqrt(max(val, 0.0)))
+    cross = Qa @ Qb.conj().T
+    return float(np.hypot(np.linalg.norm(Qa - cross @ Qb),
+                          np.linalg.norm(Qb - cross.conj().T @ Qa)))
 
 
 # ---------------------------------------------------------------- JSON I/O

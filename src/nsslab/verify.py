@@ -246,7 +246,9 @@ def sector_orbits(lat: TorusLattice, errors=None,
 
     Grows span(|J>) by applying the generator set until stable, then checks
     mutual orthogonality of the four orbits, their equal dimensions, and
-    whether the direct sum fills the whole space.
+    whether the direct sum fills the whole space.  Each round applies the
+    generators only to the vectors the previous round added: images of
+    older vectors already lie in the span.
     """
     if lat.n_qubits > config.dense_bridge_max_qubits:
         raise ResourceLimitError("sector orbits need the dense bridge")
@@ -255,14 +257,15 @@ def sector_orbits(lat: TorusLattice, errors=None,
     dim = basis.shape[0]
     orbits = []
     for j in range(basis.shape[1]):
-        span = basis[:, j:j + 1]
-        while True:
-            if not gens:
-                break
-            images = np.hstack([apply_to_vector(g, span) for g in gens])
+        span = new = basis[:, j:j + 1]
+        while gens:
+            images = np.hstack([apply_to_vector(g, new) for g in gens])
             images -= span @ (span.conj().T @ images)
             images -= span @ (span.conj().T @ images)
-            u, s, _ = np.linalg.svd(images, full_matrices=False)
+            # images = R^dag Q^dag with orthonormal Q, so the left singular
+            # pairs of images are those of the small triangular R^dag
+            r = np.linalg.qr(images.conj().T, mode="r")
+            u, s, _ = np.linalg.svd(r.conj().T, full_matrices=False)
             new = u[:, s > config.orbit_overlap_tol * 10]
             if new.shape[1] == 0:
                 break

@@ -174,6 +174,25 @@ def test_double_commutant_recovers_the_algebra():
     assert span_projector_distance(alg, back) < 1e-7
 
 
+def test_span_distance_reads_zero_for_a_rotated_basis():
+    """Two orthonormal bases of one span, related by a random unitary, sit
+    at distance zero; the expanded trace formula bottoms out near 1e-7."""
+    from nsslab.algebra import MatrixAlgebra
+
+    alg = close_algebra(error_set(_collective()))
+    m, d = alg.algebra_dim, alg.dim
+    rng = np.random.default_rng(0)
+    for _ in range(4):
+        U, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+        rotated = MatrixAlgebra(d, tuple((U @ alg.stacked()).reshape(m, d, d)))
+        assert span_projector_distance(alg, rotated) < 1e-12
+    # away from zero it is the Frobenius distance of the two projectors
+    com = commutant(alg)
+    Pa = alg.stacked().T @ alg.stacked().conj()
+    Pc = com.stacked().T @ com.stacked().conj()
+    assert abs(span_projector_distance(alg, com) - np.linalg.norm(Pa - Pc)) < 1e-10
+
+
 def test_commutant_and_decompose_require_verified_closure():
     from nsslab.algebra import MatrixAlgebra
 

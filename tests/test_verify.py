@@ -26,6 +26,7 @@ from nsslab import (
     sector_orbits,
     spectrum,
 )
+from nsslab import gf2
 from nsslab.cli import EXIT_VALIDATION, main
 from nsslab.lattice import code_dimension, homology_basis
 from nsslab.pauli import PauliOp, apply_to_vector, commutes, multiply, to_dense, weight
@@ -145,11 +146,20 @@ def test_local_error_generator_counts_and_loop_filter():
 
 
 def test_sector_orbits_fill_the_space_without_mixing():
+    """GF(2) oracle: a loop-commuting Pauli word moves |J> to the vector of
+    its syndrome, so each orbit has one dimension per reachable syndrome,
+    2^(rank of the generators' syndrome vectors)."""
     lat = build_torus(2, 2)
-    rep = sector_orbits(lat)
-    assert rep.orbit_dims == (64, 64, 64, 64)
-    assert rep.max_overlap < 1e-10
-    assert rep.total_dim == 256 and rep.fills_space
+    checks = list(lat.vertex_stars) + list(lat.plaquette_checks)
+    for gens in (local_error_generators(lat), local_error_generators(lat, 1)):
+        syndromes = [sum(1 << k for k, ch in enumerate(checks) if not commutes(g, ch))
+                     for g in gens]
+        reachable = 2 ** gf2.rank(syndromes)
+        assert reachable == 64
+        rep = sector_orbits(lat, errors=gens)
+        assert rep.orbit_dims == (reachable,) * 4
+        assert rep.max_overlap < 1e-10
+        assert rep.total_dim == 256 and rep.fills_space
 
 
 def test_sector_orbits_with_identity_only_stay_put():
