@@ -299,12 +299,21 @@ def _rectangle_cycle(lat: TorusLattice, kind: str, corner: tuple, dr: int, dc: i
     return steps, nodes
 
 
-def _offset_in(lat: TorusLattice, node: int, corner: tuple, rows: tuple, cols: tuple) -> bool:
-    """Whether node (r, c) lies at row offset in rows and column offset in
-    cols (inclusive ranges) from the corner, counted forward on the torus."""
-    r, c = divmod(node, lat.L2)
-    i, j = (r - corner[0]) % lat.L1, (c - corner[1]) % lat.L2
-    return rows[0] <= i <= rows[1] and cols[0] <= j <= cols[1]
+def _enclosed_cells(lat: TorusLattice, kind: str, corner: tuple, dr: int, dc: int):
+    """(dual-type cells, same-type interior nodes) enclosed by the rectangle."""
+    r0, c0 = corner
+    dual, interior = [], []
+    for i in range(dr):
+        for j in range(dc):
+            dual.append(((r0 + i) % lat.L1) * lat.L2 + (c0 + j) % lat.L2)
+    for i in range(1, dr):
+        for j in range(1, dc):
+            interior.append(((r0 + i) % lat.L1) * lat.L2 + (c0 + j) % lat.L2)
+    if kind == "m":
+        # face-graph rectangle encloses vertices shifted one step down-right
+        dual = [((r0 + i + 1) % lat.L1) * lat.L2 + (c0 + j + 1) % lat.L2
+                for i in range(dr) for j in range(dc)]
+    return dual, interior
 
 
 def braid(state: AnyonState, mover: int, around: int) -> AnyonState:
@@ -327,29 +336,20 @@ def braid(state: AnyonState, mover: int, around: int) -> AnyonState:
                       if an.kind == mv.kind and k != mover}
     dual_anyons = {an.position for k, an in enumerate(state.anyons)
                    if an.kind != mv.kind and k != around}
-    # Cells as offsets from the corner: a dr x dc rectangle's boundary nodes
-    # sit at row offset 0 or dr (columns 0..dc) or column offset 0 or dc;
-    # it encloses same-type nodes at offsets 1..dr-1 x 1..dc-1 and dual
-    # cells at 0..dr-1 x 0..dc-1, shifted by one for a face-graph (m) loop.
-    # Offsets stay below L1, L2, so these tests are exact.
-    shift = 1 if mv.kind == "m" else 0
-    tr, tc = divmod(tg.position, lat.L2)
     best = None
     for dr in range(1, lat.L1):
         for dc in range(1, lat.L2):
-            interior = (1, dr - 1), (1, dc - 1)
-            dual = (shift, dr - 1 + shift), (shift, dc - 1 + shift)
-            t_rows, t_cols = interior if same_type else dual
-            # only the corners that put the target inside, in scan order
-            for r0 in sorted((tr - i) % lat.L1 for i in range(t_rows[0], t_rows[1] + 1)):
-                for c0 in sorted((tc - j) % lat.L2 for j in range(t_cols[0], t_cols[1] + 1)):
-                    corner = (r0, c0)
-                    if not _offset_in(lat, mv.position, corner, (0, dr), (0, dc)) or \
-                            _offset_in(lat, mv.position, corner, *interior):
+            for r0 in range(lat.L1):
+                for c0 in range(lat.L2):
+                    steps, nodes = _rectangle_cycle(lat, mv.kind, (r0, c0), dr, dc)
+                    if mv.position not in nodes:
                         continue
-                    if any(_offset_in(lat, p, corner, *dual) for p in dual_anyons):
+                    dual, interior = _enclosed_cells(lat, mv.kind, (r0, c0), dr, dc)
+                    target_cells = interior if same_type else dual
+                    if tg.position not in target_cells:
                         continue
-                    steps, nodes = _rectangle_cycle(lat, mv.kind, corner, dr, dc)
+                    if dual_anyons & set(dual):
+                        continue
                     crossed = len(same_positions & set(nodes))
                     key = (crossed, len(steps), tuple(sorted(steps)))
                     if best is None or key < best[0]:

@@ -28,7 +28,6 @@ from nsslab import (
     sector_of,
 )
 from nsslab import gf2
-from nsslab.anyon import _rectangle_cycle
 from nsslab.pauli import apply_to_vector, commutes
 from nsslab.verify import SECTOR_ORDER, code_basis
 
@@ -219,81 +218,6 @@ def test_braid_validation_and_geometry_limits():
     # a 2x2 torus has no rectangle with an interior vertex
     with pytest.raises(PathNotFoundError):
         braid(s, 0, 2)
-
-
-def _reference_braid(state, mover, around):
-    """The full rectangle enumeration: build every rectangle of the torus,
-    then test mover, target and dual anyons by list membership."""
-    def enclosed(lat, kind, corner, dr, dc):
-        r0, c0 = corner
-        s = 1 if kind == "m" else 0
-        dual = [((r0 + i + s) % lat.L1) * lat.L2 + (c0 + j + s) % lat.L2
-                for i in range(dr) for j in range(dc)]
-        interior = [((r0 + i) % lat.L1) * lat.L2 + (c0 + j) % lat.L2
-                    for i in range(1, dr) for j in range(1, dc)]
-        return dual, interior
-
-    if mover == around:
-        raise ValueError("mover and target must differ")
-    mv, tg = state.anyons[mover], state.anyons[around]
-    lat = state.lat
-    same_positions = {an.position for k, an in enumerate(state.anyons)
-                      if an.kind == mv.kind and k != mover}
-    dual_anyons = {an.position for k, an in enumerate(state.anyons)
-                   if an.kind != mv.kind and k != around}
-    best = None
-    for dr in range(1, lat.L1):
-        for dc in range(1, lat.L2):
-            for r0 in range(lat.L1):
-                for c0 in range(lat.L2):
-                    steps, nodes = _rectangle_cycle(lat, mv.kind, (r0, c0), dr, dc)
-                    if mv.position not in nodes:
-                        continue
-                    dual, interior = enclosed(lat, mv.kind, (r0, c0), dr, dc)
-                    if tg.position not in (interior if mv.kind == tg.kind else dual):
-                        continue
-                    if dual_anyons & set(dual):
-                        continue
-                    key = (len(same_positions & set(nodes)), len(steps),
-                           tuple(sorted(steps)))
-                    if best is None or key < best[0]:
-                        best = (key, steps, nodes)
-    if best is None:
-        raise PathNotFoundError("no valid enclosing rectangle")
-    _, steps, nodes = best
-    k = nodes.index(mv.position)
-    return move_anyon(state, mover, steps[k:] + steps[:k])
-
-
-@pytest.mark.parametrize("size", [(2, 3), (3, 3), (3, 4), (4, 5)])
-def test_braid_matches_the_full_rectangle_enumeration(size):
-    """Same result or same refusal as the full enumeration, for mover and
-    target of every kind pair over a grid of creation edges; on 2x3 every
-    same-type braid is refused (no rectangle has an interior node)."""
-    lat = build_torus(*size)
-    n = lat.n_qubits
-    outcomes = []
-    for kinds in (("e", "e"), ("e", "m"), ("m", "e"), ("m", "m")):
-        for e1 in (0, 1, n // 2 + 1):
-            for e2 in range(n):
-                s = create_pair(ground_state(lat), kinds[0], e1)
-                try:
-                    s = create_pair(s, kinds[1], e2)
-                except InvalidMoveError:
-                    continue        # the pairs would share an endpoint
-                for mover, around in ((0, 2), (3, 1)):
-                    try:
-                        want = _reference_braid(s, mover, around)
-                    except (PathNotFoundError, InvalidMoveError, ValueError) as exc:
-                        outcomes.append(type(exc))
-                        with pytest.raises(type(exc)):
-                            braid(s, mover, around)
-                        continue
-                    outcomes.append(None)
-                    # applied word, anyon positions and strings, phase
-                    assert braid(s, mover, around) == want
-    assert outcomes.count(None) > 100
-    assert (PathNotFoundError in outcomes) == (size == (2, 3))
 
 
 def test_dense_replay_oracle_for_a_mixed_trajectory():
