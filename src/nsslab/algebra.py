@@ -16,8 +16,9 @@ from .config import (DEFAULT_CONFIG, ConvergenceError, DegenerateSpectrumError,
                      EngineConfig, ResourceLimitError, spawn_rng)
 from .pauli import PauliOp, to_dense
 
-# above this basis size closure verification samples pairs instead of
-# checking all of them (the fixed sample keeps runs reproducible)
+# above this basis size the pair check of `verify_closure` (used when no
+# generators are given) samples pairs instead of checking all of them (the
+# fixed sample keeps runs reproducible)
 _FULL_VERIFY_LIMIT = 300
 _VERIFY_SAMPLE = 4000
 
@@ -126,11 +127,16 @@ def _orthonormal_rows(cand: np.ndarray, tol: float) -> np.ndarray:
 
 
 def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> MatrixAlgebra:
-    """Span-growth closure of {1, E_a, E_a^dag} under products.
+    """Generator-driven closure of {1, E_a, E_a^dag} under products.
 
-    Orthonormalizes with modified Gram-Schmidt, multiplies all basis pairs in
-    a fixed order, projects out the current span, and repeats until no
-    residual exceeds the closure tolerance.
+    Starts from an HS-orthonormal basis G of span{1, E_a, E_a^dag}.  Each
+    round right-multiplies only the elements the previous round added by
+    every g in G, projects out the current span and orthonormalizes what
+    is left (modified Gram-Schmidt); products of older elements already
+    lie in the span.  The result is certified exactly by `verify_closure`
+    with `generators=G`: a span holding 1 and closed under right
+    multiplication by a spanning set of the generators and their adjoints
+    holds every word in them, so `closed=True` never rests on a sample.
     """
     d = errs.dim
     if d > config.algebra_dense_cap:
@@ -140,15 +146,15 @@ def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> Matr
     seed_mats += [g.conj().T for g in errs.generators]
     rows = _orthonormal_rows(
         np.stack([m.reshape(-1) for m in seed_mats]), config.hs_orthonormal_tol)
+    gens = rows.reshape(-1, d, d)
 
+    new = gens
     last_residual = float("inf")
     for _ in range(config.closure_max_iter):
-        m = rows.shape[0]
-        mats = rows.reshape(m, d, d)
         new_rows = np.empty((0, d * d), dtype=complex)
         last_residual = 0.0
-        for i in range(m):
-            prods = np.matmul(mats[i], mats).reshape(m, d * d)
+        for b in new:
+            prods = np.matmul(b, gens).reshape(-1, d * d)
             prods = _project_out(rows, prods)
             if new_rows.size:
                 prods = _project_out(new_rows, prods)
@@ -160,11 +166,11 @@ def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> Matr
                 new_rows = np.vstack([new_rows, extracted]) if new_rows.size else extracted
         if new_rows.shape[0] == 0:
             basis = tuple(rows.reshape(-1, d, d))
-            alg = MatrixAlgebra(d, basis)
-            resid = verify_closure(alg, config)
+            resid = verify_closure(MatrixAlgebra(d, basis), config, generators=gens)
             return MatrixAlgebra(d, basis, closed=resid <= config.span_membership_tol,
                                  closure_residual=resid)
         rows = np.vstack([rows, new_rows])
+        new = new_rows.reshape(-1, d, d)
         if rows.shape[0] > d * d:
             raise ConvergenceError("basis grew beyond d^2; numerical breakdown")
         if rows.nbytes > 2e9:
@@ -176,16 +182,21 @@ def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> Matr
         f"(last residual {last_residual:.3e})")
 
 
-def verify_closure(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> float:
-    """Max span residual over identity, adjoints, and basis pair products.
+def verify_closure(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG,
+                   generators=None) -> float:
+    """Max span residual over the identity, the adjoints, and products.
 
-    All pairs are checked up to a size limit, beyond which a seeded fixed
-    sample of pairs is used.
+    With `generators` (matrices spanning a set G and its adjoints), the
+    products are B_i g for every basis element B_i and every g: m * k of
+    them, an exact certificate that the span is the *-algebra generated by
+    G, because a span holding 1 and closed under right multiplication by
+    G and G^dag holds every word.  Without it, all basis pairs B_i B_j are
+    checked up to a size limit, beyond which a seeded fixed sample of pairs
+    is used.
     """
     d = alg.dim
     rows = alg.stacked()
     m = rows.shape[0]
-    worst = 0.0
 
     def span_residual(batch):
         flat = batch.reshape(batch.shape[0], -1)
@@ -193,9 +204,14 @@ def verify_closure(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) ->
         return float(np.linalg.norm(resid, axis=1).max(initial=0.0))
 
     eye = np.eye(d, dtype=complex) / np.sqrt(d)
-    worst = max(worst, span_residual(eye[None]))
+    worst = span_residual(eye[None])
     mats = rows.reshape(m, d, d)
     worst = max(worst, span_residual(mats.conj().transpose(0, 2, 1)))
+    if generators is not None:
+        gens = np.asarray(generators, dtype=complex).reshape(-1, d, d)
+        for b in mats:
+            worst = max(worst, span_residual(np.matmul(b, gens)))
+        return worst
     if m <= _FULL_VERIFY_LIMIT:
         pairs = ((i, j) for i in range(m) for j in range(m))
     else:

@@ -221,6 +221,12 @@ def _walk(lat: TorusLattice, kind: str, start: int, steps) -> tuple:
     return pos, visited
 
 
+def _require_anyons(state: AnyonState, *indices: int) -> None:
+    """Refuse negative or out-of-range anyon indices before any work."""
+    if not all(0 <= k < len(state.anyons) for k in indices):
+        raise ValueError("no such anyon")
+
+
 def move_anyon(state: AnyonState, index: int, path) -> AnyonState:
     """Extend one anyon's string along a connected path of edges.
 
@@ -229,8 +235,7 @@ def move_anyon(state: AnyonState, index: int, path) -> AnyonState:
     scalar is banked into accumulated_phase.  Terminating on a same-type
     anyon is allowed as preparation for fuse.
     """
-    if not 0 <= index < len(state.anyons):
-        raise ValueError("no such anyon")
+    _require_anyons(state, index)
     mover = state.anyons[index]
     steps = tuple(path.steps) if isinstance(path, LatticePath) else tuple(path)
     if isinstance(path, LatticePath):
@@ -327,6 +332,7 @@ def braid(state: AnyonState, mover: int, around: int) -> AnyonState:
     Encircling the dual type multiplies the phase by -1, the same type
     by +1.
     """
+    _require_anyons(state, mover, around)
     if mover == around:
         raise ValueError("mover and target must differ")
     mv, tg = state.anyons[mover], state.anyons[around]
@@ -373,6 +379,7 @@ def fuse(state: AnyonState, a: int, b: int, via: int | None = None) -> AnyonStat
     closed string leaves only a banked scalar; a non-contractible one keeps
     a frame-loop factor in `applied`, flipping the matching sector sign.
     """
+    _require_anyons(state, a, b)
     if a == b:
         raise InvalidFusionError("need two distinct anyons")
     an_a, an_b = state.anyons[a], state.anyons[b]

@@ -4,7 +4,7 @@ One process, one run: every subcommand computes its full report in memory
 first and only then writes, so a refusal (size cap, bad input) never leaves
 a partial output file.  All randomness flows from a single seed through
 counter-based splittable streams, making reports byte-identical across
-reruns and across worker counts.
+reruns at a fixed BLAS thread count.
 
 Exit codes: 0 success, 2 validation failure, 3 convergence failure,
 4 resource-limit refusal.
@@ -12,22 +12,12 @@ Exit codes: 0 success, 2 validation failure, 3 convergence failure,
 
 import argparse
 import json
-import os
 import sys
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_CONVERGENCE = 3
 EXIT_RESOURCE = 4
-
-
-def _limit_threads() -> None:
-    """Respect NSSLAB_THREADS for BLAS pools too, before numpy loads."""
-    want = os.environ.get("NSSLAB_THREADS")
-    if not want:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, want)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -305,7 +295,6 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    _limit_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     if not args.command:

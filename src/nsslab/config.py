@@ -34,10 +34,8 @@ class EngineConfig:
     gap_ratio_guard: float = 10.0
     # block structure 1_{n} (x) M residual bound
     block_structure_tol: float = 1e-7
-    subspace_tol: float = 1e-7
 
     orbit_overlap_tol: float = 1e-10
-    eigenstate_tol: float = 1e-8
 
     # iterative eigensolver
     eig_residual_tol: float = 1e-9

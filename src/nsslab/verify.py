@@ -5,17 +5,17 @@ error-correction condition), dense/matrix-free spectral analysis of the
 check Hamiltonian under local perturbations, and the size-scaling study of
 the quasi-degenerate ground-multiplet splitting, solved in the flux-free
 symmetry sectors of single-type fields.
+
+scipy is imported inside the three sparse helpers (`_matfree_operator`,
+`_arpack_lowest`, `_flux_free_row`), so importing the package, and every
+path that stays dense, loads none of it.
 """
 
 import itertools
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import gf2
 from .config import (DEFAULT_CONFIG, ConvergenceError, EngineConfig,
@@ -337,6 +337,8 @@ def _dense_hamiltonian(n, terms):
 
 
 def _matfree_operator(n, terms):
+    import scipy.sparse.linalg as spla
+
     dim = 1 << n
     cols = np.arange(dim)
     complex_needed = any((op.x_bits & op.z_bits) for op, _ in terms)
@@ -376,6 +378,8 @@ def _solve_lowest(n, terms, k, config):
 def _arpack_lowest(A, k, v0, config):
     """Lowest k eigenpairs of a symmetric operator by ARPACK, ascending, each
     Ritz pair checked against the residual tolerance."""
+    import scipy.sparse.linalg as spla
+
     try:
         w, V = spla.eigsh(A, k=k, which="SA", v0=v0,
                           tol=config.eig_residual_tol * 1e-2,
@@ -499,6 +503,8 @@ def _flux_free_row(lat: TorusLattice, perturbation, h: float,
     therefore the full-space levels when the (q+1)-th of them lies at or
     below w0 + 4 (to within eig_residual_tol); otherwise the run refuses.
     """
+    import scipy.sparse as sp
+
     n_nodes, ends, signs = _flux_free_sectors(lat, perturbation)
     q = code_dimension(lat)
     coeffs = np.array([coeff for _, coeff in perturbation], dtype=float)
@@ -568,8 +574,7 @@ def _fit_exponential(sizes, values):
 
 
 def scaling_study(sizes, h: float, kind: str = "z_field",
-                  config: EngineConfig = DEFAULT_CONFIG,
-                  threads: int | None = None) -> ScalingResult:
+                  config: EngineConfig = DEFAULT_CONFIG) -> ScalingResult:
     """Ground-multiplet splitting across lattice sizes, with an exponential
     fit of splitting against |lattice|^(1/n).
 
@@ -601,21 +606,11 @@ def scaling_study(sizes, h: float, kind: str = "z_field",
         if 2 * L1 * L2 > config.sparse_max_qubits:
             raise ResourceLimitError(f"size {L1}x{L2} exceeds the sparse cap")
 
-    if threads is None:
-        threads = int(os.environ.get("NSSLAB_THREADS", "1"))
-    threads = max(1, min(threads, len(uniq)))
-
-    def run_one(size):
-        L1, L2 = size
+    rows = []
+    for L1, L2 in uniq:
         lat = build_torus(L1, L2)
         row = _flux_free_row(lat, perturbation_terms(lat, kind), h, config)
-        return ScalingRow(L1, L2, h, *row)
-
-    if threads == 1:
-        rows = [run_one(s) for s in uniq]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_one, uniq))
+        rows.append(ScalingRow(L1, L2, h, *row))
 
     points = tuple((2 * r.L1 * r.L2, r.splitting) for r in rows)
     if all(r.splitting < 1e-10 for r in rows):

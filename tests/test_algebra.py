@@ -43,9 +43,14 @@ def _embed(site_op, i, n=3):
     return out
 
 
-def _collective():
-    """J_x, J_y, J_z on three qubits."""
-    return [sum(_embed(s, i) for i in range(3)) / 2 for s in (_SX, _SY, _SZ)]
+def _collective(n=3):
+    """J_x, J_y, J_z on n qubits."""
+    return [sum(_embed(s, i, n) for i in range(n)) / 2 for s in (_SX, _SY, _SZ)]
+
+
+def _clebsch_gordan_dims(n):
+    """Block sizes 2j+1 of n spin-1/2 sites, j = n/2, n/2 - 1, ... >= 0."""
+    return [n + 1 - 2 * k for k in range(n // 2 + 1)]
 
 
 def _span_residual(alg, mat):
@@ -88,11 +93,14 @@ def test_error_set_json_round_trip_and_shape_check():
 
 
 def test_collective_spin_closure_dimension():
-    alg = close_algebra(error_set(_collective()))
-    assert alg.algebra_dim == 20
-    assert alg.closed and alg.closure_residual < 1e-12
-    gram = alg.stacked() @ alg.stacked().conj().T
-    assert np.linalg.norm(gram - np.eye(20)) < 1e-10
+    """Collective spin on 3, 4 and 5 qubits generates sum d^2 over the
+    Clebsch-Gordan block sizes d: 20, 35 and 56."""
+    for n, want in ((3, 20), (4, 35), (5, 56)):
+        alg = close_algebra(error_set(_collective(n)))
+        assert alg.algebra_dim == sum(d * d for d in _clebsch_gordan_dims(n)) == want
+        assert alg.closed and alg.closure_residual < 1e-12
+        gram = alg.stacked() @ alg.stacked().conj().T
+        assert np.linalg.norm(gram - np.eye(want)) < 1e-10
 
 
 def test_closure_contains_identity_and_adjoints():
@@ -155,6 +163,94 @@ def test_rescaled_generators_span_the_same_algebra():
     assert span_projector_distance(alg, scaled) < 1e-6
     with pytest.raises(ValueError):
         span_projector_distance(alg, from_pauli_span([PauliOp(1, 0, 0), PauliOp(1, 1, 0)]))
+
+
+def _all_pairs_closure(mats, tol=1e-9):
+    """Oracle: multiply every basis pair until the span stops growing."""
+    from nsslab.algebra import MatrixAlgebra
+
+    d = mats[0].shape[0]
+
+    def orth(ms):
+        _, s, vh = np.linalg.svd(np.stack([m.reshape(-1) for m in ms]),
+                                 full_matrices=False)
+        return list(vh[s > tol * s[0]].reshape(-1, d, d))
+
+    basis = orth([np.eye(d, dtype=complex)] + list(mats) + [m.conj().T for m in mats])
+    while True:
+        grown = orth(basis + [a @ b for a in basis for b in basis])
+        if len(grown) == len(basis):
+            return MatrixAlgebra(d, tuple(grown))
+        basis = grown
+
+
+@pytest.mark.parametrize("blocks, k, dim", [
+    (((2, 2), (1, 2)), 2, 8),          # d = 6: 1_2 (x) M_2 (+) M_2
+    (((2, 3), (1, 2)), 3, 13),         # d = 8: 1_2 (x) M_3 (+) M_2
+])
+def test_closure_matches_an_all_pairs_oracle(blocks, k, dim):
+    """Seeded random generators with a hidden block structure, against a
+    closure that multiplies all pairs and uses no generator-driven step."""
+    rng = np.random.default_rng(2024 + dim)
+    d = sum(n * m for n, m in blocks)
+    U, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    gens = []
+    for _ in range(k):
+        g = np.zeros((d, d), dtype=complex)
+        at = 0
+        for n, m in blocks:
+            a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            g[at:at + n * m, at:at + n * m] = np.kron(np.eye(n), a)
+            at += n * m
+        gens.append(U @ g @ U.conj().T)
+    alg = close_algebra(error_set(gens))
+    oracle = _all_pairs_closure(gens)
+    assert alg.closed and alg.algebra_dim == oracle.algebra_dim == dim
+    assert span_projector_distance(alg, oracle) < 1e-10
+
+
+def test_generator_certificate_rejects_a_basis_missing_one_element():
+    """Mutation check: every proper subspace of the algebra fails the
+    generator certificate, whichever direction is dropped."""
+    from nsslab.algebra import MatrixAlgebra, _orthonormal_rows, verify_closure
+
+    gens = _collective()
+    alg = close_algebra(error_set(gens))
+    seed = [np.eye(8, dtype=complex)] + gens
+    tol = DEFAULT_CONFIG.span_membership_tol
+    assert verify_closure(alg, generators=seed) < tol
+    rng = np.random.default_rng(7)
+    m = alg.algebra_dim
+    U, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    for rows in (alg.stacked(), U @ alg.stacked()):
+        for drop in range(m):
+            kept = _orthonormal_rows(np.delete(rows, drop, axis=0),
+                                     DEFAULT_CONFIG.hs_orthonormal_tol)
+            cut = MatrixAlgebra(8, tuple(kept.reshape(-1, 8, 8)))
+            assert verify_closure(cut, generators=seed) > tol
+
+
+def test_closure_is_certified_exactly_beyond_the_pair_sample_limit(monkeypatch):
+    """Two generic generators at d = 18 generate all of M_18: 324 basis
+    elements, above the 300 where the pair check would sample.  The
+    generator certificate checks every product instead."""
+    from nsslab import algebra
+
+    calls = []
+    real = algebra.verify_closure
+
+    def spy(alg, config=DEFAULT_CONFIG, generators=None):
+        calls.append(generators is not None)
+        return real(alg, config, generators=generators)
+
+    monkeypatch.setattr(algebra, "verify_closure", spy)
+    rng = np.random.default_rng(18)
+    gens = [rng.standard_normal((18, 18)) + 1j * rng.standard_normal((18, 18))
+            for _ in range(2)]
+    alg = close_algebra(error_set(gens))
+    assert alg.algebra_dim == 324 > algebra._FULL_VERIFY_LIMIT
+    assert alg.closed and alg.closure_residual < DEFAULT_CONFIG.span_membership_tol
+    assert calls == [True]
 
 
 def test_commutant_elements_commute_with_every_generator():
@@ -239,7 +335,7 @@ def test_star_group_span_agrees_with_numerical_closure():
     exact = from_pauli_span(group)
     numeric = close_algebra(error_set([to_dense(s) for s in lat.vertex_stars]))
     assert exact.algebra_dim == numeric.algebra_dim == 8
-    assert span_projector_distance(exact, numeric) < 1e-8
+    assert span_projector_distance(exact, numeric) < 1e-10
 
 
 def test_star_group_sectors_are_syndrome_projectors():

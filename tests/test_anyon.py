@@ -220,6 +220,22 @@ def test_braid_validation_and_geometry_limits():
         braid(s, 0, 2)
 
 
+def test_braid_and_fuse_refuse_bad_anyon_indices():
+    """Negative or out-of-range indices are refused before any search, as
+    in move_anyon: a negative index must not wrap to the last anyon."""
+    lat = build_torus(4, 4)
+    s = create_pair(ground_state(lat), "e", 0)
+    s = create_pair(s, "m", lat.edge_index(2, 2, 1))
+    for mover, around in ((0, -1), (-1, 2), (0, 4), (7, 0)):
+        with pytest.raises(ValueError, match="no such anyon"):
+            braid(s, mover, around)
+    for a, b in ((0, -1), (-2, 3), (0, 4)):
+        with pytest.raises(ValueError, match="no such anyon"):
+            fuse(s, a, b)
+    # valid indices still braid: e around the m, phase -1
+    assert relative_phase(braid(s, 0, 2), s) == -1
+
+
 def test_dense_replay_oracle_for_a_mixed_trajectory():
     """The package state (with its scalar-absorption bookkeeping) must equal
     the raw dense replay of every elementary edge operator."""

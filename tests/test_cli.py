@@ -203,11 +203,42 @@ def test_resource_refusal_leaves_no_partial_output(tmp_path, capsys):
     assert not target.exists()
 
 
-def test_thread_env_var_propagates_to_blas_pools(capsys, monkeypatch):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.delenv(var, raising=False)
-    monkeypatch.setenv("NSSLAB_THREADS", "2")
-    rc, out, _ = _run(capsys, ["toric", "--l1", "2", "--l2", "2"])
-    assert rc == 0
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+def test_decompose_runs_without_loading_scipy(tmp_path):
+    """scipy is loaded only by the sparse spectral paths: in a fresh
+    process, neither `import nsslab` nor a decompose run loads it."""
+    import subprocess
+    import sys
+
+    import nsslab
+
+    src = os.path.dirname(os.path.dirname(nsslab.__file__))
+    code = (
+        "import sys\n"
+        "import nsslab\n"
+        "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), 'import'\n"
+        "from nsslab.cli import main\n"
+        f"rc = main(['decompose', '--input', {_collective_file(tmp_path)!r}, "
+        f"'--output', {str(tmp_path / 'out.json')!r}])\n"
+        "assert rc == 0, rc\n"
+        "assert 'scipy' not in sys.modules, 'decompose'\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "out.json").read_text())["sector_shapes"] == \
+        [[1, 4], [2, 2]]
+
+
+def test_braid_script_with_a_bad_anyon_index_exits_2(tmp_path, capsys):
+    script = tmp_path / "bad.json"
+    for bad in (-1, 4):
+        script.write_text(json.dumps([
+            {"op": "create_pair", "type": "e", "edge": 0},
+            {"op": "create_pair", "type": "m", "edge": 3},
+            {"op": "braid", "mover": 0, "around": bad},
+        ]))
+        rc, out, err = _run(capsys, ["braid", "--l1", "2", "--l2", "2",
+                                     "--script", str(script)])
+        assert rc == EXIT_VALIDATION
+        assert "no such anyon" in err and out == ""

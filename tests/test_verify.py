@@ -281,13 +281,6 @@ def test_scaling_handles_exact_degeneracy_and_duplicates():
     assert all(s < 1e-10 for _, s in res.points)
 
 
-def test_scaling_is_thread_count_invariant():
-    sizes = [(2, 2), (2, 3), (3, 2)]
-    a = scaling_to_csv(scaling_study(sizes, 0.0, threads=1))
-    b = scaling_to_csv(scaling_study(sizes, 0.0, threads=2))
-    assert a == b
-
-
 def test_sector_rows_match_the_full_space_solver():
     """The flux-free sector path against full-space `spectrum`: levels, and
     the deviation and coupling built from the full-space ground vectors."""
