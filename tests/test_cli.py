@@ -214,13 +214,15 @@ def test_decompose_runs_without_loading_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(nsslab.__file__))
     code = (
         "import sys\n"
+        "def scipy_loaded():\n"
+        "    return any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
         "import nsslab\n"
-        "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules), 'import'\n"
+        "assert not scipy_loaded(), 'import nsslab loaded scipy'\n"
         "from nsslab.cli import main\n"
         f"rc = main(['decompose', '--input', {_collective_file(tmp_path)!r}, "
         f"'--output', {str(tmp_path / 'out.json')!r}])\n"
         "assert rc == 0, rc\n"
-        "assert 'scipy' not in sys.modules, 'decompose'\n"
+        "assert not scipy_loaded(), 'decompose loaded scipy'\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,
