@@ -353,8 +353,11 @@ def decompose(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Sect
     if null.shape[1] <= 1:
         central_slices = [None]  # factor: single sector, no splitting needed
     else:
-        coeff = rng_central.standard_normal(null.shape[1]) + 1j * rng_central.standard_normal(null.shape[1])
-        zel = np.tensordot(null @ coeff, mats, axes=1)
+        # a seeded d x d Gaussian projected onto the algebra, then onto the
+        # center: Gaussian center coefficients, whatever the basis
+        draw = rng_central.standard_normal((d, d)) + 1j * rng_central.standard_normal((d, d))
+        coeff = null @ (null.conj().T @ (rows.conj() @ draw.reshape(-1)))
+        zel = np.tensordot(coeff, mats, axes=1)
         zel = (zel + zel.conj().T) / 2
         w, V = np.linalg.eigh(zel)
         central_slices = [V[:, a:b] for a, b in

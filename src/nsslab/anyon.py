@@ -17,22 +17,21 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import gf2
 from .config import DEFAULT_CONFIG, EngineConfig
-from .lattice import SectorLabel, TorusLattice, homology_basis
+from .lattice import SectorLabel, TorusLattice, homology_basis, stabilizer_expansion
 from .pauli import PauliOp, apply_to_vector, identity, multiply
 from .verify import SECTOR_ORDER, code_basis
 
 
-class InvalidMoveError(Exception):
+class InvalidMoveError(ValueError):
     pass
 
 
-class InvalidFusionError(Exception):
+class InvalidFusionError(ValueError):
     pass
 
 
-class PathNotFoundError(Exception):
+class PathNotFoundError(ValueError):
     pass
 
 
@@ -124,27 +123,19 @@ def _scalar_on_reference(lat: TorusLattice, sector0: SectorLabel, op: PauliOp):
     """Eigenvalue of op on the reference code vector, or None.
 
     The reference |J0> is stabilized by every check and by the two signed
-    Z-type frame loops; op acts as a scalar exactly when its bit pattern is
-    a GF(2) combination of those generators, and the scalar is the product
-    of the combination's exact Pauli phase and the loop signs used.
+    Z-type frame loops; op acts as a scalar exactly when it expands in
+    those generators, and the scalar is the expansion's phase times the
+    signs of the loops it uses.
     """
-    n = lat.n_qubits
-    loops = homology_basis(lat)
-    gens = list(lat.vertex_stars) + list(lat.plaquette_checks) + \
-        [loops[0].op, loops[1].op]
-    rows = [(g.x_bits << n) | g.z_bits for g in gens]
-    combo = gf2.solve(rows, (op.x_bits << n) | op.z_bits)
-    if combo is None:
+    expansion = stabilizer_expansion(lat, op)
+    if expansion is None:
         return None
-    prod = identity(n)
+    phase, used = expansion
     val = 1.0 + 0j
-    n_checks = len(gens) - 2
-    for k, g in enumerate(gens):
-        if combo >> k & 1:
-            prod = multiply(prod, g)
-            if k >= n_checks:
-                val *= sector0.j[k - n_checks]
-    return val * 1j ** ((op.phase - prod.phase) % 4)
+    for j, u in zip(sector0.j, used):
+        if u:
+            val *= j
+    return val * 1j ** phase
 
 
 def _absorb_if_scalar(state: AnyonState, cycle: PauliOp) -> AnyonState:

@@ -32,14 +32,11 @@ class EngineConfig:
     cluster_merge_tol: float = 1e-8
     # clusters separated by less than guard * merge tol abort the decomposition
     gap_ratio_guard: float = 10.0
-    # block structure 1_{n} (x) M residual bound
-    block_structure_tol: float = 1e-7
 
     orbit_overlap_tol: float = 1e-10
 
     # iterative eigensolver
     eig_residual_tol: float = 1e-9
-    eig_num_values: int = 12
     eig_max_iter: int = 20000
     # relative (to the gap) width of one quasi-degenerate multiplet
     degeneracy_cluster_rel: float = 1e-6

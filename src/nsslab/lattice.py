@@ -138,22 +138,37 @@ def homology_basis(lat: TorusLattice) -> list:
     ]
 
 
+def stabilizer_expansion(lat: TorusLattice, op: PauliOp):
+    """op as i^phase times a product of checks and the Z-frame loops g1_Z,
+    g2_Z: (phase, (g1_Z used, g2_Z used)), or None if there is none.
+
+    The generators commute and are pure X or pure Z with phase 0, so the
+    phase is op's own; the loops are independent of the checks, so their
+    flags do not depend on the combination the elimination finds.
+    """
+    n = lat.n_qubits
+    rows = lat.check_symplectic_rows() + \
+        [(lo.op.x_bits << n) | lo.op.z_bits for lo in homology_basis(lat)[:2]]
+    combo = gf2.solve(rows, (op.x_bits << n) | op.z_bits)
+    if combo is None:
+        return None
+    loop_bits = combo >> (len(rows) - 2)
+    return op.phase, (bool(loop_bits & 1), bool(loop_bits & 2))
+
+
 def is_contractible(lat: TorusLattice, cycle: PauliOp) -> bool:
     """True iff the pure-type cycle is a product of same-type checks."""
     if cycle.n != lat.n_qubits:
         raise ValueError("cycle acts on the wrong qubit count")
     if cycle.x_bits and cycle.z_bits:
         raise ValueError("cycle must be pure X-type or pure Z-type")
-    if cycle.z_bits or not cycle.x_bits:
-        # Z-type (or identity): must commute with every star
-        if any(not commutes(cycle, s) for s in lat.vertex_stars):
-            raise ValueError("not a cycle: fails to commute with dual checks")
-        gens = [p.z_bits for p in lat.plaquette_checks]
-        return gf2.in_span(gens, cycle.z_bits)
-    if any(not commutes(cycle, p) for p in lat.plaquette_checks):
+    duals = lat.plaquette_checks if cycle.x_bits else lat.vertex_stars
+    if any(not commutes(cycle, ch) for ch in duals):
         raise ValueError("not a cycle: fails to commute with dual checks")
-    gens = [s.x_bits for s in lat.vertex_stars]
-    return gf2.in_span(gens, cycle.x_bits)
+    # a Z cycle always expands, using a Z loop exactly when it wraps; an
+    # X cycle that wraps has no expansion at all
+    expansion = stabilizer_expansion(lat, cycle)
+    return expansion is not None and not any(expansion[1])
 
 
 def sector_of(lat: TorusLattice, state, loop_basis: str = "Z",

@@ -95,20 +95,23 @@ def weight(a: PauliOp) -> int:
     return (a.x_bits | a.z_bits).bit_count()
 
 
-def to_dense(a: PauliOp, max_qubits: int | None = None) -> np.ndarray:
-    """Dense 2^n x 2^n unitary in the computational basis.
+def _scatter(a: PauliOp):
+    """(rows, vals): column c holds i^phase * (-1)^|z & c| at row c ^ x, one
+    scatter instead of an n-fold Kronecker product."""
+    cols = np.arange(1 << a.n)
+    signs = 1.0 - 2.0 * (np.bitwise_count(cols & a.z_bits) & 1)
+    return cols ^ a.x_bits, (1j ** a.phase) * signs
 
-    Column c holds i^phase * (-1)^|z & c| at row c ^ x: one scatter instead
-    of an n-fold Kronecker product.
-    """
+
+def to_dense(a: PauliOp, max_qubits: int | None = None) -> np.ndarray:
+    """Dense 2^n x 2^n unitary in the computational basis."""
     cap = DEFAULT_CONFIG.dense_bridge_max_qubits if max_qubits is None else max_qubits
     if a.n > cap:
         raise ResourceLimitError(f"dense bridge capped at {cap} qubits, got {a.n}")
     dim = 1 << a.n
-    cols = np.arange(dim)
-    signs = 1.0 - 2.0 * (np.bitwise_count(cols & a.z_bits) & 1)
+    rows, vals = _scatter(a)
     mat = np.zeros((dim, dim), dtype=complex)
-    mat[cols ^ a.x_bits, cols] = (1j ** a.phase) * signs
+    mat[rows, np.arange(dim)] = vals
     return mat
 
 
@@ -156,13 +159,11 @@ def parse_pauli(text: str) -> PauliOp:
 
 def apply_to_vector(a: PauliOp, vec: np.ndarray) -> np.ndarray:
     """Matrix-free action on state vectors (length-2^n array or stack of columns)."""
-    dim = 1 << a.n
-    if vec.shape[0] != dim:
+    if vec.shape[0] != 1 << a.n:
         raise ValueError("vector length does not match qubit count")
-    cols = np.arange(dim)
-    signs = 1.0 - 2.0 * (np.bitwise_count(cols & a.z_bits) & 1)
+    rows, vals = _scatter(a)
     if vec.ndim > 1:
-        signs = signs[:, None]
+        vals = vals[:, None]
     out = np.empty_like(vec, dtype=complex)
-    out[cols ^ a.x_bits] = (1j ** a.phase) * signs * vec[cols]
+    out[rows] = vals * vec
     return out

@@ -6,9 +6,11 @@ check Hamiltonian under local perturbations, and the size-scaling study of
 the quasi-degenerate ground-multiplet splitting, solved in the flux-free
 symmetry sectors of single-type fields.
 
-scipy is imported inside the three sparse helpers (`_matfree_operator`,
-`_arpack_lowest`, `_flux_free_row`), so importing the package, and every
-path that stays dense, loads none of it.
+Both spectral paths solve through one routine, `_lowest`: dense eigh up to
+dense_spectrum_cap, seeded ARPACK above.  scipy is imported inside the
+three sparse helpers (`_matfree_operator`, `_lowest`'s ARPACK branch,
+`_flux_free_row`), so importing the package, and every path that stays
+dense, loads none of it.
 """
 
 import itertools
@@ -17,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import gf2
 from .config import (DEFAULT_CONFIG, ConvergenceError, EngineConfig,
                      ResourceLimitError, spawn_rng)
 from .algebra import ErrorSet
-from .lattice import TorusLattice, build_torus, code_dimension, homology_basis
-from .pauli import (PauliOp, apply_to_vector, commutes, format_pauli, multiply,
-                    weight)
+from .lattice import (TorusLattice, build_torus, code_dimension, homology_basis,
+                      stabilizer_expansion)
+from .pauli import PauliOp, _scatter, apply_to_vector, commutes, format_pauli, weight
 
 
 class InsufficientDataError(ValueError):
@@ -84,32 +85,27 @@ def kl_check_stabilizer(lat: TorusLattice, errors, labels=None) -> KLReport:
     For each error: c = the exact eigenvalue if the error is a product of
     checks (deviation 0), c = 0 if some check detects it (deviation 0), and
     deviation 1 if it commutes with every check without being a product of
-    them (an undetectable logical action on the code space).
+    them (an undetectable logical action on the code space): its expansion
+    in checks and Z-frame loops uses a loop, or it has none at all.
     """
     checks = list(lat.vertex_stars) + list(lat.plaquette_checks)
-    rows = lat.check_symplectic_rows()
-    n = lat.n_qubits
     out_labels, cs, devs = [], [], []
     for i, err in enumerate(errors):
-        if err.n != n:
+        if err.n != lat.n_qubits:
             raise ValueError("error acts on the wrong qubit count")
         out_labels.append(labels[i] if labels else format_pauli(err))
         if any(not commutes(err, ch) for ch in checks):
             cs.append(0j)
             devs.append(0.0)
             continue
-        combo = gf2.solve(rows, (err.x_bits << n) | err.z_bits)
-        if combo is None:
+        expansion = stabilizer_expansion(lat, err)
+        if expansion is None or any(expansion[1]):
             # normalizer minus stabilizer: acts within the code space
             cs.append(0j)
             devs.append(1.0)
             continue
-        prod = PauliOp(n, 0, 0)
-        for k, ch in enumerate(checks):
-            if combo >> k & 1:
-                prod = multiply(prod, ch)
-        # err = i^(dphase) * prod, and prod acts as +1 on the code space
-        cs.append(1j ** ((err.phase - prod.phase) % 4))
+        # err = i^phase * (product of checks), which is +1 on the code space
+        cs.append(1j ** expansion[0])
         devs.append(0.0)
     return _report(out_labels, cs, devs)
 
@@ -324,15 +320,25 @@ def _assemble_terms(lat, perturbation, h):
     return terms
 
 
+def _scatter_terms(terms):
+    """Each term's Pauli scatter scaled by its coefficient, in term order,
+    and the dtype that holds them: real unless some term carries a Y."""
+    complex_needed = any((op.x_bits & op.z_bits) for op, _ in terms)
+    prepared = []
+    for op, coeff in terms:
+        rows, vals = _scatter(op)
+        vals = coeff * vals
+        prepared.append((rows, vals if complex_needed else vals.real))
+    return prepared, (complex if complex_needed else np.float64)
+
+
 def _dense_hamiltonian(n, terms):
     dim = 1 << n
+    prepared, dtype = _scatter_terms(terms)
+    H = np.zeros((dim, dim), dtype=dtype)
     cols = np.arange(dim)
-    complex_needed = any((op.x_bits & op.z_bits) for op, _ in terms)
-    H = np.zeros((dim, dim), dtype=complex if complex_needed else float)
-    for op, coeff in terms:
-        signs = 1.0 - 2.0 * (np.bitwise_count(cols & op.z_bits) & 1)
-        vals = coeff * (1j ** op.phase) * signs
-        H[cols ^ op.x_bits, cols] += vals if complex_needed else vals.real
+    for rows, vals in prepared:
+        H[rows, cols] += vals
     return H
 
 
@@ -340,48 +346,33 @@ def _matfree_operator(n, terms):
     import scipy.sparse.linalg as spla
 
     dim = 1 << n
-    cols = np.arange(dim)
-    complex_needed = any((op.x_bits & op.z_bits) for op, _ in terms)
-    dtype = complex if complex_needed else np.float64
-    prepared = []
-    for op, coeff in terms:
-        signs = (1 - 2 * (np.bitwise_count(cols & op.z_bits) & 1)).astype(np.int8)
-        scale = coeff * (1j ** op.phase)
-        prepared.append((cols ^ op.x_bits, signs, scale if complex_needed else scale.real))
+    prepared, dtype = _scatter_terms(terms)
 
     def matvec(v):
         v = v.reshape(-1)
         out = np.zeros(dim, dtype=dtype)
-        for tgt, signs, scale in prepared:
-            out[tgt] += scale * (signs * v)
+        for rows, vals in prepared:
+            out[rows] += vals * v
         return out
 
     return spla.LinearOperator((dim, dim), matvec=matvec, dtype=dtype)
 
 
-def _solve_lowest(n, terms, k, config):
-    """Lowest k eigenpairs: one dense eigh below the cap, else ARPACK with a
-    seeded random start (a deterministic start that still resolves exact
-    multiplicities)."""
-    dim = 1 << n
+def _lowest(dim, k, dense, operator, stream, config):
+    """Lowest k eigenpairs, ascending: one dense eigh of dense() up to
+    dense_spectrum_cap, else ARPACK on operator() from a start drawn from
+    spawn_rng(config.seed, *stream) (deterministic, yet it still resolves
+    exact multiplicities), each Ritz pair checked against the residual
+    tolerance."""
     if dim <= config.dense_spectrum_cap:
-        H = _dense_hamiltonian(n, terms)
-        w, V = np.linalg.eigh(H)
-        k = min(k, dim)
+        w, V = np.linalg.eigh(dense())
         return w[:k], V[:, :k]
-    A = _matfree_operator(n, terms)
-    k = min(k, dim - 2)
-    rng = spawn_rng(config.seed, 4, n)
-    return _arpack_lowest(A, k, rng.standard_normal(dim), config)
-
-
-def _arpack_lowest(A, k, v0, config):
-    """Lowest k eigenpairs of a symmetric operator by ARPACK, ascending, each
-    Ritz pair checked against the residual tolerance."""
     import scipy.sparse.linalg as spla
 
+    A = operator()
+    v0 = spawn_rng(config.seed, *stream).standard_normal(dim)
     try:
-        w, V = spla.eigsh(A, k=k, which="SA", v0=v0,
+        w, V = spla.eigsh(A, k=min(k, dim - 2), which="SA", v0=v0,
                           tol=config.eig_residual_tol * 1e-2,
                           maxiter=config.eig_max_iter)
     except spla.ArpackNoConvergence as exc:
@@ -395,9 +386,14 @@ def _arpack_lowest(A, k, v0, config):
     return w, V
 
 
+# Levels `spectrum` asks for: three times the four-fold ground multiplet,
+# enough for ARPACK to resolve the exactly degenerate multiplet at h = 0.
+_SPECTRUM_LEVELS = 12
+
+
 def spectrum(lat: TorusLattice, perturbation=None, h: float = 0.0,
              config: EngineConfig = DEFAULT_CONFIG, return_vectors: bool = False):
-    """Low part of the spectrum of -sum(stars) - sum(plaquettes) + h*V.
+    """The 12 lowest levels of -sum(stars) - sum(plaquettes) + h*V.
 
     Solved on the full 2^n-dimensional space (dense eigh below
     dense_spectrum_cap, ARPACK above, refused above sparse_max_qubits), so
@@ -414,8 +410,10 @@ def spectrum(lat: TorusLattice, perturbation=None, h: float = 0.0,
             f"spectrum capped at {config.sparse_max_qubits} qubits, got {lat.n_qubits}")
     terms = _assemble_terms(lat, perturbation, h)
     q = code_dimension(lat)
-    k = max(config.eig_num_values, q + 2)
-    w, V = _solve_lowest(lat.n_qubits, terms, k, config)
+    n = lat.n_qubits
+    w, V = _lowest(1 << n, _SPECTRUM_LEVELS,
+                   lambda: _dense_hamiltonian(n, terms),
+                   lambda: _matfree_operator(n, terms), (4, n), config)
     gap = float(w[q] - w[0]) if len(w) > q else float("nan")
     splitting = float(w[q - 1] - w[0]) if len(w) >= q else 0.0
     tol = config.degeneracy_cluster_rel * max(abs(gap), 1.0)
@@ -478,17 +476,6 @@ def _flux_free_sectors(lat: TorusLattice, perturbation):
     return lat.L1 * lat.L2, ends, signs
 
 
-def _sector_lowest(H, k, config, stream):
-    """Lowest k eigenpairs of a sector matrix (CSR): dense eigh up to the
-    dense cap, else ARPACK from a seeded start."""
-    dim = H.shape[0]
-    if dim <= config.dense_spectrum_cap:
-        w, V = np.linalg.eigh(H.toarray())
-        return w[:k], V[:, :k]
-    v0 = spawn_rng(config.seed, *stream).standard_normal(dim)
-    return _arpack_lowest(H, min(k, dim - 2), v0, config)
-
-
 def _flux_free_row(lat: TorusLattice, perturbation, h: float,
                    config: EngineConfig):
     """(splitting, gap, coupling_k, deviation_max) of the full spectrum,
@@ -526,7 +513,8 @@ def _flux_free_row(lat: TorusLattice, perturbation, h: float,
     for J in range(len(SECTOR_ORDER)):
         field = sum(coeffs[t] * bond(t, J) for t in range(len(coeffs)))
         H = hops + sp.diags(h * field - n_nodes, format="csr")
-        solved.append(_sector_lowest(H, q + 1, config, (5, lat.L1, lat.L2, J)))
+        solved.append(_lowest(dim, q + 1, H.toarray, lambda: H,
+                              (5, lat.L1, lat.L2, J), config))
         fields.append(field)
 
     levels = sorted((float(w[i]), J, i)

@@ -150,7 +150,7 @@ def test_generators_act_block_diagonally_with_spin_spectra():
     for s in dec.sectors:
         for g in (jx, jy, jz):
             resid, M = block_structure_residual(s, g)
-            assert resid < DEFAULT_CONFIG.block_structure_tol
+            assert resid < 1e-7
         _, Mz = block_structure_residual(s, jz)
         got = sorted(np.linalg.eigvalsh(Mz))
         assert np.allclose(got, spectra[(s.n_J, s.d_J)], atol=1e-8)
@@ -394,3 +394,21 @@ def test_decompose_is_deterministic_for_a_fixed_seed():
     assert a.sector_shapes == b.sector_shapes
     for sa, sb in zip(a.sectors, b.sectors):
         assert np.array_equal(sa.isometry, sb.isometry)
+
+
+def test_decompose_does_not_depend_on_the_basis_gauge():
+    """The central draw is a projection of a seeded matrix, so rewriting the
+    algebra in a rotated HS-orthonormal basis keeps the sector order and
+    the central projectors."""
+    from nsslab.algebra import MatrixAlgebra
+
+    alg = close_algebra(error_set(_collective(5)))
+    m, d = alg.algebra_dim, alg.dim
+    rng = np.random.default_rng(5)
+    U, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    rotated = MatrixAlgebra(d, tuple((U @ alg.stacked()).reshape(m, d, d)),
+                            closed=True, closure_residual=alg.closure_residual)
+    a, b = decompose(alg), decompose(rotated)
+    assert [(s.n_J, s.d_J) for s in a.sectors] == [(s.n_J, s.d_J) for s in b.sectors]
+    for sa, sb in zip(a.sectors, b.sectors):
+        assert np.abs(sa.central_projector - sb.central_projector).max() < 1e-12

@@ -9,6 +9,7 @@ match dense overlaps.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsslab import (
     InvalidFusionError,
@@ -28,7 +29,7 @@ from nsslab import (
     sector_of,
 )
 from nsslab import gf2
-from nsslab.pauli import apply_to_vector, commutes
+from nsslab.pauli import PauliOp, apply_to_vector, commutes
 from nsslab.verify import SECTOR_ORDER, code_basis
 
 
@@ -366,3 +367,77 @@ def test_relative_phase_demands_proportional_states():
         relative_phase(a, ground_state(lat, (1, -1)))
     with pytest.raises(ValueError):
         relative_phase(a, ground_state(build_torus(2, 3)))
+
+
+_STEPS = st.one_of(
+    st.tuples(st.just("create"), st.sampled_from("em"), st.integers(0, 11)),
+    st.tuples(st.just("move"), st.integers(0, 5),
+              st.lists(st.integers(0, 3), min_size=1, max_size=5)),
+    st.tuples(st.just("braid"), st.integers(0, 5), st.integers(0, 5)),
+    st.tuples(st.just("fuse"), st.integers(0, 5), st.integers(0, 5), st.integers(0, 3)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(shape=st.sampled_from([(2, 2), (2, 3)]), sector=st.sampled_from(SECTOR_ORDER),
+       steps=st.lists(_STEPS, min_size=4, max_size=10))
+def test_random_trajectories_match_the_dense_replay(shape, sector, steps):
+    """Every accepted step acts on the dense vector as the physics says:
+    create, move and fuse apply their edge operators, and a braid
+    multiplies by -1 around the dual type and by +1 around the same type.
+    Refused steps (ValueError) leave the state alone."""
+    lat = build_torus(*shape)
+    n = lat.n_qubits
+
+    def edge_op(kind, e):
+        return PauliOp(n, 0, 1 << e) if kind == "e" else PauliOp(n, 1 << e, 0)
+
+    def edges_at(kind, node):
+        r, c = divmod(node, lat.L2)
+        return lat.star_edges(r, c) if kind == "e" else lat.plaquette_edges(r, c)
+
+    state = ground_state(lat, sector)
+    psi = dense_state(state)
+    for step in steps:
+        name, *args = step
+        ops, sign = [], 1
+        try:
+            if name == "create":
+                kind, e = args[0], args[1] % n
+                new = create_pair(state, kind, e)
+                ops = [edge_op(kind, e)]
+            elif not state.anyons:
+                continue
+            elif name == "move":
+                k = args[0] % len(state.anyons)
+                an = state.anyons[k]
+                pos, path = an.position, []
+                for choice in args[1]:   # the choice-th edge at the current node
+                    path.append(edges_at(an.kind, pos)[choice])
+                    a, b = (lat.edge_vertices if an.kind == "e" else lat.edge_faces)(path[-1])
+                    pos = b if pos == a else a
+                new = move_anyon(state, k, path)
+                ops = [edge_op(an.kind, e) for e in path]
+            elif name == "braid":
+                mover = args[0] % len(state.anyons)
+                # on these tori only a dual-type target can be enclosed
+                duals = [k for k, an in enumerate(state.anyons)
+                         if an.kind != state.anyons[mover].kind] or [mover]
+                around = duals[args[1] % len(duals)]
+                new = braid(state, mover, around)
+                same = state.anyons[mover].kind == state.anyons[around].kind
+                sign = 1 if same else -1
+            else:
+                a, b = (i % len(state.anyons) for i in args[:2])
+                via = edges_at(state.anyons[a].kind, state.anyons[a].position)[args[2]]
+                new = fuse(state, a, b, via)
+                if state.anyons[a].position != state.anyons[b].position:
+                    ops = [edge_op(state.anyons[a].kind, via)]
+        except ValueError:
+            continue
+        for op in ops:
+            psi = apply_to_vector(op, psi)
+        psi = sign * psi
+        state = new
+        assert np.abs(dense_state(state) - psi).max() < 1e-10, step
+        _assert_dense_consistent(state)

@@ -154,13 +154,25 @@ def test_config_file_supplies_values_and_flags_win(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "l1": 3, "l2": 2, "report": True,
-        "tolerances": {"eig_num_values": 8},
+        "tolerances": {"sparse_max_qubits": 10},
     }))
     rc, out, _ = _run(capsys, ["toric", "--config", str(cfg), "--l1", "2"])
     assert rc == 0
     doc = json.loads(out)
     assert doc["l1"] == 2 and doc["l2"] == 2  # flag beat the config file
-    assert len(doc["energies"]) == 8          # tolerance override honoured
+    # 3x2 has 12 qubits: within the default cap of 20, above the override
+    rc, out, _ = _run(capsys, ["toric", "--config", str(cfg)])
+    assert rc == EXIT_RESOURCE and out == ""  # tolerance override honoured
+
+
+def test_config_naming_a_deleted_knob_exits_2(tmp_path, capsys):
+    for knob in ("eig_num_values", "block_structure_tol"):
+        cfg = tmp_path / f"{knob}.json"
+        cfg.write_text(json.dumps({"tolerances": {knob: 8}}))
+        rc, out, err = _run(capsys, ["toric", "--l1", "2", "--l2", "3",
+                                     "--report", "--config", str(cfg)])
+        assert rc == EXIT_VALIDATION and out == ""
+        assert f"unknown config field: {knob}" in err
 
 
 def test_validation_exit_codes(tmp_path, capsys):
@@ -244,3 +256,16 @@ def test_braid_script_with_a_bad_anyon_index_exits_2(tmp_path, capsys):
                                      "--script", str(script)])
         assert rc == EXIT_VALIDATION
         assert "no such anyon" in err and out == ""
+
+
+def test_braid_without_an_enclosing_rectangle_exits_2(tmp_path, capsys):
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps([
+        {"op": "create_pair", "type": "e", "edge": 0},
+        {"op": "create_pair", "type": "e", "edge": 4},
+        {"op": "braid", "mover": 0, "around": 2},
+    ]))
+    rc, out, err = _run(capsys, ["braid", "--l1", "2", "--l2", "2",
+                                 "--script", str(script)])
+    assert rc == EXIT_VALIDATION and out == ""
+    assert "nsslab: no valid enclosing rectangle" in err

@@ -17,6 +17,7 @@ from nsslab.lattice import (
     lattice_from_json,
     lattice_to_json,
     sector_of,
+    stabilizer_expansion,
 )
 from nsslab.pauli import PauliOp, commutes, multiply, weight
 from nsslab.verify import SECTOR_ORDER, code_basis
@@ -154,6 +155,28 @@ def test_is_contractible_accepts_check_products_and_validates_input():
         is_contractible(lat, PauliOp(lat.n_qubits, 0, 1))  # open string
     with pytest.raises(ValueError):
         is_contractible(lat, PauliOp(4, 0, 1))
+
+
+def test_stabilizer_expansion_recovers_planted_products():
+    rng = np.random.default_rng(11)
+    for L1, L2 in ((2, 2), (2, 3), (3, 3)):
+        lat = build_torus(L1, L2)
+        n = lat.n_qubits
+        loops = [lo.op for lo in homology_basis(lat)]
+        checks = list(lat.vertex_stars) + list(lat.plaquette_checks)
+        for _ in range(20):
+            flags = tuple(bool(b) for b in rng.integers(0, 2, 2))
+            phase = int(rng.integers(0, 4))
+            factors = [ch for ch in checks if rng.integers(0, 2)]
+            factors += [lo for lo, f in zip(loops[:2], flags) if f]
+            op = PauliOp(n, 0, 0, phase)
+            for k in rng.permutation(len(factors)):
+                op = multiply(op, factors[k])
+            assert stabilizer_expansion(lat, op) == (phase, flags)
+            # an X loop or an open string takes op out of the group
+            for off in (loops[2], loops[3], PauliOp(n, 0, 1 << int(rng.integers(0, n))),
+                        PauliOp(n, 1 << int(rng.integers(0, n)), 0)):
+                assert stabilizer_expansion(lat, multiply(op, off)) is None
 
 
 def test_sector_label_validation():

@@ -179,3 +179,40 @@ def test_crossing_parities_add_under_multiplication():
         lhs = commutes(multiply(a, b), c)
         rhs = not (commutes(a, c) ^ commutes(b, c))
         assert lhs == rhs
+
+
+def _hermitian_sum(rng, n, with_y):
+    """Random Hermitian Pauli sum; without Y every term is a real matrix."""
+    terms = []
+    for k in range(12):
+        x, z = int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n))
+        if not with_y:
+            z &= ~x
+        elif k == 0:
+            x |= 1
+            z |= 1   # at least one Y
+        # i^p X Z is Hermitian iff p = |x & z| mod 2
+        phase = (x & z).bit_count() + 2 * int(rng.integers(0, 2))
+        terms.append((PauliOp(n, x, z, phase), float(rng.standard_normal())))
+    return terms
+
+
+def test_pauli_sum_kernels_match_the_kronecker_oracle():
+    from nsslab.verify import _dense_hamiltonian, _matfree_operator
+
+    rng = np.random.default_rng(7)
+    for n in (4, 7, 10):
+        for with_y in (False, True):
+            terms = _hermitian_sum(rng, n, with_y)
+            want = sum(c * _dense_oracle(op) for op, c in terms)
+            H = _dense_hamiltonian(n, terms)
+            assert H.dtype == (complex if with_y else np.float64)
+            assert np.abs(H - want).max() < 1e-12
+            A = _matfree_operator(n, terms)
+            assert A.dtype == H.dtype
+            v = rng.standard_normal(1 << n)
+            if with_y:
+                v = v + 1j * rng.standard_normal(1 << n)
+            got = A.matvec(v)
+            assert got.dtype == H.dtype
+            assert np.abs(got - want @ v).max() < 1e-11
