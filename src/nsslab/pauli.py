@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf2
 from .config import DEFAULT_CONFIG, ResourceLimitError
 
 _PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
@@ -95,12 +96,57 @@ def weight(a: PauliOp) -> int:
     return (a.x_bits | a.z_bits).bit_count()
 
 
+def _signs(states, z_bits):
+    """(-1)^|z & s| for every basis state s in `states`."""
+    return 1.0 - 2.0 * (np.bitwise_count(states & z_bits) & 1)
+
+
 def _scatter(a: PauliOp):
     """(rows, vals): column c holds i^phase * (-1)^|z & c| at row c ^ x, one
     scatter instead of an n-fold Kronecker product."""
     cols = np.arange(1 << a.n)
-    signs = 1.0 - 2.0 * (np.bitwise_count(cols & a.z_bits) & 1)
-    return cols ^ a.x_bits, (1j ** a.phase) * signs
+    return cols ^ a.x_bits, (1j ** a.phase) * _signs(cols, a.z_bits)
+
+
+def _coset_states(z0, basis):
+    """Index c of the coset frame (z0, basis) is the state z0 ^ (XOR of
+    basis[i] over the set bits i of c); z0 = 0 and unit vectors: full space."""
+    states = np.array([z0], dtype=np.int64)
+    for b in basis:
+        states = np.concatenate([states, states ^ b])
+    return states
+
+
+def _coset_sum(terms, z0, basis):
+    """sum(coeff * op) on the coset frame (z0, basis) as {a: values}: column
+    c holds values[c] at row c ^ a.  Term i^p X(x) Z(z) shifts c by a, the
+    coordinates of x in the basis, with the value coeff * i^p *
+    (-1)^|z & state(c)|: a scalar when z commutes with the basis, and real
+    unless some term carries a Y or an odd phase.  Terms that share a add,
+    in term order, so the sum is one diagonal plus one shift per distinct a."""
+    if gf2.rank(basis) != len(basis):
+        raise ValueError("coset basis vectors are not independent")
+    real = not any(op.x_bits & op.z_bits or op.phase & 1 for op, _ in terms)
+    states = _coset_states(z0, basis)
+    groups = {}
+    for op, coeff in terms:
+        a = gf2.solve(basis, op.x_bits)
+        if a is None:
+            raise ValueError(f"term {format_pauli(op)} leaves the coset")
+        value = coeff * (1j ** op.phase).real if real else coeff * 1j ** op.phase
+        constant = not any((op.z_bits & b).bit_count() & 1 for b in basis)
+        value = value * _signs(states[0] if constant else states, op.z_bits)
+        groups[a] = groups.get(a, 0) + value
+    return groups
+
+
+def _coset_dense(groups, dim):
+    """The dim x dim matrix of a `_coset_sum`."""
+    mat = np.zeros((dim, dim), dtype=np.result_type(np.float64, *groups.values()))
+    cols = np.arange(dim)
+    for a, values in groups.items():
+        mat[cols ^ a, cols] = values
+    return mat
 
 
 def to_dense(a: PauliOp, max_qubits: int | None = None) -> np.ndarray:

@@ -6,11 +6,11 @@ check Hamiltonian under local perturbations, and the size-scaling study of
 the quasi-degenerate ground-multiplet splitting, solved in the flux-free
 symmetry sectors of single-type fields.
 
-Both spectral paths solve through one routine, `_lowest`: dense eigh up to
-dense_spectrum_cap, seeded ARPACK above.  scipy is imported inside the
-three sparse helpers (`_matfree_operator`, `_lowest`'s ARPACK branch,
-`_flux_free_row`), so importing the package, and every path that stays
-dense, loads none of it.
+Both spectral paths build the Hamiltonian with one kernel, `pauli._coset_sum`
+(the full space is its unit frame, a flux-free sector a coset of the star
+span), and solve it with `_lowest`: dense eigh up to dense_spectrum_cap,
+seeded ARPACK above.  scipy is imported only in the ARPACK paths (`_lowest`,
+`_sparse_operator`), so every path that stays dense loads none of it.
 """
 
 import itertools
@@ -24,7 +24,8 @@ from .config import (DEFAULT_CONFIG, ConvergenceError, EngineConfig,
 from .algebra import ErrorSet
 from .lattice import (TorusLattice, build_torus, code_dimension, homology_basis,
                       stabilizer_expansion)
-from .pauli import PauliOp, _scatter, apply_to_vector, commutes, format_pauli, weight
+from .pauli import (PauliOp, _coset_dense, _coset_states, _coset_sum, _signs,
+                    apply_to_vector, commutes, format_pauli, weight)
 
 
 class InsufficientDataError(ValueError):
@@ -154,45 +155,32 @@ def kl_check_ground_basis(basis_cols: np.ndarray, errors, labels=None) -> KLRepo
 
 # ------------------------------------------------------------- code basis
 
-def project_to_code(lat: TorusLattice, vec: np.ndarray) -> np.ndarray:
-    """Apply the product of (1+S)/2 over all checks, matrix-free."""
-    out = np.asarray(vec, dtype=complex)
-    for ch in list(lat.vertex_stars) + list(lat.plaquette_checks):
-        out = (out + apply_to_vector(ch, out)) / 2
-    return out
-
-
 def code_projector(lat: TorusLattice, config: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Dense projector onto the joint +1 check eigenspace."""
+    """Dense projector onto the joint +1 check eigenspace: 2^-(L1*L2 - 1) on
+    each pair of states in one flux-free coset (`_loop_frames`)."""
     if lat.n_qubits > config.dense_bridge_max_qubits:
         raise ResourceLimitError("code projector needs the dense bridge")
-    dim = 1 << lat.n_qubits
-    return project_to_code(lat, np.eye(dim, dtype=complex))
+    _, frames, basis = _loop_frames(lat)
+    P = np.zeros((1 << lat.n_qubits,) * 2, dtype=complex)
+    for z0 in frames:
+        states = _coset_states(z0, basis)
+        P[np.ix_(states, states)] = 2.0 ** -len(basis)
+    return P
 
 
 SECTOR_ORDER = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
 def code_basis(lat: TorusLattice, config: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Orthonormal columns |J> for J in SECTOR_ORDER (Z-loop labels).
-
-    Starting from |0...0> (a +1 eigenvector of both Z loops), the paired
-    X-type loops flip the individual labels, and the check projector
-    commutes with all four loop operators.
-    """
+    """Orthonormal columns |J> for J in SECTOR_ORDER (Z-loop labels): the
+    uniform superposition over the flux-free coset of J (`_loop_frames`)."""
     if lat.n_qubits > config.dense_bridge_max_qubits:
         raise ResourceLimitError("code basis needs the dense bridge")
-    dim = 1 << lat.n_qubits
-    loops = {lo.homology_class: lo.op for lo in homology_basis(lat)}
+    _, frames, basis = _loop_frames(lat)
     cols = []
-    for j1, j2 in SECTOR_ORDER:
-        v = np.zeros(dim, dtype=complex)
-        v[0] = 1.0
-        if j1 == -1:
-            v = apply_to_vector(loops["g2_X"], v)   # anticommutes with g1_Z
-        if j2 == -1:
-            v = apply_to_vector(loops["g1_X"], v)   # anticommutes with g2_Z
-        v = project_to_code(lat, v)
+    for z0 in frames:
+        v = np.zeros(1 << lat.n_qubits, dtype=complex)
+        v[_coset_states(z0, basis)] = 2.0 ** -len(basis)
         cols.append(v / np.linalg.norm(v))
     return np.stack(cols, axis=1)
 
@@ -320,42 +308,28 @@ def _assemble_terms(lat, perturbation, h):
     return terms
 
 
-def _scatter_terms(terms):
-    """Each term's Pauli scatter scaled by its coefficient, in term order,
-    and the dtype that holds them: real unless some term carries a Y."""
-    complex_needed = any((op.x_bits & op.z_bits) for op, _ in terms)
-    prepared = []
-    for op, coeff in terms:
-        rows, vals = _scatter(op)
-        vals = coeff * vals
-        prepared.append((rows, vals if complex_needed else vals.real))
-    return prepared, (complex if complex_needed else np.float64)
-
-
 def _dense_hamiltonian(n, terms):
-    dim = 1 << n
-    prepared, dtype = _scatter_terms(terms)
-    H = np.zeros((dim, dim), dtype=dtype)
-    cols = np.arange(dim)
-    for rows, vals in prepared:
-        H[rows, cols] += vals
-    return H
+    return _coset_dense(_coset_sum(terms, 0, [1 << i for i in range(n)]), 1 << n)
 
 
 def _matfree_operator(n, terms):
+    return _sparse_operator(_coset_sum(terms, 0, [1 << i for i in range(n)]), 1 << n)
+
+
+def _sparse_operator(groups, dim):
+    """A `_coset_sum` as ARPACK's operator: CSR, row r holding values[r ^ a]
+    at column r ^ a for each group a, in column order."""
+    import scipy.sparse as sp
     import scipy.sparse.linalg as spla
 
-    dim = 1 << n
-    prepared, dtype = _scatter_terms(terms)
-
-    def matvec(v):
-        v = v.reshape(-1)
-        out = np.zeros(dim, dtype=dtype)
-        for rows, vals in prepared:
-            out[rows] += vals * v
-        return out
-
-    return spla.LinearOperator((dim, dim), matvec=matvec, dtype=dtype)
+    nnz = dim * len(groups)
+    rows = np.arange(dim, dtype=np.int32 if nnz < 2**31 else np.int64)
+    cols = np.stack([rows ^ a for a in groups], axis=1)
+    data = np.stack([np.broadcast_to(v, (dim,))[rows ^ a] for a, v in groups.items()], 1)
+    mat = sp.csr_matrix((data.ravel(), cols.ravel(), np.arange(0, nnz + 1, len(groups))),
+                        shape=(dim, dim))
+    mat.sort_indices()
+    return spla.aslinearoperator(mat)
 
 
 def _lowest(dim, k, dense, operator, stream, config):
@@ -386,6 +360,15 @@ def _lowest(dim, k, dense, operator, stream, config):
     return w, V
 
 
+def _refuse_tied_multiplet(lat, h, w, q, config):
+    """Level q + 1 within degeneracy_cluster_rel * max(|gap|, 1) of level q
+    leaves the multiplet, and all read from it, to the solver's ranking."""
+    if len(w) > q and w[q] - w[q - 1] <= config.degeneracy_cluster_rel * max(
+            abs(w[q] - w[0]), 1.0):
+        raise ValueError(f"tied multiplet on {lat.L1}x{lat.L2} at h={h!r}: "
+                         f"levels {q} and {q + 1} coincide")
+
+
 # Levels `spectrum` asks for: three times the four-fold ground multiplet,
 # enough for ARPACK to resolve the exactly degenerate multiplet at h = 0.
 _SPECTRUM_LEVELS = 12
@@ -398,12 +381,12 @@ def spectrum(lat: TorusLattice, perturbation=None, h: float = 0.0,
     Solved on the full 2^n-dimensional space (dense eigh below
     dense_spectrum_cap, ARPACK above, refused above sparse_max_qubits), so
     any Pauli perturbation is accepted; `scaling_study` instead solves
-    single-type fields in their flux-free sectors.  The quasi-degenerate
-    ground multiplet is taken to be the lowest code-dimension levels;
-    gap_delta is measured from the ground energy to the first level above
-    that multiplet, and splitting is the multiplet's spread.  coupling_k is
-    ||(1 - P0) V P0|| for the bare perturbation V and the projector P0 onto
-    the multiplet, which does not depend on the basis the solver returns.
+    single-type fields in their flux-free sectors.  The ground multiplet is
+    the lowest code-dimension levels (refused when the next level ties with
+    them); gap_delta runs from the ground energy to the first level above
+    it, and splitting is its spread.  coupling_k is ||(1 - P0) V P0|| for
+    the bare perturbation V and the projector P0 onto the multiplet, which
+    does not depend on the basis the solver returns.
     """
     if lat.n_qubits > config.sparse_max_qubits:
         raise ResourceLimitError(
@@ -416,14 +399,13 @@ def spectrum(lat: TorusLattice, perturbation=None, h: float = 0.0,
                    lambda: _matfree_operator(n, terms), (4, n), config)
     gap = float(w[q] - w[0]) if len(w) > q else float("nan")
     splitting = float(w[q - 1] - w[0]) if len(w) >= q else 0.0
+    _refuse_tied_multiplet(lat, h, w, q, config)
     tol = config.degeneracy_cluster_rel * max(abs(gap), 1.0)
     degeneracy = int(np.sum(w - w[0] <= tol))
     coupling = 0.0
     if perturbation:
         G = V[:, :q]
-        pv = np.zeros(G.shape, dtype=complex)
-        for op, coeff in perturbation:
-            pv += coeff * apply_to_vector(op, G)
+        pv = sum(coeff * apply_to_vector(op, G) for op, coeff in perturbation)
         coupling = float(np.linalg.norm(pv - G @ (G.conj().T @ pv), 2))
     report = SpectralReport(tuple(float(x) for x in w), degeneracy, gap,
                             splitting, coupling)
@@ -436,89 +418,61 @@ def spectrum(lat: TorusLattice, perturbation=None, h: float = 0.0,
 _FLUX_PAIR_COST = 4.0
 
 
-def _flux_free_sectors(lat: TorusLattice, perturbation):
-    """Transverse-field Ising data of the four flux-free loop sectors.
-
-    A field of single-qubit Z terms commutes with every plaquette and both
-    Z loops.  With every plaquette at +1 and the loops at (j1, j2), the edge
-    configurations are z_e = eta_e s_u s_v for vertex spins s, one state per
-    global-flip pair; a star flips one vertex spin.  The reference signs
-    eta carry the loop labels: -1 on the support of the X loop paired with
-    each loop whose label is -1 (the construction of `code_basis`).  An X
-    field is the same problem on the faces, with the check and loop types
-    swapped.
-
-    Returns (n_nodes, ends, signs): ends[t] holds the two nodes joined by the
-    edge of term t, and signs[J][t] its eta in sector SECTOR_ORDER[J].
+def _loop_frames(lat: TorusLattice, swap: bool = False):
+    """(check terms, z0 per SECTOR_ORDER, basis) of the flux-free loop
+    sectors.  With every plaquette at +1 and the Z loops at (j1, j2), the
+    states are z0 + span(star X-parts), z0 the support of the X loop paired
+    with each loop labelled -1.  The stars multiply to 1, so all but the
+    last are a basis.  swap=True swaps X and Z in every term (no Y occurs).
     """
-    ops = [op for op, _ in perturbation]
-    if not ops or any(op.phase or weight(op) != 1 or op.x_bits & op.z_bits
-                      for op in ops):
-        raise ValueError("the sector solver needs single-qubit X or Z terms")
-    loops = {lo.homology_class: lo.op for lo in homology_basis(lat)}
-    if all(op.x_bits == 0 for op in ops):
-        nodes_of, partners = lat.edge_vertices, (loops["g2_X"].x_bits,
-                                                 loops["g1_X"].x_bits)
-    elif all(op.z_bits == 0 for op in ops):
-        nodes_of, partners = lat.edge_faces, (loops["g2_Z"].z_bits,
-                                              loops["g1_Z"].z_bits)
-    else:
-        raise ValueError("the sector solver needs a field of one Pauli type")
-    edges = [op.support.bit_length() - 1 for op in ops]
-    ends = np.array([nodes_of(e) for e in edges])
-    signs = []
-    for labels in SECTOR_ORDER:
-        eta = np.ones(len(edges))
-        for j, mask in zip(labels, partners):
-            if j == -1:
-                eta *= [-1.0 if mask >> e & 1 else 1.0 for e in edges]
-        signs.append(eta)
-    return lat.L1 * lat.L2, ends, signs
+    def typed(op):
+        return PauliOp(op.n, op.z_bits, op.x_bits) if swap else op
+
+    checks = [(typed(op), coeff) for op, coeff in toric_check_terms(lat)]
+    loops = {lo.homology_class: typed(lo.op) for lo in homology_basis(lat)}
+    pair = (loops["g2_Z"], loops["g1_Z"]) if swap else (loops["g2_X"], loops["g1_X"])
+    frames = [(j1 == -1) * pair[0].x_bits ^ (j2 == -1) * pair[1].x_bits
+              for j1, j2 in SECTOR_ORDER]
+    return checks, frames, [op.x_bits for op, _ in checks if op.x_bits][:-1]
 
 
 def _flux_free_row(lat: TorusLattice, perturbation, h: float,
                    config: EngineConfig):
     """(splitting, gap, coupling_k, deviation_max) of the full spectrum,
-    computed from the four flux-free sectors.
+    from the four flux-free sectors.
 
-    Each sector is the Ising model -sum(checks) - sum_v sx_v
-    + h sum_t c_t eta_t sz_u sz_v on the even sector of the global flip
-    (node n-1 pinned to +1), of dimension 2^(n-1).  No sector with flux lies
-    below w0 + 4: its violated checks cost at least 4, and by
-    Perron-Frobenius in the sx basis no choice of bond signs lies below the
-    all-equal one, which is flux-free.  The merged flux-free levels are
-    therefore the full-space levels when the (q+1)-th of them lies at or
-    below w0 + 4 (to within eig_residual_tol); otherwise the run refuses.
+    A Z field commutes with every plaquette and both Z loops, so each sector
+    is a coset of `_loop_frames`, of dimension 2^(L1*L2 - 1): stars shift
+    the index, plaquettes are the constant -L1*L2, the field is diagonal.
+    An X field is the same with X and Z swapped.  No sector with flux lies
+    below w0 + 4: its violated checks cost at least 4, and where the stars
+    are diagonal the field is the off-diagonal part, so by Perron-Frobenius
+    no choice of its signs lies below the all-equal one, which is flux-free.
+    The merged flux-free levels are therefore the full-space levels when the
+    (q+1)-th lies at or below w0 + 4 (to within eig_residual_tol); else the
+    run refuses, as it does on a tie of levels q and q + 1.
     """
-    import scipy.sparse as sp
-
-    n_nodes, ends, signs = _flux_free_sectors(lat, perturbation)
+    ops = [op for op, _ in perturbation]
+    swap = all(op.z_bits == 0 for op in ops)
+    if not ops or any(op.phase or weight(op) != 1 or (op.z_bits if swap else op.x_bits)
+                      for op in ops):
+        raise ValueError("the sector solver needs single-qubit terms, all X or all Z")
+    field_bits = [op.x_bits if swap else op.z_bits for op in ops]
+    checks, frames, basis = _loop_frames(lat, swap)
     q = code_dimension(lat)
-    coeffs = np.array([coeff for _, coeff in perturbation], dtype=float)
-    dim = 1 << (n_nodes - 1)
-    states = np.arange(dim)
-    spins = np.ones((n_nodes, dim))
-    for v in range(n_nodes - 1):
-        spins[v] -= 2.0 * (states >> v & 1)
-    # sx on the pinned node equals sx on all the others, by the global flip
-    flips = [states ^ (1 << v) for v in range(n_nodes - 1)] + [states ^ (dim - 1)]
-    hops = sp.csr_matrix((-np.ones(n_nodes * dim),
-                          (np.concatenate(flips), np.tile(states, n_nodes))),
-                         shape=(dim, dim))
-
-    def bond(t, J):
-        return signs[J][t] * spins[ends[t, 0]] * spins[ends[t, 1]]
-
-    solved, fields = [], []
-    for J in range(len(SECTOR_ORDER)):
-        field = sum(coeffs[t] * bond(t, J) for t in range(len(coeffs)))
-        H = hops + sp.diags(h * field - n_nodes, format="csr")
-        solved.append(_lowest(dim, q + 1, H.toarray, lambda: H,
+    dim = 1 << len(basis)
+    solved, states, fields = [], [], []
+    for J, z0 in enumerate(frames):
+        states.append(_coset_states(z0, basis))
+        fields.append(sum(coeff * _signs(states[J], z)
+                          for (_, coeff), z in zip(perturbation, field_bits)))
+        groups = _coset_sum(checks, z0, basis)
+        groups[0] = h * fields[J] + groups[0]
+        solved.append(_lowest(dim, q + 1, lambda: _coset_dense(groups, dim),
+                              lambda: _sparse_operator(groups, dim),
                               (5, lat.L1, lat.L2, J), config))
-        fields.append(field)
 
-    levels = sorted((float(w[i]), J, i)
-                    for J, (w, _) in enumerate(solved) for i in range(len(w)))
+    levels = sorted((float(x), J) for J, (w, _) in enumerate(solved) for x in w)
     w0, top = levels[0][0], levels[q][0]
     if top - w0 > _FLUX_PAIR_COST + config.eig_residual_tol * max(1.0, abs(w0)):
         raise SectorCertificateError(
@@ -527,13 +481,14 @@ def _flux_free_row(lat: TorusLattice, perturbation, h: float,
             f"but sectors with flux are only bounded below by "
             f"{_FLUX_PAIR_COST:g} above it, so these levels need not be the "
             f"full spectrum")
+    _refuse_tied_multiplet(lat, h, [x for x, _ in levels], q, config)
 
     # the multiplet: the lowest q levels, with each sector's share of vectors
-    share = [sum(1 for _, J, _ in levels[:q] if J == K) for K in range(len(solved))]
+    share = [sum(1 for _, J in levels[:q] if J == K) for K in range(len(solved))]
     multiplet = [(J, solved[J][1][:, :m]) for J, m in enumerate(share) if m]
     deviation = 0.0
-    for t in range(len(coeffs)):
-        blocks = [G.T @ (bond(t, J)[:, None] * G) for J, G in multiplet]
+    for z in field_bits:
+        blocks = [G.T @ (_signs(states[J], z)[:, None] * G) for J, G in multiplet]
         c = sum(np.trace(b) for b in blocks) / q
         for b in blocks:
             deviation = max(deviation, float(np.linalg.norm(b - c * np.eye(len(b)), 2)))
@@ -569,25 +524,23 @@ def scaling_study(sizes, h: float, kind: str = "z_field",
     Sizes are deduplicated (order kept, with a note); every size must fit
     the sparse cap (2*L1*L2 qubits) or the whole run is refused.  Every
     kind in PERTURBATION_KINDS is a field of one Pauli type, so each size
-    is solved in the four flux-free loop sectors, each a transverse-field
-    Ising model of dimension 2^(L1*L2 - 1) (see `_flux_free_row`); a size
-    whose levels the sectors cannot certify raises SectorCertificateError.
+    is solved in the four flux-free loop sectors, each a coset of dimension
+    2^(L1*L2 - 1) (see `_flux_free_row`); a size whose levels the sectors
+    cannot certify raises SectorCertificateError, and one whose multiplet
+    ties with the next level raises ValueError.
     Per size, gap is the distance from the ground level to the first level
     above the multiplet, coupling_k is ||(1 - P0) V P0|| for the bare field
     V and the multiplet projector P0, and deviation_max is the largest
     projected-condition deviation of one field term on the multiplet, which
     for one level per sector J is max_J |<Z_e>_J - mean_J <Z_e>_J|.
     """
-    notes = []
-    seen, uniq = set(), []
-    for s in sizes:
-        s = (int(s[0]), int(s[1]))
-        if s in seen:
+    notes, uniq = [], []
+    for s in ((int(a), int(b)) for a, b in sizes):
+        if s in uniq:
             notes.append(f"duplicate size {s[0]}x{s[1]} dropped")
-            warnings.warn(f"duplicate size {s[0]}x{s[1]} dropped")
-            continue
-        seen.add(s)
-        uniq.append(s)
+            warnings.warn(notes[-1])
+        else:
+            uniq.append(s)
     if len(uniq) < 3:
         raise InsufficientDataError("need at least 3 distinct sizes")
     for L1, L2 in uniq:

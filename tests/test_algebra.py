@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsslab import (
     DEFAULT_CONFIG,
@@ -412,3 +413,50 @@ def test_decompose_does_not_depend_on_the_basis_gauge():
     assert [(s.n_J, s.d_J) for s in a.sectors] == [(s.n_J, s.d_J) for s in b.sectors]
     for sa, sb in zip(a.sectors, b.sectors):
         assert np.abs(sa.central_projector - sb.central_projector).max() < 1e-12
+
+
+@st.composite
+def _small_error_sets(draw):
+    """Generators with a planted block structure, sum over blocks of
+    1_n (x) A (A random m x m), on at most 8 dimensions, in a random frame;
+    or a few Pauli strings on 2 or 3 qubits."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        nq = draw(st.integers(2, 3))
+        ops = draw(st.lists(st.tuples(st.integers(0, (1 << nq) - 1),
+                                      st.integers(0, (1 << nq) - 1)),
+                            min_size=1, max_size=3))
+        return [to_dense(PauliOp(nq, x, z)) for x, z in ops], None
+    blocks = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 3)),
+                           min_size=1, max_size=3)
+                  .filter(lambda bl: sum(n * m for n, m in bl) <= 8))
+    d = sum(n * m for n, m in blocks)
+    U, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        g = np.zeros((d, d), dtype=complex)
+        at = 0
+        for n, m in blocks:
+            a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            g[at:at + n * m, at:at + n * m] = np.kron(np.eye(n), a)
+            at += n * m
+        gens.append(U @ g @ U.conj().T)
+    return gens, sorted(blocks)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_small_error_sets())
+def test_decomposition_invariants_hold_on_random_error_sets(case):
+    """sum n*d = dim, sum d^2 = dim A and sum n^2 = dim A', with dim A from
+    the closure and dim A' from the commutant, both computed apart from the
+    decomposition."""
+    gens, planted = case
+    alg = close_algebra(error_set(gens))
+    dec = decompose(alg)
+    shapes = [(s.n_J, s.d_J) for s in dec.sectors]
+    assert sum(n * d for n, d in shapes) == alg.dim
+    assert sum(d * d for _, d in shapes) == alg.algebra_dim
+    assert sum(n * n for n, _ in shapes) == commutant(alg).algebra_dim
+    if planted is not None:
+        assert dec.sector_shapes == planted

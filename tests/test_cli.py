@@ -244,6 +244,32 @@ def test_decompose_runs_without_loading_scipy(tmp_path):
         [[1, 4], [2, 2]]
 
 
+def test_dense_scaling_runs_without_loading_scipy(tmp_path):
+    """Sectors of at most dense_spectrum_cap states are assembled and solved
+    with numpy alone: a fresh-process scaling run over 2x2, 2x3 and 2x4
+    (8 to 128 states per sector) loads no scipy module."""
+    import subprocess
+    import sys
+
+    import nsslab
+
+    src = os.path.dirname(os.path.dirname(nsslab.__file__))
+    code = (
+        "import sys\n"
+        "from nsslab.cli import main\n"
+        "rc = main(['scaling', '--sizes', '2x2,2x3,2x4', '--h', '0.1', "
+        f"'--output', {str(tmp_path / 'out.csv')!r}])\n"
+        "assert rc == 0, rc\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded[:5]\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "out.csv").read_text().count("\n") == 4
+
+
 def test_braid_script_with_a_bad_anyon_index_exits_2(tmp_path, capsys):
     script = tmp_path / "bad.json"
     for bad in (-1, 4):

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from nsslab import gf2
 from nsslab.config import ResourceLimitError
 from nsslab.pauli import (
+    _coset_dense,
+    _coset_states,
+    _coset_sum,
     PauliOp,
     apply_to_vector,
     commutes,
@@ -216,3 +220,64 @@ def test_pauli_sum_kernels_match_the_kronecker_oracle():
             got = A.matvec(v)
             assert got.dtype == H.dtype
             assert np.abs(got - want @ v).max() < 1e-11
+
+
+def _planted_sum(rng, n, with_y):
+    """Random Hermitian Pauli sum whose X parts lie in the span of r < n
+    random vectors, so every Z string orthogonal to them is a symmetry.
+    Each X pattern is used twice.  Returns the terms and an independent
+    basis of the span."""
+    r, basis = int(rng.integers(1, n)), []
+    while len(basis) < r:
+        b = int(rng.integers(1, 1 << n))
+        if gf2.rank(basis + [b]) > len(basis):
+            basis.append(b)
+    terms = []
+    for k in range(8):
+        x = 0
+        for b in basis:
+            x ^= b * int(rng.integers(0, 2))
+        for _ in range(2):
+            z = int(rng.integers(0, 1 << n))
+            if not with_y:
+                z &= ~x
+            elif k == 0:
+                x = x or basis[0]
+                z |= x & -x   # at least one Y
+            phase = (x & z).bit_count() + 2 * int(rng.integers(0, 2))
+            terms.append((PauliOp(n, x, z, phase), float(rng.standard_normal())))
+    return terms, basis
+
+
+def test_coset_kernel_matches_the_restricted_kronecker_oracle():
+    from nsslab.verify import _sparse_operator
+
+    rng = np.random.default_rng(11)
+    for n in (4, 7, 10):
+        for with_y in (False, True):
+            terms, basis = _planted_sum(rng, n, with_y)
+            z0 = int(rng.integers(0, 1 << n))
+            states = _coset_states(z0, basis)
+            dim = 1 << len(basis)
+            assert len(set(states.tolist())) == dim
+            full = sum(c * _dense_oracle(op) for op, c in terms)
+            outside = np.setdiff1d(np.arange(1 << n), states)
+            assert np.abs(full[np.ix_(outside, states)]).max(initial=0.0) == 0.0
+            want = full[np.ix_(states, states)]
+            groups = _coset_sum(terms, z0, basis)
+            assert len(groups) == len({op.x_bits for op, _ in terms})
+            block = _coset_dense(groups, dim)
+            assert block.dtype == (complex if with_y else np.float64)
+            assert np.abs(block - want).max() < 1e-12
+            v = rng.standard_normal(dim)
+            if with_y:
+                v = v + 1j * rng.standard_normal(dim)
+            got = _sparse_operator(groups, dim).matvec(v)
+            assert np.abs(got - want @ v).max() < 1e-12
+
+
+def test_coset_kernel_refuses_terms_that_leave_the_coset():
+    with pytest.raises(ValueError, match="leaves the coset"):
+        _coset_sum([(PauliOp(3, 0b100, 0), 1.0)], 0, [0b001, 0b010])
+    with pytest.raises(ValueError, match="not independent"):
+        _coset_sum([(PauliOp(3, 0b011, 0), 1.0)], 0, [0b001, 0b010, 0b011])

@@ -288,15 +288,16 @@ def test_sector_rows_match_the_full_space_solver():
     """The flux-free sector path against full-space `spectrum`: levels, and
     the deviation and coupling built from the full-space ground vectors."""
     sizes = [(2, 2), (2, 3), (3, 2)]
-    cases = [(kind, h, sizes) for kind in PERTURBATION_KINDS
+    cases = [(kind, h, sizes, sizes) for kind in PERTURBATION_KINDS
              for h in (0.0, 0.1, 0.3, -0.2)]
     # at h = 1.2 the row-direction field puts two levels of one sector into
-    # the multiplet; on 3x2 its fourth and fifth levels coincide, so the
-    # multiplet (and with it coupling_k and deviation_max) is not defined
-    cases.append(("z_field_right", 1.2, sizes[:2]))
-    for kind, h, compared in cases:
-        rows = scaling_study(sizes, h, kind=kind).rows
-        for row, (L1, L2) in zip(rows, sizes):
+    # the multiplet; 3x2 is left out, because its fourth and fifth levels
+    # tie and the run refuses (see the tied-multiplet test), and 2x4 only
+    # makes up the three sizes
+    cases.append(("z_field_right", 1.2, [(2, 2), (2, 3), (2, 4)], sizes[:2]))
+    for kind, h, solved, compared in cases:
+        rows = scaling_study(solved, h, kind=kind).rows
+        for row, (L1, L2) in zip(rows, solved):
             if (L1, L2) not in compared:
                 continue
             lat = build_torus(L1, L2)
@@ -327,6 +328,29 @@ def test_scaling_refuses_when_the_flux_free_certificate_fails(capsys):
     out, err = capsys.readouterr()
     assert rc == EXIT_VALIDATION
     assert "flux-free certificate failed" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("kind, tied, sizes", [
+    ("z_field_right", (3, 2), "2x2,2x3,3x2"),
+    ("z_field_down", (2, 3), "2x2,3x2,2x3"),
+])
+def test_tied_multiplet_is_refused(kind, tied, sizes, capsys):
+    # at h = 1.2 the fourth and fifth levels coincide (splitting = gap =
+    # 1.44819974...), so which of them joins the multiplet, and with it
+    # deviation_max (0.1066 from the sectors, 0.1580 from the full space),
+    # would be up to the solver
+    lat = build_torus(*tied)
+    match = f"tied multiplet on {tied[0]}x{tied[1]} at h=1.2"
+    with pytest.raises(ValueError, match=match):
+        spectrum(lat, perturbation_terms(lat, kind), 1.2)
+    with pytest.raises(ValueError, match=match):
+        scaling_study([tuple(map(int, s.split("x"))) for s in sizes.split(",")],
+                      1.2, kind=kind)
+    rc = main(["scaling", "--sizes", sizes, "--h", "1.2", "--perturbation", kind])
+    out, err = capsys.readouterr()
+    assert rc == EXIT_VALIDATION
+    assert match in err
     assert out == ""
 
 
