@@ -16,11 +16,17 @@ from .config import (DEFAULT_CONFIG, ConvergenceError, DegenerateSpectrumError,
                      EngineConfig, ResourceLimitError, spawn_rng)
 from .pauli import PauliOp, to_dense
 
-# above this basis size the pair check of `verify_closure` (used when no
-# generators are given) samples pairs instead of checking all of them (the
-# fixed sample keeps runs reproducible)
-_FULL_VERIFY_LIMIT = 300
-_VERIFY_SAMPLE = 4000
+# Gram-Schmidt drops a residual row below this norm (basis hygiene and the
+# closure's "already in the span" test alike)
+_HS_DROP_TOL = 1e-10
+_CLOSURE_MAX_ITER = 50
+# span residuals (closure certificates) and relative singular values (null
+# spaces, intertwiners) at or below this count as zero
+_SPAN_MEMBERSHIP_TOL = 1e-8
+# eigenvalue clusters closer than this (relative) are merged; gaps below
+# _GAP_RATIO_GUARD times it are ambiguous and abort the decomposition
+_CLUSTER_MERGE_TOL = 1e-8
+_GAP_RATIO_GUARD = 10.0
 
 
 @dataclass(frozen=True)
@@ -64,11 +70,6 @@ class MatrixAlgebra:
     def stacked(self) -> np.ndarray:
         """Basis as an (m, d*d) row-orthonormal array."""
         return np.stack([b.reshape(-1) for b in self.basis])
-
-    def random_element(self, rng, hermitian=False) -> np.ndarray:
-        c = rng.standard_normal(len(self.basis)) + 1j * rng.standard_normal(len(self.basis))
-        m = np.tensordot(c, np.stack(self.basis), axes=1)
-        return (m + m.conj().T) / 2 if hermitian else m
 
 
 @dataclass(frozen=True)
@@ -144,13 +145,12 @@ def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> Matr
     seed_mats = [np.eye(d, dtype=complex)]
     seed_mats += [np.asarray(g, dtype=complex) for g in errs.generators]
     seed_mats += [g.conj().T for g in errs.generators]
-    rows = _orthonormal_rows(
-        np.stack([m.reshape(-1) for m in seed_mats]), config.hs_orthonormal_tol)
+    rows = _orthonormal_rows(np.stack([m.reshape(-1) for m in seed_mats]), _HS_DROP_TOL)
     gens = rows.reshape(-1, d, d)
 
     new = gens
     last_residual = float("inf")
-    for _ in range(config.closure_max_iter):
+    for _ in range(_CLOSURE_MAX_ITER):
         new_rows = np.empty((0, d * d), dtype=complex)
         last_residual = 0.0
         for b in new:
@@ -160,14 +160,14 @@ def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> Matr
                 prods = _project_out(new_rows, prods)
             norms = np.linalg.norm(prods, axis=1)
             last_residual = max(last_residual, float(norms.max(initial=0.0)))
-            big = prods[norms > config.closure_residual_tol]
+            big = prods[norms > _HS_DROP_TOL]
             if big.size:
-                extracted = _orthonormal_rows(big, config.closure_residual_tol)
+                extracted = _orthonormal_rows(big, _HS_DROP_TOL)
                 new_rows = np.vstack([new_rows, extracted]) if new_rows.size else extracted
         if new_rows.shape[0] == 0:
             basis = tuple(rows.reshape(-1, d, d))
-            resid = verify_closure(MatrixAlgebra(d, basis), config, generators=gens)
-            return MatrixAlgebra(d, basis, closed=resid <= config.span_membership_tol,
+            resid = verify_closure(MatrixAlgebra(d, basis), generators=gens)
+            return MatrixAlgebra(d, basis, closed=resid <= _SPAN_MEMBERSHIP_TOL,
                                  closure_residual=resid)
         rows = np.vstack([rows, new_rows])
         new = new_rows.reshape(-1, d, d)
@@ -178,53 +178,32 @@ def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> Matr
                 f"closure basis reached {rows.shape[0]} elements at dimension {d}; "
                 "the generated algebra is too large for the dense engine")
     raise ConvergenceError(
-        f"no closure after {config.closure_max_iter} iterations "
+        f"no closure after {_CLOSURE_MAX_ITER} iterations "
         f"(last residual {last_residual:.3e})")
 
 
-def verify_closure(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG,
-                   generators=None) -> float:
+def verify_closure(alg: MatrixAlgebra, generators) -> float:
     """Max span residual over the identity, the adjoints, and products.
 
-    With `generators` (matrices spanning a set G and its adjoints), the
+    `generators` are matrices spanning a set G and its adjoints; the
     products are B_i g for every basis element B_i and every g: m * k of
     them, an exact certificate that the span is the *-algebra generated by
     G, because a span holding 1 and closed under right multiplication by
-    G and G^dag holds every word.  Without it, all basis pairs B_i B_j are
-    checked up to a size limit, beyond which a seeded fixed sample of pairs
-    is used.
+    G and G^dag holds every word.
     """
     d = alg.dim
     rows = alg.stacked()
-    m = rows.shape[0]
+    mats = rows.reshape(-1, d, d)
+    gens = np.asarray(generators, dtype=complex).reshape(-1, d, d)
 
     def span_residual(batch):
-        flat = batch.reshape(batch.shape[0], -1)
-        resid = _project_out(rows, flat.copy())
+        resid = _project_out(rows, batch.reshape(batch.shape[0], -1))
         return float(np.linalg.norm(resid, axis=1).max(initial=0.0))
 
-    eye = np.eye(d, dtype=complex) / np.sqrt(d)
-    worst = span_residual(eye[None])
-    mats = rows.reshape(m, d, d)
-    worst = max(worst, span_residual(mats.conj().transpose(0, 2, 1)))
-    if generators is not None:
-        gens = np.asarray(generators, dtype=complex).reshape(-1, d, d)
-        for b in mats:
-            worst = max(worst, span_residual(np.matmul(b, gens)))
-        return worst
-    if m <= _FULL_VERIFY_LIMIT:
-        pairs = ((i, j) for i in range(m) for j in range(m))
-    else:
-        rng = spawn_rng(config.seed, 9)
-        pairs = zip(rng.integers(0, m, _VERIFY_SAMPLE), rng.integers(0, m, _VERIFY_SAMPLE))
-    chunk = []
-    for i, j in pairs:
-        chunk.append(mats[i] @ mats[j])
-        if len(chunk) == 256:
-            worst = max(worst, span_residual(np.stack(chunk)))
-            chunk = []
-    if chunk:
-        worst = max(worst, span_residual(np.stack(chunk)))
+    worst = max(span_residual(np.eye(d, dtype=complex)[None] / np.sqrt(d)),
+                span_residual(mats.conj().transpose(0, 2, 1)))
+    for b in mats:
+        worst = max(worst, span_residual(np.matmul(b, gens)))
     return worst
 
 
@@ -264,12 +243,20 @@ _COMMUTANT_SVD_ENTRIES = 1 << 22
 
 
 def commutant(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> MatrixAlgebra:
-    """All X with [X, B_i] = 0: null space of the stacked commutator map
+    """All X with [X, B_i] = 0: null space N of the stacked commutator map
     L_i = 1 (x) B_i^T - B_i (x) 1 (row-major vec convention).
 
     Small problems take an SVD of the stacked map itself (full precision);
     large ones fall back to eigenvectors of sum_i L_i^dag L_i, which squares
     the conditioning but needs only d^2 x d^2 memory.
+
+    Closure is certified from the same decomposition, with no sampling.  Let
+    r = ||[N, B]||_F over every null basis element and every B_i, and s+ the
+    smallest singular value of L left out of N.  For unit X, Y in span N,
+    ||L(XY)|| <= ||LX|| + ||LY|| <= 2r, and ||L X^dag|| = ||LX|| because the
+    algebra is *-closed; a vector v lies within ||Lv|| / s+ of span N,
+    because the singular subspaces are orthogonal.  So closure_residual =
+    2r / s+ bounds the span residual of every product and adjoint.
     """
     if not alg.closed:
         raise ValueError("commutant needs a verified-closed algebra")
@@ -282,31 +269,36 @@ def commutant(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Matr
         stack = np.vstack([np.kron(eye, b.T) - np.kron(b, eye) for b in alg.basis])
         # the stack has at least d^2 rows, so thin vh is the full d^2 x d^2
         _, s, vh = np.linalg.svd(stack, full_matrices=False)
-        null_tol = config.span_membership_tol * max(1.0, float(s[0]) if s.size else 1.0)
+        null_tol = _SPAN_MEMBERSHIP_TOL * max(1.0, float(s[0]) if s.size else 1.0)
         cols = vh.conj().T[:, s < null_tol]
+        s_plus = float(s[s >= null_tol].min(initial=np.inf))
     else:
         M = np.zeros((d * d, d * d), dtype=complex)
         for b in alg.basis:
             L = np.kron(eye, b.T) - np.kron(b, eye)
             M += L.conj().T @ L
         w, V = np.linalg.eigh(M)
-        null_tol = config.span_membership_tol * max(1.0, float(w[-1]) if len(w) else 1.0)
+        null_tol = _SPAN_MEMBERSHIP_TOL * max(1.0, float(w[-1]) if len(w) else 1.0)
         cols = V[:, w < null_tol]
+        s_plus = float(np.sqrt(w[w >= null_tol].min(initial=np.inf)))
     basis = tuple(cols[:, i].reshape(d, d) for i in range(cols.shape[1]))
-    out = MatrixAlgebra(d, basis)
-    resid = verify_closure(out, config)
-    return MatrixAlgebra(d, basis, closed=resid <= config.span_membership_tol,
+    mats = np.stack(alg.basis)
+    r = np.sqrt(sum(np.linalg.norm(np.matmul(x, mats) - np.matmul(mats, x)) ** 2
+                    for x in basis))
+    resid = float(2 * r / s_plus)
+    return MatrixAlgebra(d, basis, closed=resid <= _SPAN_MEMBERSHIP_TOL,
                          closure_residual=resid)
 
 
-def _cluster_sorted(w: np.ndarray, merge_tol: float, guard: float):
+def _cluster_sorted(w: np.ndarray):
     """Split sorted eigenvalues into clusters; guard ambiguous gaps.
 
-    Gaps below merge_tol*scale merge; gaps between that and guard*merge_tol*scale
-    are ambiguous and raise DegenerateSpectrumError.
+    Gaps below _CLUSTER_MERGE_TOL * scale merge; gaps between that and
+    _GAP_RATIO_GUARD times it are ambiguous and raise DegenerateSpectrumError.
     """
     scale = max(1.0, float(np.max(np.abs(w))))
-    merge = merge_tol * scale
+    merge = _CLUSTER_MERGE_TOL * scale
+    guard = _GAP_RATIO_GUARD
     clusters = []
     start = 0
     for i in range(1, len(w) + 1):
@@ -346,7 +338,7 @@ def decompose(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Sect
     T = np.vstack(blocks)
     # T has m^2 >= m rows, so thin vh is the full m x m
     _, s, vh = np.linalg.svd(T, full_matrices=False)
-    tol = config.span_membership_tol * max(1.0, float(s[0]) if len(s) else 1.0)
+    tol = _SPAN_MEMBERSHIP_TOL * max(1.0, float(s[0]) if len(s) else 1.0)
     null = vh.conj().T[:, s < tol]
 
     rng_central = spawn_rng(config.seed, 1)
@@ -360,8 +352,7 @@ def decompose(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Sect
         zel = np.tensordot(coeff, mats, axes=1)
         zel = (zel + zel.conj().T) / 2
         w, V = np.linalg.eigh(zel)
-        central_slices = [V[:, a:b] for a, b in
-                          _cluster_sorted(w, config.cluster_merge_tol, config.gap_ratio_guard)]
+        central_slices = [V[:, a:b] for a, b in _cluster_sorted(w)]
 
     sectors = []
     for label, S in enumerate(central_slices):
@@ -370,7 +361,7 @@ def decompose(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Sect
         mJ = S.shape[1]
         comp = _orthonormal_rows(
             np.matmul(S.conj().T[None], np.matmul(mats, S[None])).reshape(m, mJ * mJ),
-            config.hs_orthonormal_tol)
+            _HS_DROP_TOL)
         comp_mats = comp.reshape(-1, mJ, mJ)
 
         rng_k = spawn_rng(config.seed, 2, label)
@@ -378,7 +369,7 @@ def decompose(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Sect
         K = np.tensordot(ck, comp_mats, axes=1)
         K = (K + K.conj().T) / 2
         kw, kV = np.linalg.eigh(K)
-        kcl = _cluster_sorted(kw, config.cluster_merge_tol, config.gap_ratio_guard)
+        kcl = _cluster_sorted(kw)
         sizes = {b - a for a, b in kcl}
         if len(sizes) != 1:
             raise DegenerateSpectrumError(
@@ -396,7 +387,7 @@ def decompose(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Sect
             Qt = kV[:, a0:b0]
             W = Qt.conj().T @ B @ Q1
             U, sv, Vh = np.linalg.svd(W)
-            if d_J > 1 and sv[-1] < config.span_membership_tol * max(1.0, sv[0]):
+            if d_J > 1 and sv[-1] < _SPAN_MEMBERSHIP_TOL * max(1.0, sv[0]):
                 raise DegenerateSpectrumError(
                     "singular intertwiner draw; rerun with a different seed")
             cols = S @ (Qt @ (U @ Vh))

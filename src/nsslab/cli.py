@@ -29,8 +29,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", metavar="PATH",
-                        help="JSON file supplying any flag value and tolerance "
-                             "overrides; explicit flags win")
+                        help="JSON file supplying any flag value and, under "
+                             "'tolerances', the seed and size caps; explicit "
+                             "flags win")
         sp.add_argument("--seed", type=int, default=None,
                         help="64-bit seed for every random draw "
                              "(default 0x5EEDC0DE)")
@@ -195,7 +196,7 @@ def _cmd_kl_check(opts) -> str:
     from .verify import kl_check_stabilizer, local_error_generators
 
     _require(opts, "l1", "l2")
-    _engine_config(opts)  # validates tolerance overrides even if unused here
+    _engine_config(opts)  # validates config overrides even if unused here
     lat = build_torus(int(opts["l1"]), int(opts["l2"]))
     max_w = int(opts.get("max_weight") or 2)
     if max_w < 0:

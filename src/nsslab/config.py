@@ -1,9 +1,11 @@
-"""Central configuration: tolerances, size caps, and the default seed.
+"""Central configuration: the seed and the resource caps.
 
-Every numerical tolerance used anywhere in the package lives here so that a
-single record can be overridden from the CLI.  All randomness flows from one
-64-bit seed through counter-based splittable streams (see `spawn_rng`), which
-keeps results independent of scheduling order.
+`EngineConfig` holds only what a user sets: the seed, and the caps that
+bound memory on the user's machine.  Every numerical tolerance is a fixed
+constant beside the one module that reads it, so no reported number moves
+with a knob.  All randomness flows from one 64-bit seed through
+counter-based splittable streams (see `spawn_rng`), which keeps results
+independent of scheduling order.
 """
 
 from dataclasses import dataclass, fields, replace
@@ -17,30 +19,6 @@ DEFAULT_SEED = 0x5EEDC0DE
 @dataclass(frozen=True)
 class EngineConfig:
     seed: int = DEFAULT_SEED
-
-    # Hilbert-Schmidt basis hygiene
-    hs_orthonormal_tol: float = 1e-10
-    # residual threshold below which a product is considered inside the span
-    closure_residual_tol: float = 1e-10
-    closure_max_iter: int = 50
-    # membership / closure verification tolerance
-    span_membership_tol: float = 1e-8
-
-    # projector validity (hermiticity, idempotency)
-    projector_tol: float = 1e-8
-    # eigenvalue clusters closer than this (relative) are merged
-    cluster_merge_tol: float = 1e-8
-    # clusters separated by less than guard * merge tol abort the decomposition
-    gap_ratio_guard: float = 10.0
-
-    orbit_overlap_tol: float = 1e-10
-
-    # iterative eigensolver
-    eig_residual_tol: float = 1e-9
-    eig_max_iter: int = 20000
-    # relative (to the gap) width of one quasi-degenerate multiplet
-    degeneracy_cluster_rel: float = 1e-6
-
     # size caps
     dense_bridge_max_qubits: int = 12
     sparse_max_qubits: int = 20
@@ -48,8 +26,6 @@ class EngineConfig:
     algebra_dense_cap: int = 4096
     # dim cap for the d^2 x d^2 commutant eigenproblem
     commutant_dense_cap: int = 64
-    # below this Hilbert dimension `spectrum` switches to one dense eigh call
-    dense_spectrum_cap: int = 1024
 
     def override(self, **kwargs) -> "EngineConfig":
         """Copy with selected fields replaced; unknown names raise KeyError."""

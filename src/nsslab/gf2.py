@@ -45,10 +45,6 @@ def solve(rows, target):
     return c if v == 0 else None
 
 
-def in_span(rows, target) -> bool:
-    return solve(rows, target) is not None
-
-
 def nullspace(rows, width):
     """Basis of {x : parity(row & x) == 0 for every row}.
 

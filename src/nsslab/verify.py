@@ -8,9 +8,10 @@ symmetry sectors of single-type fields.
 
 Both spectral paths build the Hamiltonian with one kernel, `pauli._coset_sum`
 (the full space is its unit frame, a flux-free sector a coset of the star
-span), and solve it with `_lowest`: dense eigh up to dense_spectrum_cap,
-seeded ARPACK above.  scipy is imported only in the ARPACK paths (`_lowest`,
-`_sparse_operator`), so every path that stays dense loads none of it.
+span), and solve it with `_lowest`: dense eigh up to _DENSE_SPECTRUM_CAP
+states, seeded ARPACK above.  scipy is imported only in the ARPACK paths
+(`_lowest`, `_sparse_operator`), so every path that stays dense loads none
+of it.  Every tolerance is a fixed module constant, not a config field.
 """
 
 import itertools
@@ -26,6 +27,21 @@ from .lattice import (TorusLattice, build_torus, code_dimension, homology_basis,
                       stabilizer_expansion)
 from .pauli import (PauliOp, _coset_dense, _coset_states, _coset_sum, _signs,
                     apply_to_vector, commutes, format_pauli, weight)
+
+
+# a code projector must be Hermitian and idempotent to within this (Frobenius)
+_PROJECTOR_TOL = 1e-8
+# singular values at or below this add no new direction to an error orbit
+_ORBIT_RANK_TOL = 1e-9
+# up to this Hilbert dimension `_lowest` takes one dense eigh, not ARPACK:
+# a path choice made from the observed size
+_DENSE_SPECTRUM_CAP = 1024
+# every ARPACK Ritz pair must meet this relative residual, within this many
+# iterations
+_EIG_RESIDUAL_TOL = 1e-9
+_EIG_MAX_ITER = 20000
+# relative (to the gap) width of one quasi-degenerate multiplet
+_DEGENERACY_CLUSTER_REL = 1e-6
 
 
 class InsufficientDataError(ValueError):
@@ -111,16 +127,15 @@ def kl_check_stabilizer(lat: TorusLattice, errors, labels=None) -> KLReport:
     return _report(out_labels, cs, devs)
 
 
-def kl_check_dense(code_projector: np.ndarray, errs: ErrorSet,
-                   config: EngineConfig = DEFAULT_CONFIG) -> KLReport:
+def kl_check_dense(code_projector: np.ndarray, errs: ErrorSet) -> KLReport:
     """Numerical condition on a projector: c(X) = tr(PXP)/tr(P), deviation
     = operator norm of PXP - c(X) P."""
     P = np.asarray(code_projector, dtype=complex)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("projector must be square")
-    if np.linalg.norm(P - P.conj().T) > config.projector_tol:
+    if np.linalg.norm(P - P.conj().T) > _PROJECTOR_TOL:
         raise ValueError("projector is not Hermitian within tolerance")
-    if np.linalg.norm(P @ P - P) > config.projector_tol:
+    if np.linalg.norm(P @ P - P) > _PROJECTOR_TOL:
         raise ValueError("projector is not idempotent within tolerance")
     if errs.dim != P.shape[0]:
         raise ValueError("error dimension does not match projector")
@@ -250,7 +265,7 @@ def sector_orbits(lat: TorusLattice, errors=None,
             # pairs of images are those of the small triangular R^dag
             r = np.linalg.qr(images.conj().T, mode="r")
             u, s, _ = np.linalg.svd(r.conj().T, full_matrices=False)
-            new = u[:, s > config.orbit_overlap_tol * 10]
+            new = u[:, s > _ORBIT_RANK_TOL]
             if new.shape[1] == 0:
                 break
             span = np.hstack([span, new])
@@ -334,11 +349,10 @@ def _sparse_operator(groups, dim):
 
 def _lowest(dim, k, dense, operator, stream, config):
     """Lowest k eigenpairs, ascending: one dense eigh of dense() up to
-    dense_spectrum_cap, else ARPACK on operator() from a start drawn from
+    _DENSE_SPECTRUM_CAP, else ARPACK on operator() from a start drawn from
     spawn_rng(config.seed, *stream) (deterministic, yet it still resolves
-    exact multiplicities), each Ritz pair checked against the residual
-    tolerance."""
-    if dim <= config.dense_spectrum_cap:
+    exact multiplicities), each Ritz pair checked against _EIG_RESIDUAL_TOL."""
+    if dim <= _DENSE_SPECTRUM_CAP:
         w, V = np.linalg.eigh(dense())
         return w[:k], V[:, :k]
     import scipy.sparse.linalg as spla
@@ -347,23 +361,22 @@ def _lowest(dim, k, dense, operator, stream, config):
     v0 = spawn_rng(config.seed, *stream).standard_normal(dim)
     try:
         w, V = spla.eigsh(A, k=min(k, dim - 2), which="SA", v0=v0,
-                          tol=config.eig_residual_tol * 1e-2,
-                          maxiter=config.eig_max_iter)
+                          tol=_EIG_RESIDUAL_TOL * 1e-2, maxiter=_EIG_MAX_ITER)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
     order = np.argsort(w)
     w, V = w[order], V[:, order]
     for i in range(len(w)):
         resid = np.linalg.norm(A @ V[:, i] - w[i] * V[:, i])
-        if resid > config.eig_residual_tol * max(1.0, abs(w[i])):
+        if resid > _EIG_RESIDUAL_TOL * max(1.0, abs(w[i])):
             raise ConvergenceError(f"Ritz residual {resid:.2e} above tolerance")
     return w, V
 
 
-def _refuse_tied_multiplet(lat, h, w, q, config):
-    """Level q + 1 within degeneracy_cluster_rel * max(|gap|, 1) of level q
+def _refuse_tied_multiplet(lat, h, w, q):
+    """Level q + 1 within _DEGENERACY_CLUSTER_REL * max(|gap|, 1) of level q
     leaves the multiplet, and all read from it, to the solver's ranking."""
-    if len(w) > q and w[q] - w[q - 1] <= config.degeneracy_cluster_rel * max(
+    if len(w) > q and w[q] - w[q - 1] <= _DEGENERACY_CLUSTER_REL * max(
             abs(w[q] - w[0]), 1.0):
         raise ValueError(f"tied multiplet on {lat.L1}x{lat.L2} at h={h!r}: "
                          f"levels {q} and {q + 1} coincide")
@@ -378,10 +391,11 @@ def spectrum(lat: TorusLattice, perturbation=None, h: float = 0.0,
              config: EngineConfig = DEFAULT_CONFIG, return_vectors: bool = False):
     """The 12 lowest levels of -sum(stars) - sum(plaquettes) + h*V.
 
-    Solved on the full 2^n-dimensional space (dense eigh below
-    dense_spectrum_cap, ARPACK above, refused above sparse_max_qubits), so
-    any Pauli perturbation is accepted; `scaling_study` instead solves
-    single-type fields in their flux-free sectors.  The ground multiplet is
+    Solved on the full 2^n-dimensional space (dense eigh up to
+    _DENSE_SPECTRUM_CAP states, ARPACK above, refused above
+    sparse_max_qubits), so any Pauli perturbation is accepted;
+    `scaling_study` instead solves single-type fields in their flux-free
+    sectors.  The ground multiplet is
     the lowest code-dimension levels (refused when the next level ties with
     them); gap_delta runs from the ground energy to the first level above
     it, and splitting is its spread.  coupling_k is ||(1 - P0) V P0|| for
@@ -399,8 +413,8 @@ def spectrum(lat: TorusLattice, perturbation=None, h: float = 0.0,
                    lambda: _matfree_operator(n, terms), (4, n), config)
     gap = float(w[q] - w[0]) if len(w) > q else float("nan")
     splitting = float(w[q - 1] - w[0]) if len(w) >= q else 0.0
-    _refuse_tied_multiplet(lat, h, w, q, config)
-    tol = config.degeneracy_cluster_rel * max(abs(gap), 1.0)
+    _refuse_tied_multiplet(lat, h, w, q)
+    tol = _DEGENERACY_CLUSTER_REL * max(abs(gap), 1.0)
     degeneracy = int(np.sum(w - w[0] <= tol))
     coupling = 0.0
     if perturbation:
@@ -449,7 +463,7 @@ def _flux_free_row(lat: TorusLattice, perturbation, h: float,
     are diagonal the field is the off-diagonal part, so by Perron-Frobenius
     no choice of its signs lies below the all-equal one, which is flux-free.
     The merged flux-free levels are therefore the full-space levels when the
-    (q+1)-th lies at or below w0 + 4 (to within eig_residual_tol); else the
+    (q+1)-th lies at or below w0 + 4 (to within _EIG_RESIDUAL_TOL); else the
     run refuses, as it does on a tie of levels q and q + 1.
     """
     ops = [op for op, _ in perturbation]
@@ -461,12 +475,15 @@ def _flux_free_row(lat: TorusLattice, perturbation, h: float,
     checks, frames, basis = _loop_frames(lat, swap)
     q = code_dimension(lat)
     dim = 1 << len(basis)
+    # the same in every sector: the X loops of z0 commute with every
+    # plaquette, and the stars carry no Z
+    check_groups = _coset_sum(checks, frames[0], basis)
     solved, states, fields = [], [], []
     for J, z0 in enumerate(frames):
         states.append(_coset_states(z0, basis))
         fields.append(sum(coeff * _signs(states[J], z)
                           for (_, coeff), z in zip(perturbation, field_bits)))
-        groups = _coset_sum(checks, z0, basis)
+        groups = dict(check_groups)
         groups[0] = h * fields[J] + groups[0]
         solved.append(_lowest(dim, q + 1, lambda: _coset_dense(groups, dim),
                               lambda: _sparse_operator(groups, dim),
@@ -474,14 +491,14 @@ def _flux_free_row(lat: TorusLattice, perturbation, h: float,
 
     levels = sorted((float(x), J) for J, (w, _) in enumerate(solved) for x in w)
     w0, top = levels[0][0], levels[q][0]
-    if top - w0 > _FLUX_PAIR_COST + config.eig_residual_tol * max(1.0, abs(w0)):
+    if top - w0 > _FLUX_PAIR_COST + _EIG_RESIDUAL_TOL * max(1.0, abs(w0)):
         raise SectorCertificateError(
             f"flux-free certificate failed on {lat.L1}x{lat.L2} at h={h!r}: "
             f"flux-free level {q + 1} lies {top - w0:.6g} above the ground, "
             f"but sectors with flux are only bounded below by "
             f"{_FLUX_PAIR_COST:g} above it, so these levels need not be the "
             f"full spectrum")
-    _refuse_tied_multiplet(lat, h, [x for x, _ in levels], q, config)
+    _refuse_tied_multiplet(lat, h, [x for x, _ in levels], q)
 
     # the multiplet: the lowest q levels, with each sector's share of vectors
     share = [sum(1 for _, J in levels[:q] if J == K) for K in range(len(solved))]

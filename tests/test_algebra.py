@@ -57,7 +57,7 @@ def _clebsch_gordan_dims(n):
 def _span_residual(alg, mat):
     rows = alg.stacked()
     v = mat.reshape(-1)
-    return float(np.linalg.norm(v - rows.conj().T @ (rows @ v)))
+    return float(np.linalg.norm(v - rows.T @ (rows.conj() @ v)))
 
 
 def _eig_clusters(w, rel=1e-6):
@@ -213,20 +213,20 @@ def test_closure_matches_an_all_pairs_oracle(blocks, k, dim):
 def test_generator_certificate_rejects_a_basis_missing_one_element():
     """Mutation check: every proper subspace of the algebra fails the
     generator certificate, whichever direction is dropped."""
-    from nsslab.algebra import MatrixAlgebra, _orthonormal_rows, verify_closure
+    from nsslab.algebra import (_HS_DROP_TOL, _SPAN_MEMBERSHIP_TOL, MatrixAlgebra,
+                                _orthonormal_rows, verify_closure)
 
     gens = _collective()
     alg = close_algebra(error_set(gens))
     seed = [np.eye(8, dtype=complex)] + gens
-    tol = DEFAULT_CONFIG.span_membership_tol
+    tol = _SPAN_MEMBERSHIP_TOL
     assert verify_closure(alg, generators=seed) < tol
     rng = np.random.default_rng(7)
     m = alg.algebra_dim
     U, _ = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
     for rows in (alg.stacked(), U @ alg.stacked()):
         for drop in range(m):
-            kept = _orthonormal_rows(np.delete(rows, drop, axis=0),
-                                     DEFAULT_CONFIG.hs_orthonormal_tol)
+            kept = _orthonormal_rows(np.delete(rows, drop, axis=0), _HS_DROP_TOL)
             cut = MatrixAlgebra(8, tuple(kept.reshape(-1, 8, 8)))
             assert verify_closure(cut, generators=seed) > tol
 
@@ -240,18 +240,18 @@ def test_closure_is_certified_exactly_beyond_the_pair_sample_limit(monkeypatch):
     calls = []
     real = algebra.verify_closure
 
-    def spy(alg, config=DEFAULT_CONFIG, generators=None):
-        calls.append(generators is not None)
-        return real(alg, config, generators=generators)
+    def spy(alg, generators):
+        calls.append(alg.algebra_dim)
+        return real(alg, generators)
 
     monkeypatch.setattr(algebra, "verify_closure", spy)
     rng = np.random.default_rng(18)
     gens = [rng.standard_normal((18, 18)) + 1j * rng.standard_normal((18, 18))
             for _ in range(2)]
     alg = close_algebra(error_set(gens))
-    assert alg.algebra_dim == 324 > algebra._FULL_VERIFY_LIMIT
-    assert alg.closed and alg.closure_residual < DEFAULT_CONFIG.span_membership_tol
-    assert calls == [True]
+    assert alg.algebra_dim == 324 > 300
+    assert alg.closed and alg.closure_residual < algebra._SPAN_MEMBERSHIP_TOL
+    assert calls == [324]
 
 
 def test_commutant_elements_commute_with_every_generator():
@@ -269,6 +269,48 @@ def test_double_commutant_recovers_the_algebra():
     alg = close_algebra(error_set(_collective()))
     back = commutant(commutant(alg))
     assert span_projector_distance(alg, back) < 1e-7
+
+
+def test_commutant_is_certified_without_drawing(monkeypatch):
+    """A rank-8 projector at d = 24 has the commutant M_8 (+) M_16: 320
+    elements, more than a pair check covers exhaustively.  The certificate
+    comes from the commutant's own SVD, draws nothing, and bounds the span
+    residual of products and adjoints of unit span elements."""
+    from nsslab import algebra
+
+    def no_draw(*args):
+        raise AssertionError("commutant drew a random stream")
+
+    rng = np.random.default_rng(24)
+    U, _ = np.linalg.qr(rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24)))
+    alg = close_algebra(error_set([U[:, :8] @ U[:, :8].conj().T]))
+    monkeypatch.setattr(algebra, "spawn_rng", no_draw)
+    com = commutant(alg)
+    assert com.algebra_dim == 64 + 256
+    assert com.closed and com.closure_residual < algebra._SPAN_MEMBERSHIP_TOL
+
+    def unit_element():
+        c = rng.standard_normal(com.algebra_dim) + 1j * rng.standard_normal(com.algebra_dim)
+        return np.tensordot(c / np.linalg.norm(c), np.stack(com.basis), axes=1)
+
+    for _ in range(4):
+        x, y = unit_element(), unit_element()
+        assert _span_residual(com, x @ y) <= com.closure_residual
+        assert _span_residual(com, x.conj().T) <= com.closure_residual
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("squared", [False, True])
+def test_both_commutant_branches_certify_collective_noise(monkeypatch, n, squared):
+    """The stacked-map SVD and the squared-map eigh give the same commutant
+    of collective noise, sum n_J^2 elements, each certified closed."""
+    from nsslab import algebra
+
+    if squared:
+        monkeypatch.setattr(algebra, "_COMMUTANT_SVD_ENTRIES", 0)
+    com = commutant(close_algebra(error_set(_collective(n))))
+    assert com.algebra_dim == {2: 2, 3: 5, 4: 14}[n]
+    assert com.closed and com.closure_residual < 1e-12
 
 
 def test_span_distance_reads_zero_for_a_rotated_basis():
@@ -300,11 +342,13 @@ def test_commutant_and_decompose_require_verified_closure():
         decompose(stub)
 
 
-def test_ambiguous_cluster_gaps_raise_instead_of_guessing():
+def test_ambiguous_cluster_gaps_raise_instead_of_guessing(monkeypatch):
+    from nsslab import algebra
+
     alg = close_algebra(error_set(_collective()))
-    paranoid = DEFAULT_CONFIG.override(gap_ratio_guard=1e9)
+    monkeypatch.setattr(algebra, "_GAP_RATIO_GUARD", 1e9)
     with pytest.raises(DegenerateSpectrumError):
-        decompose(alg, paranoid)
+        decompose(alg)
 
 
 def test_resource_caps_reject_oversized_dense_problems():

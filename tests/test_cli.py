@@ -166,7 +166,11 @@ def test_config_file_supplies_values_and_flags_win(tmp_path, capsys):
 
 
 def test_config_naming_a_deleted_knob_exits_2(tmp_path, capsys):
-    for knob in ("eig_num_values", "block_structure_tol"):
+    for knob in ("eig_num_values", "block_structure_tol", "hs_orthonormal_tol",
+                 "closure_residual_tol", "closure_max_iter", "span_membership_tol",
+                 "projector_tol", "cluster_merge_tol", "gap_ratio_guard",
+                 "orbit_overlap_tol", "eig_residual_tol", "eig_max_iter",
+                 "degeneracy_cluster_rel", "dense_spectrum_cap"):
         cfg = tmp_path / f"{knob}.json"
         cfg.write_text(json.dumps({"tolerances": {knob: 8}}))
         rc, out, err = _run(capsys, ["toric", "--l1", "2", "--l2", "3",
@@ -245,7 +249,7 @@ def test_decompose_runs_without_loading_scipy(tmp_path):
 
 
 def test_dense_scaling_runs_without_loading_scipy(tmp_path):
-    """Sectors of at most dense_spectrum_cap states are assembled and solved
+    """Sectors of at most _DENSE_SPECTRUM_CAP states are assembled and solved
     with numpy alone: a fresh-process scaling run over 2x2, 2x3 and 2x4
     (8 to 128 states per sector) loads no scipy module."""
     import subprocess
