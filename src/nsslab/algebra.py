@@ -443,8 +443,14 @@ def _matrix_to_pairs(mat: np.ndarray):
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat)]
 
 
-def _matrix_from_pairs(rows):
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
+def _matrix_from_pairs(rows, d):
+    try:
+        pairs = np.array(rows)
+    except ValueError:  # ragged nesting
+        pairs = np.array(())
+    if pairs.dtype.kind not in "biuf" or pairs.shape != (d, d, 2):
+        raise ValueError(f"each matrix must be {d}x{d} [re, im] number pairs")
+    return pairs.astype(float).view(complex)[..., 0]
 
 
 def error_set_to_json(errs: ErrorSet) -> str:
@@ -458,11 +464,12 @@ def error_set_to_json(errs: ErrorSet) -> str:
 
 def error_set_from_json(text: str) -> ErrorSet:
     doc = json.loads(text)
-    mats = [_matrix_from_pairs(m) for m in doc["matrices"]]
-    d = int(doc["dimension"])
-    for mat in mats:
-        if mat.shape != (d, d):
-            raise ValueError("matrix shape disagrees with declared dimension")
+    if not (isinstance(doc, dict) and isinstance(doc.get("dimension"), int)
+            and isinstance(doc.get("matrices"), list)
+            and isinstance(doc.get("labels") or [], list)):
+        raise ValueError("error set needs an integer dimension and lists of "
+                         "matrices and labels")
+    mats = [_matrix_from_pairs(m, doc["dimension"]) for m in doc["matrices"]]
     labels = doc.get("labels") or [f"E{i}" for i in range(len(mats))]
     return ErrorSet(tuple(mats), tuple(labels))
 

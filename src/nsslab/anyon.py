@@ -434,6 +434,8 @@ def run_trajectory(lat: TorusLattice, script, sector=(1, 1)) -> dict:
     """
     state = ground_state(lat, sector)
     for k, entry in enumerate(script):
+        if not isinstance(entry, dict):
+            raise ValueError(f"step {k}: expected an object, got {type(entry).__name__}")
         op = entry.get("op")
         try:
             if op == "create_pair":
@@ -451,6 +453,8 @@ def run_trajectory(lat: TorusLattice, script, sector=(1, 1)) -> dict:
                 raise ValueError(f"unknown op {op!r}")
         except KeyError as exc:
             raise ValueError(f"step {k}: missing argument {exc}") from exc
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"step {k}: bad argument: {exc}") from exc
     frame = state.frame_signs
     return {
         "phase": [float(np.real(state.accumulated_phase)),

@@ -1,8 +1,10 @@
 """GF(2) linear algebra on int-packed bit vectors.
 
-Vectors are Python ints (bit i = coordinate i).  Everything here is exact;
-these routines back the rank/membership arguments that the numerical modules
-then cross-check in floating point.
+Vectors are Python ints (bit i = coordinate i).  Everything here is exact,
+and every routine starts from the one row reduction `_eliminate`.  `rank`
+backs the check count of the toric code, `solve` the coset coordinates of
+the spectral kernel; toric stabilizer membership needs neither (see
+`lattice.stabilizer_expansion`).
 """
 
 
@@ -51,15 +53,7 @@ def nullspace(rows, width):
     rows are constraint vectors over `width` coordinates; returns int-packed
     basis vectors of the solution space (dimension width - rank).
     """
-    pivots = []  # (pivot_col, reduced_row)
-    for row in rows:
-        v = row
-        for p, bv in pivots:
-            if v >> p & 1:
-                v ^= bv
-        if v:
-            pivots.append((v.bit_length() - 1, v))
-            pivots.sort(reverse=True)
+    pivots = [(p, v) for p, v, _ in _eliminate(rows)]
     # full reduction so every pivot column appears in exactly one row
     for i, (p, bv) in enumerate(pivots):
         for q, bw in pivots:
@@ -78,13 +72,3 @@ def nullspace(rows, width):
         out.append(x)
     return out
 
-
-def span_members(rows):
-    """All 2^rank distinct span elements (small rank only).
-
-    Dependent input rows are reduced first, so each member appears once.
-    """
-    vecs = [0]
-    for _, vec, _ in _eliminate(rows):
-        vecs += [v ^ vec for v in vecs]
-    return vecs

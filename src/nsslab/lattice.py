@@ -4,7 +4,8 @@ Edge layout: vertex (r, c) owns edge 2*(r*L2 + c) + d, where d = 0 is the
 edge going right and d = 1 the edge going down.  Stars are all-X on the four
 edges meeting a vertex; plaquettes are all-Z on the four edges bounding a
 face (named by its top-left vertex).  Minimal homology representatives run
-straight through row 0 / column 0.
+straight through row 0 / column 0.  Stabilizer membership is a commutation
+test; GF(2) elimination only ranks the checks.
 """
 
 import json
@@ -142,18 +143,16 @@ def stabilizer_expansion(lat: TorusLattice, op: PauliOp):
     """op as i^phase times a product of checks and the Z-frame loops g1_Z,
     g2_Z: (phase, (g1_Z used, g2_Z used)), or None if there is none.
 
-    The generators commute and are pure X or pure Z with phase 0, so the
-    phase is op's own; the loops are independent of the checks, so their
-    flags do not depend on the combination the elimination finds.
+    These n independent commuting generators on n qubits are a maximal
+    commuting set, so op is in their group iff it commutes with all of them.
+    They are pure X or pure Z with phase 0, so the phase is op's own; only
+    g1_Z anticommutes with g2_X, and only g2_Z with g1_X.
     """
-    n = lat.n_qubits
-    rows = lat.check_symplectic_rows() + \
-        [(lo.op.x_bits << n) | lo.op.z_bits for lo in homology_basis(lat)[:2]]
-    combo = gf2.solve(rows, (op.x_bits << n) | op.z_bits)
-    if combo is None:
+    g1_z, g2_z, g1_x, g2_x = (lo.op for lo in homology_basis(lat))
+    generators = lat.vertex_stars + lat.plaquette_checks + (g1_z, g2_z)
+    if not all(commutes(op, g) for g in generators):
         return None
-    loop_bits = combo >> (len(rows) - 2)
-    return op.phase, (bool(loop_bits & 1), bool(loop_bits & 2))
+    return op.phase, (not commutes(op, g2_x), not commutes(op, g1_x))
 
 
 def is_contractible(lat: TorusLattice, cycle: PauliOp) -> bool:
@@ -179,6 +178,8 @@ def sector_of(lat: TorusLattice, state, loop_basis: str = "Z",
     The default label basis is the Z-type loop pair; pass loop_basis="X" for
     the X-type convention (the two choices are conjugate frames).
     """
+    if loop_basis not in ("Z", "X"):
+        raise ValueError(f"loop_basis must be 'Z' or 'X', got {loop_basis!r}")
     loops = homology_basis(lat)
     pair = loops[0:2] if loop_basis == "Z" else loops[2:4]
     if hasattr(state, "loop_eigenvalue"):

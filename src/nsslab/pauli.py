@@ -149,9 +149,9 @@ def _coset_dense(groups, dim):
     return mat
 
 
-def to_dense(a: PauliOp, max_qubits: int | None = None) -> np.ndarray:
+def to_dense(a: PauliOp) -> np.ndarray:
     """Dense 2^n x 2^n unitary in the computational basis."""
-    cap = DEFAULT_CONFIG.dense_bridge_max_qubits if max_qubits is None else max_qubits
+    cap = DEFAULT_CONFIG.dense_bridge_max_qubits
     if a.n > cap:
         raise ResourceLimitError(f"dense bridge capped at {cap} qubits, got {a.n}")
     dim = 1 << a.n

@@ -6,6 +6,7 @@ the same verdict, so a red criterion still reports its measured numbers.
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -245,11 +246,15 @@ def test_criterion_9_byte_identical_reruns(tmp_path, capfd):
     src.write_text(error_set_to_json(error_set(_collective_generators(),
                                                labels=("Jx", "Jy", "Jz"))))
 
+    import nsslab
+
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(nsslab.__file__)))
+
     def run(argv, out_name):
         out = tmp_path / out_name
         cmd = [sys.executable, "-m", "nsslab.cli"] + argv + \
             ["--seed", "7", "--output", str(out)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        proc = subprocess.run(cmd, env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         return out.read_bytes()
 

@@ -29,7 +29,7 @@ from nsslab import (
     noiseless_subsystems,
 )
 from nsslab.algebra import span_projector_distance
-from nsslab.gf2 import nullspace, span_members
+from nsslab.gf2 import nullspace
 from nsslab.pauli import PauliOp, to_dense
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -372,9 +372,17 @@ def test_pauli_span_input_validation():
         from_pauli_span([I, X0, Z0, PauliOp(2, 1, 2)])  # not closed
 
 
+def _span(vecs):
+    """Every XOR of a subset of `vecs`, each distinct element once."""
+    members = {0}
+    for v in vecs:
+        members |= {m ^ v for m in members}
+    return sorted(members)
+
+
 def test_star_group_span_agrees_with_numerical_closure():
     lat = build_torus(2, 2)
-    patterns = span_members([s.x_bits for s in lat.vertex_stars])
+    patterns = _span([s.x_bits for s in lat.vertex_stars])
     assert len(patterns) == 8  # the four stars multiply to the identity
     group = [PauliOp(lat.n_qubits, x, 0) for x in patterns]
     exact = from_pauli_span(group)
@@ -385,7 +393,7 @@ def test_star_group_span_agrees_with_numerical_closure():
 
 def test_star_group_sectors_are_syndrome_projectors():
     lat = build_torus(2, 2)
-    group = [PauliOp(lat.n_qubits, x, 0) for x in span_members([s.x_bits for s in lat.vertex_stars])]
+    group = [PauliOp(lat.n_qubits, x, 0) for x in _span([s.x_bits for s in lat.vertex_stars])]
     dec = decompose(from_pauli_span(group))
     assert dec.sector_shapes == [(32, 1)] * 8
     eye = np.eye(1 << lat.n_qubits, dtype=complex)
@@ -407,7 +415,7 @@ def test_loop_commutant_has_four_fold_eigenvalue_multiplicities():
     rows = [(lo.op.z_bits << n) | lo.op.x_bits for lo in homology_basis(lat)]
     basis = nullspace(rows, 2 * n)
     assert len(basis) == 2 * n - 4
-    members = span_members(basis)
+    members = _span(basis)
     assert len(members) == 1 << 12
 
     rng = np.random.default_rng(12345)

@@ -192,10 +192,20 @@ def test_validation_exit_codes(tmp_path, capsys):
          str(tmp_path / "missing.json")],
         [],
     ]
+    scripts = ([1], [{"op": "move", "anyon": 0, "path": 5}],
+               [{"op": "braid", "mover": float("inf"), "around": 0}])
+    error_sets = ({"dimension": 2, "matrices": [1]},
+                  {"dimension": 2, "matrices": [[[1, 0], [0, 1]]]}, [1],
+                  {"dimension": 1, "matrices": [[[[1, 0]]]], "labels": 5})
+    for k, doc in enumerate(scripts + error_sets):
+        path = tmp_path / f"malformed{k}.json"
+        path.write_text(json.dumps(doc))
+        cases.append(["braid", "--l1", "2", "--l2", "2", "--script", str(path)]
+                     if k < len(scripts) else ["decompose", "--input", str(path)])
     for argv in cases:
-        rc, _, err = _run(capsys, argv)
+        rc, out, err = _run(capsys, argv)
         assert rc == EXIT_VALIDATION, argv
-        assert err
+        assert err and out == "", argv
 
     bad_cfg = tmp_path / "bad.json"
     bad_cfg.write_text(json.dumps({"tolerances": {"not_a_knob": 1}}))

@@ -95,25 +95,3 @@ def test_nullspace_of_empty_constraints_is_everything():
     null = gf2.nullspace([], 5)
     assert len(null) == 5
     assert gf2.rank(null) == 5
-
-
-def test_span_members_enumerates_each_element_once():
-    rng = np.random.default_rng(103)
-    for _ in range(20):
-        width = int(rng.integers(1, 12))
-        rows = _random_rows(rng, int(rng.integers(1, 7)), width)
-        members = gf2.span_members(rows)
-        assert len(members) == 1 << gf2.rank(rows)
-        assert len(set(members)) == len(members)
-        assert 0 in members
-        for v in members:
-            assert gf2.solve(rows, v) is not None
-
-
-def test_span_members_closed_under_xor():
-    rows = [0b1100, 0b0110, 0b1010]  # rank 2
-    members = set(gf2.span_members(rows))
-    assert len(members) == 4
-    for a in members:
-        for b in members:
-            assert a ^ b in members

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from nsslab import gf2
 from nsslab.lattice import (
     NotAnEigenstateError,
     SectorLabel,
@@ -157,6 +158,21 @@ def test_is_contractible_accepts_check_products_and_validates_input():
         is_contractible(lat, PauliOp(4, 0, 1))
 
 
+def _expansion_oracle(lat, op):
+    """The elimination the commutation test replaced: solve op's symplectic
+    vector over the checks and the two Z loops, and read the loop flags off
+    the last two bits of the combination."""
+    n = lat.n_qubits
+    gens = list(lat.vertex_stars) + list(lat.plaquette_checks) + \
+        [lo.op for lo in homology_basis(lat)[:2]]
+    combo = gf2.solve([(g.x_bits << n) | g.z_bits for g in gens],
+                      (op.x_bits << n) | op.z_bits)
+    if combo is None:
+        return None
+    loop_bits = combo >> (len(gens) - 2)
+    return op.phase, (bool(loop_bits & 1), bool(loop_bits & 2))
+
+
 def test_stabilizer_expansion_recovers_planted_products():
     rng = np.random.default_rng(11)
     for L1, L2 in ((2, 2), (2, 3), (3, 3)):
@@ -177,6 +193,29 @@ def test_stabilizer_expansion_recovers_planted_products():
             for off in (loops[2], loops[3], PauliOp(n, 0, 1 << int(rng.integers(0, n))),
                         PauliOp(n, 1 << int(rng.integers(0, n)), 0)):
                 assert stabilizer_expansion(lat, multiply(op, off)) is None
+    # arbitrary Paulis against the elimination oracle; every third one is a
+    # random group element, so that every outcome occurs
+    for L1, L2 in ((2, 2), (2, 3), (3, 2), (3, 3), (3, 4)):
+        lat = build_torus(L1, L2)
+        n = lat.n_qubits
+        gens = list(lat.vertex_stars) + list(lat.plaquette_checks) + \
+            [lo.op for lo in homology_basis(lat)[:2]]
+        outcomes = set()
+        for k in range(300):
+            if k % 3:
+                op = PauliOp(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)),
+                             int(rng.integers(0, 4)))
+            else:
+                op = PauliOp(n, 0, 0, int(rng.integers(0, 4)))
+                for g in gens:
+                    if rng.integers(0, 2):
+                        op = multiply(op, g)
+            expect = _expansion_oracle(lat, op)
+            assert stabilizer_expansion(lat, op) == expect
+            outcomes.add(None if expect is None else expect[1])
+        assert outcomes == {None, (False, False), (True, False), (False, True), (True, True)}
+    with pytest.raises(ValueError):
+        stabilizer_expansion(build_torus(2, 2), PauliOp(4, 0, 0))
 
 
 def test_sector_label_validation():
@@ -206,6 +245,8 @@ def test_sector_of_rejects_non_eigenstates_and_zero():
         sector_of(lat, mixed)
     with pytest.raises(NotAnEigenstateError):
         sector_of(lat, np.zeros(256))
+    with pytest.raises(ValueError, match="loop_basis"):
+        sector_of(lat, basis[:, 0], loop_basis="Q")
 
 
 def test_lattice_json_round_trip_and_tamper_detection():
