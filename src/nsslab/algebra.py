@@ -14,7 +14,6 @@ import numpy as np
 
 from .config import (DEFAULT_CONFIG, ConvergenceError, DegenerateSpectrumError,
                      EngineConfig, ResourceLimitError, spawn_rng)
-from .pauli import PauliOp, to_dense
 
 # Gram-Schmidt drops a residual row below this norm (basis hygiene and the
 # closure's "already in the span" test alike)
@@ -207,48 +206,13 @@ def verify_closure(alg: MatrixAlgebra, generators) -> float:
     return worst
 
 
-def from_pauli_span(paulis, config: EngineConfig = DEFAULT_CONFIG) -> MatrixAlgebra:
-    """Algebra spanned by a multiplicatively closed set of Pauli operators.
-
-    The input must be all 2^k elements of a GF(2)-linear space of bit
-    vectors (phases ignored); group closure is then exact, so the span is a
-    *-algebra by construction and no numerical closure pass is needed.
-    Paulis scaled by 1/sqrt(dim) are already HS-orthonormal.
-    """
-    ps = list(paulis)
-    n = ps[0].n
-    vecs = {(p.x_bits, p.z_bits) for p in ps}
-    if len(vecs) != len(ps):
-        raise ValueError("duplicate Pauli bit patterns in span input")
-    if (0, 0) not in vecs:
-        raise ValueError("span input must contain the identity")
-    k = (len(vecs) - 1).bit_length()
-    if len(vecs) != 1 << k:
-        raise ValueError("span input size is not a power of two")
-    for a in ps:
-        for b in ps:
-            if (a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits) not in vecs:
-                raise ValueError("span input is not closed under multiplication")
-    d = 1 << n
-    if d > config.algebra_dense_cap:
-        raise ResourceLimitError(f"dense algebra capped at dimension {config.algebra_dense_cap}")
-    basis = tuple(to_dense(PauliOp(n, x, z, 0)) / np.sqrt(d) for x, z in sorted(vecs))
-    return MatrixAlgebra(d, basis, closed=True, closure_residual=0.0)
-
-
-# the stacked-commutator SVD is used while the stack, and the thin U of the
-# same shape, hold at most this many complex entries each; beyond it the
-# d^2 x d^2 squared map keeps memory bounded
-_COMMUTANT_SVD_ENTRIES = 1 << 22
-
-
 def commutant(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> MatrixAlgebra:
     """All X with [X, B_i] = 0: null space N of the stacked commutator map
     L_i = 1 (x) B_i^T - B_i (x) 1 (row-major vec convention).
 
-    Small problems take an SVD of the stacked map itself (full precision);
-    large ones fall back to eigenvectors of sum_i L_i^dag L_i, which squares
-    the conditioning but needs only d^2 x d^2 memory.
+    N is read from the eigenvectors of M = sum_i L_i^dag L_i, whose
+    eigenvalues are the squared singular values of the stacked map.  M is
+    d^2 x d^2 whatever the algebra's dimension, so memory stays bounded.
 
     Closure is certified from the same decomposition, with no sampling.  Let
     r = ||[N, B]||_F over every null basis element and every B_i, and s+ the
@@ -265,22 +229,14 @@ def commutant(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Matr
         raise ResourceLimitError(
             f"commutant eigenproblem capped at dimension {config.commutant_dense_cap}")
     eye = np.eye(d)
-    if len(alg.basis) * d**4 <= _COMMUTANT_SVD_ENTRIES:
-        stack = np.vstack([np.kron(eye, b.T) - np.kron(b, eye) for b in alg.basis])
-        # the stack has at least d^2 rows, so thin vh is the full d^2 x d^2
-        _, s, vh = np.linalg.svd(stack, full_matrices=False)
-        null_tol = _SPAN_MEMBERSHIP_TOL * max(1.0, float(s[0]) if s.size else 1.0)
-        cols = vh.conj().T[:, s < null_tol]
-        s_plus = float(s[s >= null_tol].min(initial=np.inf))
-    else:
-        M = np.zeros((d * d, d * d), dtype=complex)
-        for b in alg.basis:
-            L = np.kron(eye, b.T) - np.kron(b, eye)
-            M += L.conj().T @ L
-        w, V = np.linalg.eigh(M)
-        null_tol = _SPAN_MEMBERSHIP_TOL * max(1.0, float(w[-1]) if len(w) else 1.0)
-        cols = V[:, w < null_tol]
-        s_plus = float(np.sqrt(w[w >= null_tol].min(initial=np.inf)))
+    M = np.zeros((d * d, d * d), dtype=complex)
+    for b in alg.basis:
+        L = np.kron(eye, b.T) - np.kron(b, eye)
+        M += L.conj().T @ L
+    w, V = np.linalg.eigh(M)
+    null_tol = _SPAN_MEMBERSHIP_TOL * max(1.0, float(w[-1]) if len(w) else 1.0)
+    cols = V[:, w < null_tol]
+    s_plus = float(np.sqrt(w[w >= null_tol].min(initial=np.inf)))
     basis = tuple(cols[:, i].reshape(d, d) for i in range(cols.shape[1]))
     mats = np.stack(alg.basis)
     r = np.sqrt(sum(np.linalg.norm(np.matmul(x, mats) - np.matmul(mats, x)) ** 2

@@ -2,8 +2,11 @@
 
 An AnyonState is the exact Pauli word `applied` acting on a fixed reference
 code vector |J0>, plus bookkeeping: anyon records, the accumulated scalar
-phase, and derived views (tableau signs, frame signs, energy).  Strings are
-applied dynamically (exact Pauli products), never adiabatically.
+phase, and derived views (tableau signs, frame signs, energy).  The frame
+signs are the state's Z-loop sector label, read symplectically from the
+crossings of `applied` with the two Z loops.  Strings are applied
+dynamically (exact Pauli products), never adiabatically; a transport path
+is a sequence of edge indices in the mover's own graph.
 
 Whenever a closed string turns out to act as a scalar on the reference
 vector (a product of checks and frame loops), that scalar is moved out of
@@ -36,18 +39,6 @@ class PathNotFoundError(ValueError):
 
 
 @dataclass(frozen=True)
-class LatticePath:
-    kind: str        # "vertex" (e transport) or "plaquette" (m transport)
-    steps: tuple     # ordered edge indices, consecutive-adjacent
-
-    def __post_init__(self):
-        if self.kind not in ("vertex", "plaquette"):
-            raise ValueError("path kind must be vertex or plaquette")
-        if not self.steps:
-            raise ValueError("empty path")
-
-
-@dataclass(frozen=True)
 class Anyon:
     kind: str        # "e" (vertex defect) or "m" (plaquette defect)
     position: int    # vertex index for e, face index for m
@@ -74,7 +65,8 @@ class AnyonState:
 
     @property
     def frame_signs(self) -> dict:
-        """Current signs of the two Z-type frame loops."""
+        """Current signs of the two Z-type frame loops: the state's sector
+        label, each reference sign times the crossing sign of `applied`."""
         loops = homology_basis(self.lat)
         return {lo.homology_class: self.sector0.j[i] * self._crossing_sign(lo.op)
                 for i, lo in enumerate(loops[:2])}
@@ -103,18 +95,6 @@ class AnyonState:
     def energy(self) -> int:
         """Number of violated (-1) checks."""
         return sum(1 for s in self.check_signs if s < 0)
-
-    def loop_eigenvalue(self, op: PauliOp):
-        """Exact eigenvalue of a loop operator on this state, else None."""
-        w0 = _scalar_on_reference(self.lat, self.sector0, op)
-        if w0 is None:
-            return None
-        val = w0 * self._crossing_sign(op)
-        return int(np.real(val)) if abs(np.imag(val)) < 1e-12 else val
-
-    def sector(self) -> SectorLabel:
-        loops = homology_basis(self.lat)
-        return SectorLabel(tuple(self.loop_eigenvalue(lo.op) for lo in loops[:2]))
 
 
 # -------------------------------------------------- scalar-action solver
@@ -196,10 +176,9 @@ def create_pair(state: AnyonState, kind: str, edge: int) -> AnyonState:
                    anyons=state.anyons + new, next_pair=pid + 1)
 
 
-def _walk(lat: TorusLattice, kind: str, start: int, steps) -> tuple:
-    """Follow edge steps from a node; returns (end node, visited nodes)."""
+def _walk(lat: TorusLattice, kind: str, start: int, steps) -> int:
+    """Follow edge steps from a node in the mover's graph; returns the end node."""
     pos = start
-    visited = [start]
     for e in steps:
         a, b = _endpoints(lat, kind, e)
         if pos == a:
@@ -208,8 +187,7 @@ def _walk(lat: TorusLattice, kind: str, start: int, steps) -> tuple:
             pos = a
         else:
             raise InvalidMoveError(f"edge {e} is not incident to node {pos}")
-        visited.append(pos)
-    return pos, visited
+    return pos
 
 
 def _require_anyons(state: AnyonState, *indices: int) -> None:
@@ -219,23 +197,23 @@ def _require_anyons(state: AnyonState, *indices: int) -> None:
 
 
 def move_anyon(state: AnyonState, index: int, path) -> AnyonState:
-    """Extend one anyon's string along a connected path of edges.
+    """Extend one anyon's string along `path`, a sequence of edge indices,
+    each incident to the node the previous one reached.
 
-    A path returning to its start is a closed cycle; if that cycle acts as
-    a scalar on the reference vector (contractible, or a frame loop), the
+    The edges are read in the mover's own graph: vertices for e, faces for
+    m.  A path returning to its start is a closed cycle; if that cycle acts
+    as a scalar on the reference vector (contractible, or a frame loop), the
     scalar is banked into accumulated_phase.  Terminating on a same-type
     anyon is allowed as preparation for fuse.
     """
     _require_anyons(state, index)
     mover = state.anyons[index]
-    steps = tuple(path.steps) if isinstance(path, LatticePath) else tuple(path)
-    if isinstance(path, LatticePath):
-        wanted = "vertex" if mover.kind == "e" else "plaquette"
-        if path.kind != wanted:
-            raise InvalidMoveError(f"{mover.kind} anyon needs a {wanted} path")
+    steps = tuple(path)
     if not steps:
         raise InvalidMoveError("empty path")
-    end, _ = _walk(state.lat, mover.kind, mover.position, steps)
+    if not all(0 <= e < state.lat.n_qubits for e in steps):
+        raise ValueError("edge index out of range")
+    end = _walk(state.lat, mover.kind, mover.position, steps)
     op = identity(state.lat.n_qubits)
     for e in steps:
         op = multiply(_edge_operator(state.lat, mover.kind, e), op)
@@ -298,17 +276,12 @@ def _rectangle_cycle(lat: TorusLattice, kind: str, corner: tuple, dr: int, dc: i
 def _enclosed_cells(lat: TorusLattice, kind: str, corner: tuple, dr: int, dc: int):
     """(dual-type cells, same-type interior nodes) enclosed by the rectangle."""
     r0, c0 = corner
-    dual, interior = [], []
-    for i in range(dr):
-        for j in range(dc):
-            dual.append(((r0 + i) % lat.L1) * lat.L2 + (c0 + j) % lat.L2)
-    for i in range(1, dr):
-        for j in range(1, dc):
-            interior.append(((r0 + i) % lat.L1) * lat.L2 + (c0 + j) % lat.L2)
-    if kind == "m":
-        # face-graph rectangle encloses vertices shifted one step down-right
-        dual = [((r0 + i + 1) % lat.L1) * lat.L2 + (c0 + j + 1) % lat.L2
-                for i in range(dr) for j in range(dc)]
+    # a face-graph rectangle encloses vertices shifted one step down-right
+    shift = 1 if kind == "m" else 0
+    dual = [((r0 + i + shift) % lat.L1) * lat.L2 + (c0 + j + shift) % lat.L2
+            for i in range(dr) for j in range(dc)]
+    interior = [((r0 + i) % lat.L1) * lat.L2 + (c0 + j) % lat.L2
+                for i in range(1, dr) for j in range(1, dc)]
     return dual, interior
 
 
@@ -426,11 +399,19 @@ def relative_phase(state_a: AnyonState, state_b: AnyonState) -> complex:
 
 # ------------------------------------------------------- trajectory replay
 
+def _json_int(value) -> int:
+    """A script index: a JSON integer, not a float, bool or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer index, got {value!r}")
+    return value
+
+
 def run_trajectory(lat: TorusLattice, script, sector=(1, 1)) -> dict:
     """Replay a JSON-style operation list; returns the final report.
 
     Each entry is {"op": name, ...args}: create_pair(type, edge),
-    move(anyon, path), braid(mover, around), fuse(a, b[, via]).
+    move(anyon, path), braid(mover, around), fuse(a, b[, via]).  Every
+    index is a JSON integer and a path is a list of them.
     """
     state = ground_state(lat, sector)
     for k, entry in enumerate(script):
@@ -439,16 +420,18 @@ def run_trajectory(lat: TorusLattice, script, sector=(1, 1)) -> dict:
         op = entry.get("op")
         try:
             if op == "create_pair":
-                state = create_pair(state, entry["type"], int(entry["edge"]))
+                state = create_pair(state, entry["type"], _json_int(entry["edge"]))
             elif op == "move":
-                state = move_anyon(state, int(entry["anyon"]),
-                                   [int(e) for e in entry["path"]])
+                if not isinstance(entry["path"], list):
+                    raise TypeError("path must be a list of edge indices")
+                state = move_anyon(state, _json_int(entry["anyon"]),
+                                   [_json_int(e) for e in entry["path"]])
             elif op == "braid":
-                state = braid(state, int(entry["mover"]), int(entry["around"]))
+                state = braid(state, _json_int(entry["mover"]), _json_int(entry["around"]))
             elif op == "fuse":
                 via = entry.get("via")
-                state = fuse(state, int(entry["a"]), int(entry["b"]),
-                             None if via is None else int(via))
+                state = fuse(state, _json_int(entry["a"]), _json_int(entry["b"]),
+                             None if via is None else _json_int(via))
             else:
                 raise ValueError(f"unknown op {op!r}")
         except KeyError as exc:

@@ -125,7 +125,7 @@ def _engine_config(opts):
 
     overrides = dict(opts.get("tolerances") or {})
     if opts.get("seed") is not None:
-        overrides["seed"] = int(opts["seed"])
+        overrides["seed"] = opts["seed"]
     try:
         return DEFAULT_CONFIG.override(**overrides)
     except KeyError as exc:
@@ -134,6 +134,13 @@ def _engine_config(opts):
 
 def _json_report(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _get(opts, key, default):
+    """An option's value; only a missing one (None) takes the default, so an
+    explicit 0 or empty string is checked as given."""
+    value = opts.get(key)
+    return default if value is None else value
 
 
 def _require(opts, *keys):
@@ -170,10 +177,10 @@ def _cmd_toric(opts) -> str:
     lat = build_torus(int(opts["l1"]), int(opts["l2"]))
     if not opts.get("report"):
         return lattice_to_json(lat)
-    h = float(opts.get("h") or 0.0)
-    kind = opts.get("perturbation") or "z_field"
-    pert = perturbation_terms(lat, kind) if h else None
-    rep = spectrum(lat, pert, h, cfg)
+    h = float(_get(opts, "h", 0.0))
+    kind = _get(opts, "perturbation", "z_field")
+    pert = perturbation_terms(lat, kind)  # validates the kind at every h
+    rep = spectrum(lat, pert if h else None, h, cfg)
     return _json_report({
         "l1": lat.L1,
         "l2": lat.L2,
@@ -198,7 +205,7 @@ def _cmd_kl_check(opts) -> str:
     _require(opts, "l1", "l2")
     _engine_config(opts)  # validates config overrides even if unused here
     lat = build_torus(int(opts["l1"]), int(opts["l2"]))
-    max_w = int(opts.get("max_weight") or 2)
+    max_w = int(_get(opts, "max_weight", 2))
     if max_w < 0:
         raise ValueError("--max-weight must be >= 0")
     errors = local_error_generators(lat, max_w, loop_commuting=False)
@@ -239,10 +246,13 @@ def _cmd_scaling(opts) -> str:
             sizes.append((int(part[0]), int(part[1])))
         except (TypeError, ValueError) as exc:
             raise ValueError(f"bad size entry {part!r}") from exc
-    h = float(opts.get("h") if opts.get("h") is not None else 0.1)
-    kind = opts.get("perturbation") or "z_field"
+    h = float(_get(opts, "h", 0.1))
+    kind = _get(opts, "perturbation", "z_field")
+    fmt = _get(opts, "fmt", "csv")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown format {fmt!r}; want csv or json")
     result = scaling_study(sizes, h, kind, cfg)
-    if (opts.get("fmt") or "csv") == "csv":
+    if fmt == "csv":
         return scaling_to_csv(result)
     return _json_report({
         "points": [list(p) for p in result.points],
@@ -272,7 +282,7 @@ def _cmd_braid(opts) -> str:
         raise ValueError(f"script is not valid JSON: {exc}") from exc
     if not isinstance(script, list):
         raise ValueError("script must be a JSON list of operations")
-    sector = opts.get("sector") or "1,1"
+    sector = _get(opts, "sector", "1,1")
     if isinstance(sector, str):
         sector = [int(x) for x in sector.split(",")]
     sector = tuple(int(x) for x in sector)

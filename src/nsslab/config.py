@@ -1,13 +1,14 @@
 """Central configuration: the seed and the resource caps.
 
 `EngineConfig` holds only what a user sets: the seed, and the caps that
-bound memory on the user's machine.  Every numerical tolerance is a fixed
-constant beside the one module that reads it, so no reported number moves
-with a knob.  All randomness flows from one 64-bit seed through
-counter-based splittable streams (see `spawn_rng`), which keeps results
-independent of scheduling order.
+bound memory on the user's machine, each a non-negative integer.  Every
+numerical tolerance is a fixed constant beside the one module that reads
+it, so no reported number moves with a knob.  All randomness flows from one
+64-bit seed through counter-based splittable streams (see `spawn_rng`),
+which keeps results independent of scheduling order.
 """
 
+import numbers
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -21,11 +22,22 @@ class EngineConfig:
     seed: int = DEFAULT_SEED
     # size caps
     dense_bridge_max_qubits: int = 12
+    # log2 of the largest solved dimension: spectrum's qubit count,
+    # scaling's sector dimension
     sparse_max_qubits: int = 20
     # dense-matrix ceiling for the algebra engine
     algebra_dense_cap: int = 4096
     # dim cap for the d^2 x d^2 commutant eigenproblem
     commutant_dense_cap: int = 64
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 0):
+                raise ValueError(
+                    f"config field {f.name} must be a non-negative integer, "
+                    f"got {value!r}")
 
     def override(self, **kwargs) -> "EngineConfig":
         """Copy with selected fields replaced; unknown names raise KeyError."""

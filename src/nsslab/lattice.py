@@ -172,24 +172,17 @@ def is_contractible(lat: TorusLattice, cycle: PauliOp) -> bool:
 
 def sector_of(lat: TorusLattice, state, loop_basis: str = "Z",
               tol: float = 1e-8) -> SectorLabel:
-    """Joint loop eigenvalues (j1, j2) labelling the state's sector.
+    """Joint loop eigenvalues (j1, j2) labelling a dense state's sector.
 
-    `state` is a dense vector or any object exposing loop_eigenvalue(op).
-    The default label basis is the Z-type loop pair; pass loop_basis="X" for
-    the X-type convention (the two choices are conjugate frames).
+    `state` is a state vector on the 2^n-dimensional space (an AnyonState
+    carries its Z-loop label as `frame_signs`).  The default label basis is
+    the Z-type loop pair; pass loop_basis="X" for the X-type convention
+    (the two choices are conjugate frames).
     """
     if loop_basis not in ("Z", "X"):
         raise ValueError(f"loop_basis must be 'Z' or 'X', got {loop_basis!r}")
     loops = homology_basis(lat)
     pair = loops[0:2] if loop_basis == "Z" else loops[2:4]
-    if hasattr(state, "loop_eigenvalue"):
-        vals = []
-        for lo in pair:
-            v = state.loop_eigenvalue(lo.op)
-            if v is None:
-                raise NotAnEigenstateError(f"state undetermined on {lo.homology_class}")
-            vals.append(v)
-        return SectorLabel(tuple(vals))
     vec = np.asarray(state, dtype=complex)
     nrm = np.linalg.norm(vec)
     if nrm == 0:

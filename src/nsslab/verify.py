@@ -538,13 +538,14 @@ def scaling_study(sizes, h: float, kind: str = "z_field",
     """Ground-multiplet splitting across lattice sizes, with an exponential
     fit of splitting against |lattice|^(1/n).
 
-    Sizes are deduplicated (order kept, with a note); every size must fit
-    the sparse cap (2*L1*L2 qubits) or the whole run is refused.  Every
-    kind in PERTURBATION_KINDS is a field of one Pauli type, so each size
-    is solved in the four flux-free loop sectors, each a coset of dimension
-    2^(L1*L2 - 1) (see `_flux_free_row`); a size whose levels the sectors
-    cannot certify raises SectorCertificateError, and one whose multiplet
-    ties with the next level raises ValueError.
+    Sizes are deduplicated (order kept, with a note).  Every kind in
+    PERTURBATION_KINDS is a field of one Pauli type, so each size is solved
+    in the four flux-free loop sectors, each a coset of dimension
+    2^(L1*L2 - 1) (see `_flux_free_row`); that dimension must fit the
+    sparse cap (L1*L2 - 1 <= sparse_max_qubits) at every size, or the whole
+    run is refused.  A size whose levels the sectors cannot certify raises
+    SectorCertificateError, and one whose multiplet ties with the next level
+    raises ValueError.
     Per size, gap is the distance from the ground level to the first level
     above the multiplet, coupling_k is ||(1 - P0) V P0|| for the bare field
     V and the multiplet projector P0, and deviation_max is the largest
@@ -561,7 +562,7 @@ def scaling_study(sizes, h: float, kind: str = "z_field",
     if len(uniq) < 3:
         raise InsufficientDataError("need at least 3 distinct sizes")
     for L1, L2 in uniq:
-        if 2 * L1 * L2 > config.sparse_max_qubits:
+        if L1 * L2 - 1 > config.sparse_max_qubits:
             raise ResourceLimitError(f"size {L1}x{L2} exceeds the sparse cap")
 
     rows = []

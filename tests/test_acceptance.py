@@ -14,7 +14,6 @@ import time
 import numpy as np
 
 from nsslab import (
-    DEFAULT_CONFIG,
     braid,
     build_torus,
     close_algebra,
@@ -200,9 +199,8 @@ def test_criterion_6_gap_with_dense_oracle(capfd):
 def test_criterion_7_splitting_decay_under_uniform_field(capfd):
     t0 = time.time()
     # square tori, so the code distance min(L1, L2) grows along the sweep;
-    # 4x4 has 32 qubits, above the default cap of 20
-    res = scaling_study([(2, 2), (3, 3), (4, 4)], 0.1, kind="z_field",
-                        config=DEFAULT_CONFIG.override(sparse_max_qubits=32))
+    # 4x4 solves sectors of 2^15 states, within the default cap
+    res = scaling_study([(2, 2), (3, 3), (4, 4)], 0.1, kind="z_field")
     elapsed = time.time() - t0
     s = [r.splitting for r in res.rows]
     ratios = [b / a for a, b in zip(s, s[1:])]

@@ -25,7 +25,6 @@ from nsslab import (
     error_set,
     error_set_from_json,
     error_set_to_json,
-    from_pauli_span,
     noiseless_subsystems,
 )
 from nsslab.algebra import span_projector_distance
@@ -163,7 +162,7 @@ def test_rescaled_generators_span_the_same_algebra():
     scaled = close_algebra(error_set([2.7 * jx, -1.3j * jy, 0.4 * jz]))
     assert span_projector_distance(alg, scaled) < 1e-6
     with pytest.raises(ValueError):
-        span_projector_distance(alg, from_pauli_span([PauliOp(1, 0, 0), PauliOp(1, 1, 0)]))
+        span_projector_distance(alg, close_algebra(error_set([_SX])))
 
 
 def _all_pairs_closure(mats, tol=1e-9):
@@ -300,17 +299,71 @@ def test_commutant_is_certified_without_drawing(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("squared", [False, True])
-def test_both_commutant_branches_certify_collective_noise(monkeypatch, n, squared):
-    """The stacked-map SVD and the squared-map eigh give the same commutant
-    of collective noise, sum n_J^2 elements, each certified closed."""
-    from nsslab import algebra
-
-    if squared:
-        monkeypatch.setattr(algebra, "_COMMUTANT_SVD_ENTRIES", 0)
+def test_commutant_certifies_collective_noise(n):
+    """The commutant of collective noise has sum n_J^2 elements, certified
+    closed."""
     com = commutant(close_algebra(error_set(_collective(n))))
     assert com.algebra_dim == {2: 2, 3: 5, 4: 14}[n]
     assert com.closed and com.closure_residual < 1e-12
+
+
+def _stacked_svd_commutant(alg):
+    """Oracle: the null space of the stacked commutator map itself, from its
+    SVD at full precision, with no squared map."""
+    from nsslab.algebra import MatrixAlgebra
+
+    d = alg.dim
+    eye = np.eye(d)
+    stack = np.vstack([np.kron(eye, b.T) - np.kron(b, eye) for b in alg.basis])
+    _, s, vh = np.linalg.svd(stack, full_matrices=False)
+    null = vh[s < 1e-8 * max(1.0, s[0])]
+    return MatrixAlgebra(d, tuple(null.conj().reshape(-1, d, d)))
+
+
+def _projector_at_24():
+    rng = np.random.default_rng(24)
+    U, _ = np.linalg.qr(rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24)))
+    return [U[:, :8] @ U[:, :8].conj().T]
+
+
+@pytest.mark.parametrize("gens", [_collective(2), _collective(3), _collective(4),
+                                  _projector_at_24()],
+                         ids=["collective2", "collective3", "collective4", "projector24"])
+def test_commutant_matches_a_stacked_svd_oracle(gens):
+    alg = close_algebra(error_set(gens))
+    com = commutant(alg)
+    assert span_projector_distance(com, _stacked_svd_commutant(alg)) < 1e-10
+
+
+@st.composite
+def _repeated_hermitian_sets(draw):
+    """Hermitian generators sum over blocks of 1_n (x) A, A a random m x m
+    Hermitian, on at most 12 dimensions, in a random frame."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = draw(st.lists(st.tuples(st.integers(1, 2), st.integers(1, 3)),
+                           min_size=1, max_size=4)
+                  .filter(lambda bl: sum(n * m for n, m in bl) <= 12))
+    d = sum(n * m for n, m in blocks)
+    U, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        g = np.zeros((d, d), dtype=complex)
+        at = 0
+        for n, m in blocks:
+            a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            g[at:at + n * m, at:at + n * m] = np.kron(np.eye(n), a + a.conj().T)
+            at += n * m
+        gens.append(U @ g @ U.conj().T)
+    return gens
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(_repeated_hermitian_sets())
+def test_commutant_matches_the_oracle_on_random_hermitian_sets(gens):
+    alg = close_algebra(error_set(gens))
+    com = commutant(alg)
+    assert com.closed
+    assert span_projector_distance(com, _stacked_svd_commutant(alg)) < 1e-10
 
 
 def test_span_distance_reads_zero_for_a_rotated_basis():
@@ -360,18 +413,6 @@ def test_resource_caps_reject_oversized_dense_problems():
         commutant(alg, DEFAULT_CONFIG.override(commutant_dense_cap=4))
 
 
-def test_pauli_span_input_validation():
-    I, X0, Z0 = PauliOp(2, 0, 0), PauliOp(2, 1, 0), PauliOp(2, 0, 1)
-    with pytest.raises(ValueError):
-        from_pauli_span([X0, Z0])  # identity missing
-    with pytest.raises(ValueError):
-        from_pauli_span([I, X0, Z0])  # size not a power of two
-    with pytest.raises(ValueError):
-        from_pauli_span([I, X0, X0])  # duplicate pattern
-    with pytest.raises(ValueError):
-        from_pauli_span([I, X0, Z0, PauliOp(2, 1, 2)])  # not closed
-
-
 def _span(vecs):
     """Every XOR of a subset of `vecs`, each distinct element once."""
     members = {0}
@@ -380,12 +421,22 @@ def _span(vecs):
     return sorted(members)
 
 
+def _group_span(group):
+    """Exact span of a Pauli group: its elements scaled by 1/sqrt(d) are
+    HS-orthonormal, and a group is closed under products and adjoints."""
+    from nsslab.algebra import MatrixAlgebra
+
+    d = 1 << group[0].n
+    return MatrixAlgebra(d, tuple(to_dense(p) / np.sqrt(d) for p in group),
+                         closed=True, closure_residual=0.0)
+
+
 def test_star_group_span_agrees_with_numerical_closure():
     lat = build_torus(2, 2)
     patterns = _span([s.x_bits for s in lat.vertex_stars])
     assert len(patterns) == 8  # the four stars multiply to the identity
     group = [PauliOp(lat.n_qubits, x, 0) for x in patterns]
-    exact = from_pauli_span(group)
+    exact = _group_span(group)
     numeric = close_algebra(error_set([to_dense(s) for s in lat.vertex_stars]))
     assert exact.algebra_dim == numeric.algebra_dim == 8
     assert span_projector_distance(exact, numeric) < 1e-10
@@ -394,7 +445,7 @@ def test_star_group_span_agrees_with_numerical_closure():
 def test_star_group_sectors_are_syndrome_projectors():
     lat = build_torus(2, 2)
     group = [PauliOp(lat.n_qubits, x, 0) for x in _span([s.x_bits for s in lat.vertex_stars])]
-    dec = decompose(from_pauli_span(group))
+    dec = decompose(_group_span(group))
     assert dec.sector_shapes == [(32, 1)] * 8
     eye = np.eye(1 << lat.n_qubits, dtype=complex)
     P0 = eye

@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 from nsslab import (
     InvalidFusionError,
     InvalidMoveError,
-    LatticePath,
     PathNotFoundError,
     braid,
     build_torus,
@@ -56,6 +55,13 @@ def _assert_dense_consistent(state):
         assert abs(val - sign) < 1e-10, format_pauli(op)
 
 
+def _assert_sector(state, sector):
+    """The frame signs are the sector label, and match the loop eigenvalues
+    of the dense state vector (2x2 only)."""
+    assert state.frame_signs == {"g1_Z": sector[0], "g2_Z": sector[1]}
+    assert tuple(sector_of(state.lat, dense_state(state)).j) == tuple(sector)
+
+
 def _replay_dense(lat, sector, raw_ops):
     """Oracle state vector: raw edge operators applied in order, no
     absorption bookkeeping."""
@@ -71,8 +77,7 @@ def test_ground_state_is_clean():
     s = ground_state(lat)
     assert s.energy == 0 and s.anyons == ()
     assert s.accumulated_phase == 1
-    assert s.frame_signs == {"g1_Z": 1, "g2_Z": 1}
-    assert tuple(s.sector().j) == (1, 1)
+    _assert_sector(s, (1, 1))
     _assert_valid_tableau(s)
     _assert_dense_consistent(s)
 
@@ -124,7 +129,7 @@ def test_energy_through_a_full_trajectory():
     energies.append(s.energy)
     assert energies == [0, 2, 4, 4, 4, 2, 0]
     assert s.anyons == ()
-    assert tuple(s.sector().j) == (1, 1)
+    _assert_sector(s, (1, 1))
     _assert_dense_consistent(s)
 
 
@@ -137,14 +142,11 @@ def test_move_validation():
         move_anyon(s, 0, [])
     with pytest.raises(InvalidMoveError):
         move_anyon(s, 0, [6])  # edge (1,1,0) is not incident to vertex (0,0)
-    with pytest.raises(InvalidMoveError):
-        move_anyon(s, 0, LatticePath("plaquette", (1,)))  # e needs a vertex path
-    moved = move_anyon(s, 0, LatticePath("vertex", (1,)))
+    for bad in (-1, lat.n_qubits, 15):  # edge 15 would join vertices 7 and 1
+        with pytest.raises(ValueError, match="edge index out of range"):
+            move_anyon(s, 1, [bad])
+    moved = move_anyon(s, 0, [1])
     assert moved.anyons[0].position == 2  # vertex (1,0)
-    with pytest.raises(ValueError):
-        LatticePath("edge", (1,))
-    with pytest.raises(ValueError):
-        LatticePath("vertex", ())
 
 
 def test_operations_do_not_mutate_their_input():
@@ -279,7 +281,7 @@ def test_fusing_around_a_frame_loop_reads_the_sector_sign():
         s = fuse(s, 0, 1)
         assert s.anyons == ()
         assert s.accumulated_phase == expect
-        assert tuple(s.sector().j) == sector
+        _assert_sector(s, sector)
         assert s.applied.x_bits == 0 and s.applied.z_bits == 0
 
 
@@ -290,10 +292,7 @@ def test_fusing_around_a_dual_loop_flips_the_sector():
     s = fuse(s, 0, 1)
     assert s.anyons == () and s.energy == 0
     assert format_pauli(s.applied) == "+XIIIXIII"
-    assert s.frame_signs == {"g1_Z": -1, "g2_Z": 1}
-    assert tuple(s.sector().j) == (-1, 1)
-    lab = sector_of(lat, dense_state(s))
-    assert tuple(lab.j) == (-1, 1)
+    _assert_sector(s, (-1, 1))
 
 
 def test_fuse_after_braid_differs_only_by_the_phase():
@@ -305,7 +304,8 @@ def test_fuse_after_braid_differs_only_by_the_phase():
     assert braided.applied == plain.applied
     assert [a.position for a in braided.anyons] == [a.position for a in plain.anyons]
     assert relative_phase(braided, plain) == -1
-    assert braided.sector().j == plain.sector().j
+    assert braided.frame_signs == plain.frame_signs
+    _assert_sector(braided, (1, 1))
 
 
 def test_fuse_validation():
@@ -321,19 +321,6 @@ def test_fuse_validation():
     moved = move_anyon(s, 0, [1])  # vertices now (1,0) and (0,1): diagonal
     with pytest.raises(InvalidFusionError):
         fuse(moved, 0, 1)
-
-
-def test_loop_eigenvalue_is_none_off_the_eigenbasis():
-    from nsslab.lattice import homology_basis
-
-    lat = build_torus(2, 2)
-    s = ground_state(lat)
-    loops = {lo.homology_class: lo.op for lo in homology_basis(lat)}
-    assert s.loop_eigenvalue(loops["g1_Z"]) == 1
-    assert s.loop_eigenvalue(loops["g2_Z"]) == 1
-    assert s.loop_eigenvalue(loops["g1_X"]) is None
-    # sector_of falls back on the duck-typed interface
-    assert tuple(sector_of(lat, s).j) == (1, 1)
 
 
 def test_run_trajectory_reports_the_interference_experiment():

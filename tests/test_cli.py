@@ -6,7 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from nsslab import build_torus, error_set, error_set_to_json, lattice_from_json
+from nsslab import (DEFAULT_CONFIG, build_torus, error_set, error_set_to_json,
+                    lattice_from_json)
 from nsslab.cli import EXIT_RESOURCE, EXIT_VALIDATION, main
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -116,6 +117,11 @@ def test_kl_check_report(capsys):
     assert doc["max_deviation"] == 1.0 and doc["logical_count"] == 8
     assert len(doc["logical_examples"]) == 8
 
+    rc, out, _ = _run(capsys, ["kl-check", "--l1", "2", "--l2", "2",
+                               "--max-weight", "0"])
+    doc = json.loads(out)
+    assert rc == 0 and doc["max_weight"] == 0 and doc["errors_checked"] == 0
+
 
 def test_scaling_csv_and_json(capsys):
     argv = ["scaling", "--sizes", "2x2,2x3,3x2", "--h", "0"]
@@ -188,12 +194,25 @@ def test_validation_exit_codes(tmp_path, capsys):
         ["kl-check", "--l1", "2", "--l2", "2", "--max-weight", "-1"],
         ["scaling", "--sizes", "2x2,nope"],
         ["scaling", "--sizes", "2x2,2x3"],
+        ["scaling", "--sizes", "2x2,2x3,3x2", "--perturbation", ""],
+        ["scaling", "--sizes", "2x2,2x3,3x2", "--seed", "-1"],
+        ["toric", "--l1", "2", "--l2", "2", "--report", "--perturbation", ""],
+        ["toric", "--l1", "2", "--l2", "2", "--report", "--h", "0",
+         "--perturbation", "bogus"],
+        ["braid", "--l1", "2", "--l2", "2", "--script", _braid_script(tmp_path),
+         "--sector", ""],
         ["braid", "--l1", "2", "--l2", "2", "--script",
          str(tmp_path / "missing.json")],
         [],
     ]
+    pair = {"op": "create_pair", "type": "e", "edge": 0}
     scripts = ([1], [{"op": "move", "anyon": 0, "path": 5}],
-               [{"op": "braid", "mover": float("inf"), "around": 0}])
+               [{"op": "braid", "mover": float("inf"), "around": 0}],
+               [{"op": "create_pair", "type": "e", "edge": 0.9}],
+               [{"op": "create_pair", "type": "e", "edge": True}],
+               [pair, {"op": "move", "anyon": 0, "path": "1"}],
+               [pair, {"op": "move", "anyon": 0, "path": ["1"]}],
+               [pair, {"op": "move", "anyon": "0", "path": [1]}])
     error_sets = ({"dimension": 2, "matrices": [1]},
                   {"dimension": 2, "matrices": [[[1, 0], [0, 1]]]}, [1],
                   {"dimension": 1, "matrices": [[[[1, 0]]]], "labels": 5})
@@ -213,6 +232,22 @@ def test_validation_exit_codes(tmp_path, capsys):
                                "--config", str(bad_cfg)])
     assert rc == EXIT_VALIDATION and "not_a_knob" in err
 
+    for k, (field, doc) in enumerate((
+            ("sparse_max_qubits", {"tolerances": {"sparse_max_qubits": "32"}}),
+            ("seed", {"tolerances": {"seed": "7"}}),
+            ("seed", {"tolerances": {"seed": -1}}),
+            ("dense_bridge_max_qubits", {"tolerances": {"dense_bridge_max_qubits": True}}),
+            ("seed", {"seed": "7"}))):
+        cfg = tmp_path / f"badfield{k}.json"
+        cfg.write_text(json.dumps(doc))
+        for argv in (["scaling", "--sizes", "2x2,2x3,3x2"],
+                     ["toric", "--l1", "2", "--l2", "3", "--report", "--h", "0.1"]):
+            rc, out, err = _run(capsys, argv + ["--config", str(cfg)])
+            assert rc == EXIT_VALIDATION and out == "", (doc, argv)
+            assert f"config field {field}" in err
+    with pytest.raises(ValueError, match="config field seed"):
+        DEFAULT_CONFIG.override(seed=-1)
+
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")
     rc, _, err = _run(capsys, ["toric", "--l1", "2", "--l2", "2",
@@ -222,10 +257,10 @@ def test_validation_exit_codes(tmp_path, capsys):
 
 def test_resource_refusal_leaves_no_partial_output(tmp_path, capsys):
     target = tmp_path / "out.csv"
-    rc, _, err = _run(capsys, ["scaling", "--sizes", "2x2,2x3,4x4",
-                               "--output", str(target)])
+    rc, out, err = _run(capsys, ["scaling", "--sizes", "2x2,2x3,5x5",
+                                 "--output", str(target)])
     assert rc == EXIT_RESOURCE
-    assert "resource limit" in err
+    assert "resource limit" in err and out == ""
     assert not target.exists()
 
 

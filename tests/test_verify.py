@@ -272,7 +272,7 @@ def test_scaling_needs_three_distinct_sizes_within_the_cap():
     with pytest.raises(InsufficientDataError), pytest.warns(UserWarning):
         scaling_study([(2, 2), (2, 2), (2, 3)], 0.1)
     with pytest.raises(ResourceLimitError):
-        scaling_study([(2, 2), (2, 3), (4, 4)], 0.1)
+        scaling_study([(2, 2), (2, 3), (5, 5)], 0.1)  # 2^24 states per sector
 
 
 def test_scaling_handles_exact_degeneracy_and_duplicates():
