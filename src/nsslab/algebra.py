@@ -7,6 +7,7 @@ decomposition is randomized (eigenvalue clustering of seeded random algebra
 elements) but deterministic for a fixed seed.
 """
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -112,7 +113,11 @@ def _project_out(rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
 
 
 def _orthonormal_rows(cand: np.ndarray, tol: float) -> np.ndarray:
-    """Sequential MGS over candidate rows; drops residuals below tol."""
+    """Sequential MGS over candidate rows; drops residuals below tol.
+
+    `cand` may also be any iterable of rows, fed one at a time, as long as
+    one of them survives (the empty result takes its width from an array).
+    """
     kept = []
     for v in cand:
         for _ in range(2):
@@ -141,10 +146,13 @@ def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> Matr
     d = errs.dim
     if d > config.algebra_dense_cap:
         raise ResourceLimitError(f"dense algebra capped at dimension {config.algebra_dense_cap}")
-    seed_mats = [np.eye(d, dtype=complex)]
-    seed_mats += [np.asarray(g, dtype=complex) for g in errs.generators]
-    seed_mats += [g.conj().T for g in errs.generators]
-    rows = _orthonormal_rows(np.stack([m.reshape(-1) for m in seed_mats]), _HS_DROP_TOL)
+    # the seed rows 1, E_a, E_a^dag, one at a time rather than a stack of
+    # 2k + 1 copies; the identity always survives
+    seed = itertools.chain(
+        [np.eye(d, dtype=complex)],
+        (np.asarray(g, dtype=complex) for g in errs.generators),
+        (g.conj().T for g in errs.generators))
+    rows = _orthonormal_rows((m.reshape(-1) for m in seed), _HS_DROP_TOL)
     gens = rows.reshape(-1, d, d)
 
     new = gens

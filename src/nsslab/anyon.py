@@ -237,52 +237,31 @@ def _rectangle_cycle(lat: TorusLattice, kind: str, corner: tuple, dr: int, dc: i
 
     Works in the vertex graph (kind e) or the face graph (kind m); returns
     (ordered edge steps, boundary nodes).  Node (r, c) -> node index uses
-    the common row-major layout of vertices and faces.
+    the common row-major layout of vertices and faces, and node v owns the
+    edges 2v (right of vertex v, top of face v) and 2v + 1 (down from
+    vertex v, left of face v).  Step k joins nodes[k] to nodes[k + 1]: a
+    vertex step crosses an edge its left or upper end owns, in the step's
+    direction; a face step crosses an edge its right or lower end owns,
+    across the step's direction.
     """
     r0, c0 = corner
-
-    def node(r, c):
-        return (r % lat.L1) * lat.L2 + (c % lat.L2)
-
-    def step_edge(r, c, direction):
-        # edge joining node (r,c) to its right/down neighbour in this graph
-        if kind == "e":
-            return lat.edge_index(r, c, 0 if direction == "right" else 1)
-        if direction == "right":
-            return lat.edge_index(r, c + 1, 1)
-        return lat.edge_index(r + 1, c, 0)
-
-    steps, nodes = [], []
-    r, c = r0, c0
-    for _ in range(dc):
-        nodes.append(node(r, c))
-        steps.append(step_edge(r, c, "right"))
-        c += 1
-    for _ in range(dr):
-        nodes.append(node(r, c))
-        steps.append(step_edge(r, c, "down"))
-        r += 1
-    for _ in range(dc):
-        c -= 1
-        nodes.append(node(r, c + 1))
-        steps.append(step_edge(r, c, "right"))
-    for _ in range(dr):
-        r -= 1
-        nodes.append(node(r + 1, c))
-        steps.append(step_edge(r, c, "down"))
+    rows = [((r0 + i) % lat.L1) * lat.L2 for i in range(dr + 1)]
+    cols = [(c0 + j) % lat.L2 for j in range(dc + 1)]
+    top, bottom, left, right = rows[0], rows[dr], cols[0], cols[dc]
+    nodes = ([top + c for c in cols[:dc]] + [r + right for r in rows[:dr]] +
+             [bottom + c for c in cols[:0:-1]] + [r + left for r in rows[:0:-1]])
+    ring = nodes + nodes[:1]
+    # the top, right, bottom and left sides end at ring offsets e1..e4; on
+    # the top and right the owner is a vertex step's start and a face step's
+    # end (offset s), on the bottom and left the other one (offset t)
+    e1, e2, e3, e4 = dc, dc + dr, 2 * dc + dr, 2 * (dc + dr)
+    s = 1 if kind == "m" else 0
+    t = 1 - s
+    steps = ([2 * v + s for v in ring[s:e1 + s]] +
+             [2 * v + t for v in ring[e1 + s:e2 + s]] +
+             [2 * v + s for v in ring[e2 + t:e3 + t]] +
+             [2 * v + t for v in ring[e3 + t:e4 + t]])
     return steps, nodes
-
-
-def _enclosed_cells(lat: TorusLattice, kind: str, corner: tuple, dr: int, dc: int):
-    """(dual-type cells, same-type interior nodes) enclosed by the rectangle."""
-    r0, c0 = corner
-    # a face-graph rectangle encloses vertices shifted one step down-right
-    shift = 1 if kind == "m" else 0
-    dual = [((r0 + i + shift) % lat.L1) * lat.L2 + (c0 + j + shift) % lat.L2
-            for i in range(dr) for j in range(dc)]
-    interior = [((r0 + i) % lat.L1) * lat.L2 + (c0 + j) % lat.L2
-                for i in range(1, dr) for j in range(1, dc)]
-    return dual, interior
 
 
 def braid(state: AnyonState, mover: int, around: int) -> AnyonState:
@@ -295,32 +274,49 @@ def braid(state: AnyonState, mover: int, around: int) -> AnyonState:
     fewest edges, then the lexicographically smallest edge set.
     Encircling the dual type multiplies the phase by -1, the same type
     by +1.
+
+    Every candidate rectangle is built; enclosure is offset arithmetic.  A
+    rectangle from corner (r0, c0) encloses the same-type node (r, c) when
+    0 < (r - r0) mod L1 < dr and 0 < (c - c0) mod L2 < dc, and the
+    dual-type cell (r, c) when (r - r0 - shift) mod L1 < dr and
+    (c - c0 - shift) mod L2 < dc, with shift 1 for a face-graph rectangle
+    (the vertex inside face (r, c) is (r + 1, c + 1)) and 0 otherwise.
     """
     _require_anyons(state, mover, around)
     if mover == around:
         raise ValueError("mover and target must differ")
     mv, tg = state.anyons[mover], state.anyons[around]
     lat = state.lat
+    L1, L2 = lat.L1, lat.L2
     same_type = mv.kind == tg.kind
     same_positions = {an.position for k, an in enumerate(state.anyons)
                       if an.kind == mv.kind and k != mover}
-    dual_anyons = {an.position for k, an in enumerate(state.anyons)
-                   if an.kind != mv.kind and k != around}
+    # dual-type positions, shifted so that enclosure reads like a node's
+    shift = 1 if mv.kind == "m" else 0
+    dual_cells = [(p // L2 - shift, p % L2 - shift)
+                  for p in (an.position for k, an in enumerate(state.anyons)
+                            if an.kind != mv.kind and k != around)]
+    tr, tc = divmod(tg.position, L2)
+    if not same_type:
+        tr, tc = tr - shift, tc - shift
     best = None
-    for dr in range(1, lat.L1):
-        for dc in range(1, lat.L2):
-            for r0 in range(lat.L1):
-                for c0 in range(lat.L2):
+    for dr in range(1, L1):
+        for dc in range(1, L2):
+            for r0 in range(L1):
+                for c0 in range(L2):
                     steps, nodes = _rectangle_cycle(lat, mv.kind, (r0, c0), dr, dc)
                     if mv.position not in nodes:
                         continue
-                    dual, interior = _enclosed_cells(lat, mv.kind, (r0, c0), dr, dc)
-                    target_cells = interior if same_type else dual
-                    if tg.position not in target_cells:
+                    i, j = (tr - r0) % L1, (tc - c0) % L2
+                    if same_type:
+                        if not (0 < i < dr and 0 < j < dc):
+                            continue
+                    elif not (i < dr and j < dc):
                         continue
-                    if dual_anyons & set(dual):
+                    if any((r - r0) % L1 < dr and (c - c0) % L2 < dc
+                           for r, c in dual_cells):
                         continue
-                    crossed = len(same_positions & set(nodes))
+                    crossed = len(same_positions.intersection(nodes))
                     key = (crossed, len(steps), tuple(sorted(steps)))
                     if best is None or key < best[0]:
                         best = (key, steps, nodes)

@@ -143,6 +143,17 @@ def _get(opts, key, default):
     return default if value is None else value
 
 
+def _number(value, name, integral=True):
+    """An option value as given: an int, or for a real option an int or a
+    float.  A bool or a string from a config file is refused, not coerced by
+    int() or float() (2.9 would build a torus of size 2, true one of 1)."""
+    kinds = int if integral else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        kind = "an integer" if integral else "a number"
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
 def _require(opts, *keys):
     for k in keys:
         if opts.get(k) is None:
@@ -174,10 +185,10 @@ def _cmd_toric(opts) -> str:
 
     _require(opts, "l1", "l2")
     cfg = _engine_config(opts)
-    lat = build_torus(int(opts["l1"]), int(opts["l2"]))
+    lat = build_torus(_number(opts["l1"], "l1"), _number(opts["l2"], "l2"))
     if not opts.get("report"):
         return lattice_to_json(lat)
-    h = float(_get(opts, "h", 0.0))
+    h = float(_number(_get(opts, "h", 0.0), "h", integral=False))
     kind = _get(opts, "perturbation", "z_field")
     pert = perturbation_terms(lat, kind)  # validates the kind at every h
     rep = spectrum(lat, pert if h else None, h, cfg)
@@ -204,8 +215,8 @@ def _cmd_kl_check(opts) -> str:
 
     _require(opts, "l1", "l2")
     _engine_config(opts)  # validates config overrides even if unused here
-    lat = build_torus(int(opts["l1"]), int(opts["l2"]))
-    max_w = int(_get(opts, "max_weight", 2))
+    lat = build_torus(_number(opts["l1"], "l1"), _number(opts["l2"], "l2"))
+    max_w = _number(_get(opts, "max_weight", 2), "max_weight")
     if max_w < 0:
         raise ValueError("--max-weight must be >= 0")
     errors = local_error_generators(lat, max_w, loop_commuting=False)
@@ -235,18 +246,22 @@ def _cmd_scaling(opts) -> str:
     cfg = _engine_config(opts)
     sizes = []
     raw = opts["sizes"]
-    parts = raw.split(",") if isinstance(raw, str) else list(raw)
-    for part in parts:
+    if not isinstance(raw, (str, list)):
+        raise ValueError(f"sizes must be a string or a list, got {raw!r}")
+    for part in raw.split(",") if isinstance(raw, str) else raw:
         if isinstance(part, str):
             bits = part.lower().split("x")
             if len(bits) != 2:
                 raise ValueError(f"bad size {part!r}; want L1xL2")
-            part = bits
-        try:
-            sizes.append((int(part[0]), int(part[1])))
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"bad size entry {part!r}") from exc
-    h = float(_get(opts, "h", 0.1))
+            try:
+                sizes.append((int(bits[0]), int(bits[1])))
+            except ValueError as exc:
+                raise ValueError(f"bad size entry {part!r}") from exc
+        elif isinstance(part, list) and len(part) == 2:
+            sizes.append(tuple(_number(v, "a size entry") for v in part))
+        else:
+            raise ValueError(f"bad size entry {part!r}")
+    h = float(_number(_get(opts, "h", 0.1), "h", integral=False))
     kind = _get(opts, "perturbation", "z_field")
     fmt = _get(opts, "fmt", "csv")
     if fmt not in ("csv", "json"):
@@ -284,9 +299,12 @@ def _cmd_braid(opts) -> str:
         raise ValueError("script must be a JSON list of operations")
     sector = _get(opts, "sector", "1,1")
     if isinstance(sector, str):
-        sector = [int(x) for x in sector.split(",")]
-    sector = tuple(int(x) for x in sector)
-    lat = build_torus(int(opts["l1"]), int(opts["l2"]))
+        sector = tuple(int(x) for x in sector.split(","))
+    elif isinstance(sector, list):
+        sector = tuple(_number(x, "a sector entry") for x in sector)
+    else:
+        raise ValueError(f"sector must be a string or a list, got {sector!r}")
+    lat = build_torus(_number(opts["l1"], "l1"), _number(opts["l2"], "l2"))
     report = run_trajectory(lat, script, sector)
     return _json_report(report)
 

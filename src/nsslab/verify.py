@@ -1,10 +1,11 @@
 """Quantitative protection checks for the toric code.
 
 Three layers: exact symplectic verdicts for Pauli errors (the projected
-error-correction condition), dense/matrix-free spectral analysis of the
-check Hamiltonian under local perturbations, and the size-scaling study of
-the quasi-degenerate ground-multiplet splitting, solved in the flux-free
-symmetry sectors of single-type fields.
+error-correction condition, and the error orbits of the code vectors,
+counted from the GF(2) rank of the errors' syndromes), dense/matrix-free
+spectral analysis of the check Hamiltonian under local perturbations, and
+the size-scaling study of the quasi-degenerate ground-multiplet splitting,
+solved in the flux-free symmetry sectors of single-type fields.
 
 Both spectral paths build the Hamiltonian with one kernel, `pauli._coset_sum`
 (the full space is its unit frame, a flux-free sector a coset of the star
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gf2
 from .config import (DEFAULT_CONFIG, ConvergenceError, EngineConfig,
                      ResourceLimitError, spawn_rng)
 from .algebra import ErrorSet
@@ -31,8 +33,6 @@ from .pauli import (PauliOp, _coset_dense, _coset_states, _coset_sum, _signs,
 
 # a code projector must be Hermitian and idempotent to within this (Frobenius)
 _PROJECTOR_TOL = 1e-8
-# singular values at or below this add no new direction to an error orbit
-_ORBIT_RANK_TOL = 1e-9
 # up to this Hilbert dimension `_lowest` takes one dense eigh, not ARPACK:
 # a path choice made from the observed size
 _DENSE_SPECTRUM_CAP = 1024
@@ -241,41 +241,29 @@ def local_error_generators(lat: TorusLattice, max_weight: int = 2,
 
 def sector_orbits(lat: TorusLattice, errors=None,
                   config: EngineConfig = DEFAULT_CONFIG) -> OrbitReport:
-    """Orbit of each code vector |J> under iterated local errors.
+    """Orbit of each code vector |J> under iterated local errors, exactly.
 
-    Grows span(|J>) by applying the generator set until stable, then checks
-    mutual orthogonality of the four orbits, their equal dimensions, and
-    whether the direct sum fills the whole space.  Each round applies the
-    generators only to the vectors the previous round added: images of
-    older vectors already lie in the span.
+    |J> is the stabilizer state of n independent generators: all stars but
+    one, all plaquettes but one, and the signed Z loops g1_Z, g2_Z.  A Pauli
+    word moves it to the joint eigenvector of the word's syndrome against
+    them, so the orbit of |J> has one dimension per syndrome in the GF(2)
+    span of the errors' syndromes: 2^rank.  |J'> is the eigenvector of the
+    Z-loop flip taking J to J', so two orbits are the same space when that
+    flip lies in the span (overlap 1) and otherwise share no eigenvector
+    (overlap 0).  No vector is built, so `config` sets no cap here.
     """
-    if lat.n_qubits > config.dense_bridge_max_qubits:
-        raise ResourceLimitError("sector orbits need the dense bridge")
     gens = local_error_generators(lat) if errors is None else list(errors)
-    basis = code_basis(lat, config)
-    dim = basis.shape[0]
-    orbits = []
-    for j in range(basis.shape[1]):
-        span = new = basis[:, j:j + 1]
-        while gens:
-            images = np.hstack([apply_to_vector(g, new) for g in gens])
-            images -= span @ (span.conj().T @ images)
-            images -= span @ (span.conj().T @ images)
-            # images = R^dag Q^dag with orthonormal Q, so the left singular
-            # pairs of images are those of the small triangular R^dag
-            r = np.linalg.qr(images.conj().T, mode="r")
-            u, s, _ = np.linalg.svd(r.conj().T, full_matrices=False)
-            new = u[:, s > _ORBIT_RANK_TOL]
-            if new.shape[1] == 0:
-                break
-            span = np.hstack([span, new])
-        orbits.append(span)
-    max_overlap = 0.0
-    for a, b in itertools.combinations(orbits, 2):
-        if a.size and b.size:
-            max_overlap = max(max_overlap, float(np.abs(a.conj().T @ b).max()))
-    dims = tuple(o.shape[1] for o in orbits)
-    return OrbitReport(dims, max_overlap, sum(dims), sum(dims) == dim)
+    g1_z, g2_z = (lo.op for lo in homology_basis(lat)[:2])
+    frame = lat.vertex_stars[:-1] + lat.plaquette_checks[:-1] + (g1_z, g2_z)
+    syndromes = [sum(1 << k for k, f in enumerate(frame) if not commutes(g, f))
+                 for g in gens]
+    dims = (2 ** gf2.rank(syndromes),) * len(SECTOR_ORDER)
+    # the loop flips between two labels of SECTOR_ORDER: g1_Z, g2_Z or both
+    loop_bit = len(frame) - 2
+    coincide = any(gf2.solve(syndromes, flip << loop_bit) is not None
+                   for flip in (1, 2, 3))
+    return OrbitReport(dims, 1.0 if coincide else 0.0, sum(dims),
+                       sum(dims) == 1 << lat.n_qubits)
 
 
 # ---------------------------------------------------------------- spectra

@@ -7,6 +7,8 @@ value.  Braiding phases come out of exact symplectic arithmetic and must
 match dense overlaps.
 """
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,6 +30,7 @@ from nsslab import (
     sector_of,
 )
 from nsslab import gf2
+from nsslab.anyon import _rectangle_cycle
 from nsslab.pauli import PauliOp, apply_to_vector, commutes
 from nsslab.verify import SECTOR_ORDER, code_basis
 
@@ -237,6 +240,147 @@ def test_braid_and_fuse_refuse_bad_anyon_indices():
             fuse(s, a, b)
     # valid indices still braid: e around the m, phase -1
     assert relative_phase(braid(s, 0, 2), s) == -1
+
+
+# The full-scan braid as it stood before enclosure became offset arithmetic:
+# nested-closure rectangle builder, per-candidate enclosed-cell lists.
+
+def _old_rectangle_cycle(lat, kind, corner, dr, dc):
+    r0, c0 = corner
+
+    def node(r, c):
+        return (r % lat.L1) * lat.L2 + (c % lat.L2)
+
+    def step_edge(r, c, direction):
+        if kind == "e":
+            return lat.edge_index(r, c, 0 if direction == "right" else 1)
+        if direction == "right":
+            return lat.edge_index(r, c + 1, 1)
+        return lat.edge_index(r + 1, c, 0)
+
+    steps, nodes = [], []
+    r, c = r0, c0
+    for _ in range(dc):
+        nodes.append(node(r, c))
+        steps.append(step_edge(r, c, "right"))
+        c += 1
+    for _ in range(dr):
+        nodes.append(node(r, c))
+        steps.append(step_edge(r, c, "down"))
+        r += 1
+    for _ in range(dc):
+        c -= 1
+        nodes.append(node(r, c + 1))
+        steps.append(step_edge(r, c, "right"))
+    for _ in range(dr):
+        r -= 1
+        nodes.append(node(r + 1, c))
+        steps.append(step_edge(r, c, "down"))
+    return steps, nodes
+
+
+def _old_enclosed_cells(lat, kind, corner, dr, dc):
+    r0, c0 = corner
+    shift = 1 if kind == "m" else 0
+    dual = [((r0 + i + shift) % lat.L1) * lat.L2 + (c0 + j + shift) % lat.L2
+            for i in range(dr) for j in range(dc)]
+    interior = [((r0 + i) % lat.L1) * lat.L2 + (c0 + j) % lat.L2
+                for i in range(1, dr) for j in range(1, dc)]
+    return dual, interior
+
+
+def _old_braid(state, mover, around):
+    if not all(0 <= k < len(state.anyons) for k in (mover, around)):
+        raise ValueError("no such anyon")
+    if mover == around:
+        raise ValueError("mover and target must differ")
+    mv, tg = state.anyons[mover], state.anyons[around]
+    lat = state.lat
+    same_type = mv.kind == tg.kind
+    same_positions = {an.position for k, an in enumerate(state.anyons)
+                      if an.kind == mv.kind and k != mover}
+    dual_anyons = {an.position for k, an in enumerate(state.anyons)
+                   if an.kind != mv.kind and k != around}
+    best = None
+    for dr in range(1, lat.L1):
+        for dc in range(1, lat.L2):
+            for r0 in range(lat.L1):
+                for c0 in range(lat.L2):
+                    steps, nodes = _old_rectangle_cycle(lat, mv.kind, (r0, c0), dr, dc)
+                    if mv.position not in nodes:
+                        continue
+                    dual, interior = _old_enclosed_cells(lat, mv.kind, (r0, c0), dr, dc)
+                    target_cells = interior if same_type else dual
+                    if tg.position not in target_cells:
+                        continue
+                    if dual_anyons & set(dual):
+                        continue
+                    crossed = len(same_positions & set(nodes))
+                    key = (crossed, len(steps), tuple(sorted(steps)))
+                    if best is None or key < best[0]:
+                        best = (key, steps, nodes)
+    if best is None:
+        raise PathNotFoundError("no valid enclosing rectangle")
+    _, steps, nodes = best
+    k = nodes.index(mv.position)
+    return move_anyon(state, mover, steps[k:] + steps[:k])
+
+
+def test_rectangle_cycle_matches_the_closure_builder():
+    for shape in ((2, 2), (2, 3), (3, 4), (4, 5), (5, 3), (6, 6)):
+        lat = build_torus(*shape)
+        for kind in "em":
+            for dr in range(1, lat.L1 + 1):
+                for dc in range(1, lat.L2 + 1):
+                    for r0 in range(lat.L1):
+                        for c0 in range(lat.L2):
+                            args = (lat, kind, (r0, c0), dr, dc)
+                            assert _rectangle_cycle(*args) == _old_rectangle_cycle(*args), args
+
+
+def _outcome(fn, state, mover, around):
+    try:
+        return fn(state, mover, around)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_braid_matches_the_full_scan_with_enclosed_cell_lists():
+    """Same state or same refusal as the old scan on 1050 seeded scripts:
+    two or three pairs of mixed kinds, one anyon walked a few steps, then
+    one braid of a random ordered pair, so every kind pair (e/m around e/m),
+    same-type interiors, dual-type blockers and crossings all occur."""
+    outcomes = []
+    for shape in ((2, 3), (3, 3), (3, 4), (4, 5), (5, 5), (4, 3), (6, 4)):
+        lat = build_torus(*shape)
+        rng = random.Random(f"braid-scan {shape}")
+        for _ in range(150):
+            state = ground_state(lat, rng.choice(SECTOR_ORDER))
+            while len(state.anyons) < rng.choice((4, 6)):
+                try:
+                    state = create_pair(state, rng.choice("em"),
+                                        rng.randrange(lat.n_qubits))
+                except InvalidMoveError:
+                    pass
+            k = rng.randrange(len(state.anyons))
+            an = state.anyons[k]
+            edges_at = lat.star_edges if an.kind == "e" else lat.plaquette_edges
+            ends = lat.edge_vertices if an.kind == "e" else lat.edge_faces
+            pos, path = an.position, []
+            for _ in range(rng.randint(1, 4)):
+                path.append(rng.choice(edges_at(*divmod(pos, lat.L2))))
+                a, b = ends(path[-1])
+                pos = b if pos == a else a
+            state = move_anyon(state, k, path)
+            mover, around = rng.sample(range(len(state.anyons)), 2)
+            new = _outcome(braid, state, mover, around)
+            assert new == _outcome(_old_braid, state, mover, around), \
+                (shape, mover, around, state.anyons)
+            outcomes.append((state.anyons[mover].kind, state.anyons[around].kind,
+                             isinstance(new, tuple)))
+    assert {(m, a) for m, a, _ in outcomes} == {("e", "e"), ("e", "m"), ("m", "e"), ("m", "m")}
+    refused = sum(r for _, _, r in outcomes)
+    assert len(outcomes) == 1050 and 0 < refused < len(outcomes)
 
 
 def test_dense_replay_oracle_for_a_mixed_trajectory():

@@ -255,6 +255,50 @@ def test_validation_exit_codes(tmp_path, capsys):
     assert rc == EXIT_VALIDATION
 
 
+def test_config_file_values_are_refused_not_coerced(tmp_path, capsys):
+    """int() and float() would turn 2.9 into 2, true into 1 and "0.1" into
+    0.1; a config file's value is used as given or refused with exit 2."""
+    script = _braid_script(tmp_path)
+    cases = [
+        ("kl-check", {"l1": 2.9, "l2": 2, "max_weight": True}, "l1"),
+        ("kl-check", {"l1": 2, "l2": 2, "max_weight": True}, "max_weight"),
+        ("kl-check", {"l1": 2, "l2": 2, "max_weight": 1.0}, "max_weight"),
+        ("kl-check", {"l1": "3", "l2": 2}, "l1"),
+        ("toric", {"l1": 2, "l2": True}, "l2"),
+        ("toric", {"l1": 2, "l2": 2, "report": True, "h": "0.1"}, "h"),
+        ("toric", {"l1": 2, "l2": 2, "report": True, "h": False}, "h"),
+        ("braid", {"l1": 2.0, "l2": 2, "script": script}, "l1"),
+        ("braid", {"l1": 2, "l2": 2, "script": script, "sector": [1.0, 1]}, "sector"),
+        ("braid", {"l1": 2, "l2": 2, "script": script, "sector": [True, 1]}, "sector"),
+        ("braid", {"l1": 2, "l2": 2, "script": script, "sector": 1}, "sector"),
+        ("scaling", {"sizes": [[2, 2], [2, 3.5], [3, 2]]}, "size"),
+        ("scaling", {"sizes": [[2, 2], [2, True], [3, 2]]}, "size"),
+        ("scaling", {"sizes": [[2, 2], [2, 3, 4], [3, 2]]}, "size"),
+        ("scaling", {"sizes": 5}, "sizes"),
+        ("scaling", {"sizes": "2x2,2x3,3x2", "h": True}, "h"),
+        ("scaling", {"sizes": "2x2,2x3,3x2", "h": "0.1"}, "h"),
+    ]
+    for k, (command, doc, name) in enumerate(cases):
+        cfg = tmp_path / f"coerce{k}.json"
+        cfg.write_text(json.dumps(doc))
+        rc, out, err = _run(capsys, [command, "--config", str(cfg)])
+        assert rc == EXIT_VALIDATION and out == "", doc
+        assert name in err, (doc, err)
+
+    # integers, JSON lists and an integral h still run, as the flags would
+    cfg = tmp_path / "typed.json"
+    cfg.write_text(json.dumps({"l1": 2, "l2": 2, "max_weight": 1, "report": True,
+                               "h": 0, "script": script, "sector": [1, -1],
+                               "sizes": [[2, 2], "2x3", [3, 2]]}))
+    for command, key, value in (("kl-check", "errors_checked", 24), ("toric", "h", 0.0),
+                                ("braid", "sector", [1, -1])):
+        rc, out, _ = _run(capsys, [command, "--config", str(cfg)])
+        assert rc == 0 and json.loads(out)[key] == value, command
+    rc, out, _ = _run(capsys, ["scaling", "--config", str(cfg), "--h", "0.1"])
+    assert rc == 0 and [row.split(",")[:2] for row in out.splitlines()[1:]] == \
+        [["2", "2"], ["2", "3"], ["3", "2"]]
+
+
 def test_resource_refusal_leaves_no_partial_output(tmp_path, capsys):
     target = tmp_path / "out.csv"
     rc, out, err = _run(capsys, ["scaling", "--sizes", "2x2,2x3,5x5",

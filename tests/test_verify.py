@@ -5,6 +5,9 @@ Kronecker products and a deliberately different edge ordering; eigenvalues
 must agree regardless of qubit labeling.
 """
 
+import itertools
+import time
+
 import numpy as np
 import pytest
 
@@ -169,6 +172,87 @@ def test_sector_orbits_with_identity_only_stay_put():
     assert not rep.fills_space
 
 
+def _dense_orbits(lat, gens):
+    """Oracle: the orbit of each code_basis column, grown frontier by frontier
+    as dense vectors until no new image appears, then spanned numerically.
+
+    Up to its phase, which changes no span, a Pauli is the real signed
+    permutation X^x Z^z, so every image is exact and a frontier is the set
+    of images (up to sign) not met before.  Vectors live on the states
+    their support can reach by the generators' X flips.  The overlap of two
+    orbits is the largest singular value of A^T B for orthonormal bases A,
+    B, which does not depend on the bases chosen.
+    """
+    basis = code_basis(lat).real
+    orbits = []
+    for j in range(basis.shape[1]):
+        states = set(np.flatnonzero(basis[:, j]).tolist())
+        edge = set(states)
+        while edge:
+            edge = {s ^ g.x_bits for s in edge for g in gens} - states
+            states |= edge
+        states = np.array(sorted(states))
+        where = np.zeros(basis.shape[0], dtype=int)
+        where[states] = np.arange(len(states))
+        actions = [(where[states ^ g.x_bits],
+                    np.where(np.bitwise_count((states ^ g.x_bits) & g.z_bits) & 1, -1.0, 1.0))
+                   for g in gens]
+        frontier = basis[states, j][None, :]
+        seen = {frontier[0].tobytes()}
+        found = [frontier]
+        while len(frontier):
+            new = []
+            for perm, sign in actions:
+                images = frontier[:, perm] * sign
+                first = images[np.arange(len(images)), (images != 0).argmax(1)]
+                for row in images * np.sign(first)[:, None] + 0.0:   # + 0.0: no -0.0
+                    if row.tobytes() not in seen:
+                        seen.add(row.tobytes())
+                        new.append(row)
+            frontier = np.array(new).reshape(len(new), len(states))
+            found.append(frontier)
+        vecs = np.vstack(found)
+        lam, u = np.linalg.eigh(vecs @ vecs.T)
+        keep = lam > 1e-9 * lam[-1]
+        orbits.append((states, vecs.T @ (u[:, keep] / np.sqrt(lam[keep]))))
+    overlap = 0.0
+    for (sa, qa), (sb, qb) in itertools.combinations(orbits, 2):
+        _, ia, ib = np.intersect1d(sa, sb, return_indices=True)
+        if ia.size:
+            overlap = max(overlap, np.linalg.norm(qa[ia].T @ qb[ib], 2))
+    dims = tuple(q.shape[1] for _, q in orbits)
+    return dims, overlap, sum(dims) == basis.shape[0]
+
+
+@pytest.mark.parametrize("size, case", [
+    ("2x2", "weight-2 loop-commuting"), ("2x2", "weight-1"), ("2x2", "weight-2"),
+    ("2x2", "identity"), ("2x2", "none"), ("2x3", "weight-1")])
+def test_sector_orbits_match_the_dense_frontier_oracle(size, case):
+    lat = build_torus(*map(int, size.split("x")))
+    gens = {"weight-2 loop-commuting": local_error_generators(lat),
+            "weight-1": local_error_generators(lat, 1),
+            "weight-2": local_error_generators(lat, 2, loop_commuting=False),
+            "identity": [PauliOp(lat.n_qubits, 0, 0)],
+            "none": []}[case]
+    rep = sector_orbits(lat, errors=gens)
+    dims, overlap, fills = _dense_orbits(lat, gens)
+    assert rep.orbit_dims == dims
+    assert rep.max_overlap in (0.0, 1.0) and abs(rep.max_overlap - overlap) < 1e-9
+    assert rep.total_dim == sum(dims) and rep.fills_space == fills
+    if case == "weight-2":   # on 2x2 an X loop has weight 2 and flips a Z label
+        assert rep.max_overlap == 1.0 and dims == (256,) * 4
+
+
+def test_sector_orbits_of_3x3_are_counted_not_built():
+    """Four orbits of 2^16 states fill the 2^18-dimensional space of 3x3,
+    far past the dense bridge, from GF(2) ranks alone."""
+    t0 = time.perf_counter()
+    rep = sector_orbits(build_torus(3, 3))
+    assert time.perf_counter() - t0 < 1.0
+    assert rep.orbit_dims == (2**16,) * 4 and rep.max_overlap == 0.0
+    assert rep.total_dim == 2**18 and rep.fills_space
+
+
 def test_code_basis_is_orthonormal_and_stabilized():
     lat = build_torus(2, 2)
     G = code_basis(lat)
@@ -186,7 +270,7 @@ def test_code_basis_is_orthonormal_and_stabilized():
 
 def test_dense_bridge_caps():
     big = build_torus(3, 3)  # 18 qubits
-    for fn in (code_projector, code_basis, sector_orbits):
+    for fn in (code_projector, code_basis):
         with pytest.raises(ResourceLimitError):
             fn(big)
     with pytest.raises(ResourceLimitError):
