@@ -356,7 +356,8 @@ def test_braid_matches_the_full_scan_with_enclosed_cell_lists():
         rng = random.Random(f"braid-scan {shape}")
         for _ in range(150):
             state = ground_state(lat, rng.choice(SECTOR_ORDER))
-            while len(state.anyons) < rng.choice((4, 6)):
+            pairs = rng.choice((2, 3))
+            while len(state.anyons) < 2 * pairs:
                 try:
                     state = create_pair(state, rng.choice("em"),
                                         rng.randrange(lat.n_qubits))
