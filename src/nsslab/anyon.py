@@ -293,10 +293,12 @@ def braid(state: AnyonState, mover: int, around: int) -> AnyonState:
                       if an.kind == mv.kind and k != mover}
     # dual-type positions, shifted so that enclosure reads like a node's
     shift = 1 if mv.kind == "m" else 0
-    dual_cells = [(p // L2 - shift, p % L2 - shift)
-                  for p in (an.position for k, an in enumerate(state.anyons)
-                            if an.kind != mv.kind and k != around)]
+    dual_cells = [(an.position // L2 - shift, an.position % L2 - shift)
+                  for k, an in enumerate(state.anyons)
+                  if an.kind != mv.kind and k != around]
+    # a same-type target must be an interior node, a dual-type one a cell
     tr, tc = divmod(tg.position, L2)
+    lo = 1 if same_type else 0
     if not same_type:
         tr, tc = tr - shift, tc - shift
     best = None
@@ -307,16 +309,12 @@ def braid(state: AnyonState, mover: int, around: int) -> AnyonState:
                     steps, nodes = _rectangle_cycle(lat, mv.kind, (r0, c0), dr, dc)
                     if mv.position not in nodes:
                         continue
-                    i, j = (tr - r0) % L1, (tc - c0) % L2
-                    if same_type:
-                        if not (0 < i < dr and 0 < j < dc):
-                            continue
-                    elif not (i < dr and j < dc):
+                    if not (lo <= (tr - r0) % L1 < dr and lo <= (tc - c0) % L2 < dc):
                         continue
                     if any((r - r0) % L1 < dr and (c - c0) % L2 < dc
                            for r, c in dual_cells):
                         continue
-                    crossed = len(same_positions.intersection(nodes))
+                    crossed = len(same_positions & set(nodes))
                     key = (crossed, len(steps), tuple(sorted(steps)))
                     if best is None or key < best[0]:
                         best = (key, steps, nodes)
