@@ -15,7 +15,6 @@ from .algebra import (
     error_set,
     error_set_from_json,
     error_set_to_json,
-    noiseless_subsystems,
 )
 from .anyon import (
     AnyonState,
@@ -24,7 +23,6 @@ from .anyon import (
     PathNotFoundError,
     braid,
     create_pair,
-    dense_state,
     fuse,
     ground_state,
     move_anyon,
@@ -42,17 +40,13 @@ from .config import (
 )
 from .lattice import (
     LoopOperator,
-    NotAnEigenstateError,
     SectorLabel,
     TorusLattice,
     build_torus,
     check_rank,
     code_dimension,
     homology_basis,
-    is_contractible,
-    lattice_from_json,
     lattice_to_json,
-    sector_of,
     stabilizer_expansion,
 )
 from .pauli import (
@@ -71,18 +65,21 @@ from .verify import (
     CSV_HEADER,
     InsufficientDataError,
     KLReport,
+    NotAnEigenstateError,
     OrbitReport,
     ScalingResult,
     SectorCertificateError,
     SpectralReport,
     code_basis,
     code_projector,
+    dense_state,
     kl_check_dense,
     kl_check_ground_basis,
     kl_check_stabilizer,
     local_error_generators,
     scaling_study,
     scaling_to_csv,
+    sector_of,
     sector_orbits,
     spectrum,
 )

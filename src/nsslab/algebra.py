@@ -366,11 +366,6 @@ def decompose(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Sect
     return dec
 
 
-def noiseless_subsystems(dec: SectorDecomposition):
-    """Sectors carrying a protected factor: [(label, n_J)] with n_J >= 2."""
-    return [(s.label, s.n_J) for s in dec.sectors if s.n_J >= 2]
-
-
 def block_structure_residual(sector: Sector, mat: np.ndarray):
     """Distance of iso^dag mat iso from the nearest 1_{n} (x) M form.
 

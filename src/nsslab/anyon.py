@@ -2,7 +2,7 @@
 
 An AnyonState is the exact Pauli word `applied` acting on a fixed reference
 code vector |J0>, plus bookkeeping: anyon records, the accumulated scalar
-phase, and derived views (tableau signs, frame signs, energy).  The frame
+phase, and derived views (check signs, frame signs, energy).  The frame
 signs are the state's Z-loop sector label, read symplectically from the
 crossings of `applied` with the two Z loops.  Strings are applied
 dynamically (exact Pauli products), never adiabatically; a transport path
@@ -12,18 +12,17 @@ Whenever a closed string turns out to act as a scalar on the reference
 vector (a product of checks and frame loops), that scalar is moved out of
 `applied` into accumulated_phase, so the state vector is always exactly
 accumulated_phase * applied |J0>.  Braiding phases are therefore exact
-integers of the symplectic arithmetic, and the dense bridge can cross-check
-them on small lattices.
+integers of the symplectic arithmetic.  This module builds no vector: the
+dense bridge that cross-checks it on small lattices (`verify.dense_state`,
+`verify.sector_of`) lives in `verify`.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, EngineConfig
 from .lattice import SectorLabel, TorusLattice, homology_basis, stabilizer_expansion
-from .pauli import PauliOp, apply_to_vector, identity, multiply
-from .verify import SECTOR_ORDER, code_basis
+from .pauli import PauliOp, identity, multiply
 
 
 class InvalidMoveError(ValueError):
@@ -70,20 +69,6 @@ class AnyonState:
         loops = homology_basis(self.lat)
         return {lo.homology_class: self.sector0.j[i] * self._crossing_sign(lo.op)
                 for i, lo in enumerate(loops[:2])}
-
-    @property
-    def tableau(self) -> tuple:
-        """Independent signed generating set of the current stabilizer group:
-        all but one star, all but one plaquette, and the two frame loops."""
-        rows = []
-        for ch in self.lat.vertex_stars[:-1]:
-            rows.append((ch, self._crossing_sign(ch)))
-        for ch in self.lat.plaquette_checks[:-1]:
-            rows.append((ch, self._crossing_sign(ch)))
-        loops = homology_basis(self.lat)
-        for i, lo in enumerate(loops[:2]):
-            rows.append((lo.op, self.sector0.j[i] * self._crossing_sign(lo.op)))
-        return tuple(rows)
 
     @property
     def check_signs(self) -> tuple:
@@ -364,16 +349,6 @@ def fuse(state: AnyonState, a: int, b: int, via: int | None = None) -> AnyonStat
     remaining = tuple(an for k, an in enumerate(out.anyons) if k not in (a, b))
     out = replace(out, anyons=remaining)
     return _absorb_if_scalar(out, cycle)
-
-
-# ----------------------------------------------------------- dense bridge
-
-def dense_state(state: AnyonState, config: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Exact state vector accumulated_phase * applied |J0> (small lattices)."""
-    basis = code_basis(state.lat, config)
-    j_index = SECTOR_ORDER.index(tuple(state.sector0.j))
-    vec = basis[:, j_index]
-    return state.accumulated_phase * apply_to_vector(state.applied, vec)
 
 
 def relative_phase(state_a: AnyonState, state_b: AnyonState) -> complex:

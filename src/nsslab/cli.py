@@ -144,13 +144,17 @@ def _get(opts, key, default):
 
 
 def _number(value, name, integral=True):
-    """An option value as given: an int, or for a real option an int or a
-    float.  A bool or a string from a config file is refused, not coerced by
-    int() or float() (2.9 would build a torus of size 2, true one of 1)."""
+    """An option value as given: an int, or for a real option a finite int
+    or float.  A bool or a string from a config file is refused, not coerced
+    by int() or float() (2.9 would build a torus of size 2, true one of 1),
+    and so is a NaN or infinity, which the solvers cannot take."""
     kinds = int if integral else (int, float)
     if isinstance(value, bool) or not isinstance(value, kinds):
         kind = "an integer" if integral else "a number"
         raise ValueError(f"{name} must be {kind}, got {value!r}")
+    # NaN compares false; an int too large for a float fails too
+    if not integral and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
 
 

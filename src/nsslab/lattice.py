@@ -11,16 +11,10 @@ test; GF(2) elimination only ranks the checks.
 import json
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import gf2
-from .pauli import PauliOp, apply_to_vector, commutes
+from .pauli import PauliOp, commutes
 
 _DIRECTIONS = ("right", "down")
-
-
-class NotAnEigenstateError(Exception):
-    """State is not a joint eigenvector of the requested loop pair."""
 
 
 @dataclass(frozen=True)
@@ -155,51 +149,6 @@ def stabilizer_expansion(lat: TorusLattice, op: PauliOp):
     return op.phase, (not commutes(op, g2_x), not commutes(op, g1_x))
 
 
-def is_contractible(lat: TorusLattice, cycle: PauliOp) -> bool:
-    """True iff the pure-type cycle is a product of same-type checks."""
-    if cycle.n != lat.n_qubits:
-        raise ValueError("cycle acts on the wrong qubit count")
-    if cycle.x_bits and cycle.z_bits:
-        raise ValueError("cycle must be pure X-type or pure Z-type")
-    duals = lat.plaquette_checks if cycle.x_bits else lat.vertex_stars
-    if any(not commutes(cycle, ch) for ch in duals):
-        raise ValueError("not a cycle: fails to commute with dual checks")
-    # a Z cycle always expands, using a Z loop exactly when it wraps; an
-    # X cycle that wraps has no expansion at all
-    expansion = stabilizer_expansion(lat, cycle)
-    return expansion is not None and not any(expansion[1])
-
-
-def sector_of(lat: TorusLattice, state, loop_basis: str = "Z",
-              tol: float = 1e-8) -> SectorLabel:
-    """Joint loop eigenvalues (j1, j2) labelling a dense state's sector.
-
-    `state` is a state vector on the 2^n-dimensional space (an AnyonState
-    carries its Z-loop label as `frame_signs`).  The default label basis is
-    the Z-type loop pair; pass loop_basis="X" for the X-type convention
-    (the two choices are conjugate frames).
-    """
-    if loop_basis not in ("Z", "X"):
-        raise ValueError(f"loop_basis must be 'Z' or 'X', got {loop_basis!r}")
-    loops = homology_basis(lat)
-    pair = loops[0:2] if loop_basis == "Z" else loops[2:4]
-    vec = np.asarray(state, dtype=complex)
-    nrm = np.linalg.norm(vec)
-    if nrm == 0:
-        raise NotAnEigenstateError("zero vector")
-    vals = []
-    for lo in pair:
-        image = apply_to_vector(lo.op, vec)
-        ev = float(np.real(np.vdot(vec, image)) / nrm**2)
-        j = 1 if ev >= 0 else -1
-        if np.linalg.norm(image - j * vec) > tol * nrm:
-            raise NotAnEigenstateError(
-                f"state is not an eigenvector of {lo.homology_class} "
-                f"(expectation {ev:.3g})")
-        vals.append(j)
-    return SectorLabel(tuple(vals))
-
-
 def lattice_to_json(lat: TorusLattice) -> str:
     doc = {
         "L1": lat.L1,
@@ -218,18 +167,3 @@ def lattice_to_json(lat: TorusLattice) -> str:
     }
     return json.dumps(doc, indent=2, sort_keys=True)
 
-
-def lattice_from_json(text: str) -> TorusLattice:
-    doc = json.loads(text)
-    lat = build_torus(int(doc["L1"]), int(doc["L2"]))
-    stored_stars = [sorted(s) for s in doc["stars"]]
-    stored_plaqs = [sorted(p) for p in doc["plaquettes"]]
-    built_stars = [sorted(lat.star_edges(r, c))
-                   for r in range(lat.L1) for c in range(lat.L2)]
-    built_plaqs = [sorted(lat.plaquette_edges(r, c))
-                   for r in range(lat.L1) for c in range(lat.L2)]
-    if stored_stars != built_stars or stored_plaqs != built_plaqs:
-        raise ValueError("check supports in document do not match the layout")
-    if int(doc["n_qubits"]) != lat.n_qubits:
-        raise ValueError("inconsistent qubit count in document")
-    return lat

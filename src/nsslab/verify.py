@@ -13,6 +13,12 @@ span), and solve it with `_lowest`: dense eigh up to _DENSE_SPECTRUM_CAP
 states, seeded ARPACK above.  scipy is imported only in the ARPACK paths
 (`_lowest`, `_sparse_operator`), so every path that stays dense loads none
 of it.  Every tolerance is a fixed module constant, not a config field.
+
+This module is also the one home of the dense bridge for small lattices,
+the 2^n-dimensional oracles that the exact layers are checked against:
+`code_projector`, `code_basis`, `dense_state` (an AnyonState as a vector),
+`sector_of` (a vector's Z-loop label), `kl_check_dense` and
+`kl_check_ground_basis`.  `lattice` and `anyon` build no vector.
 """
 
 import itertools
@@ -25,14 +31,18 @@ from . import gf2
 from .config import (DEFAULT_CONFIG, ConvergenceError, EngineConfig,
                      ResourceLimitError, spawn_rng)
 from .algebra import ErrorSet
-from .lattice import (TorusLattice, build_torus, code_dimension, homology_basis,
-                      stabilizer_expansion)
+from .anyon import AnyonState
+from .lattice import (SectorLabel, TorusLattice, build_torus, code_dimension,
+                      homology_basis, stabilizer_expansion)
 from .pauli import (PauliOp, _coset_dense, _coset_states, _coset_sum, _signs,
                     apply_to_vector, commutes, format_pauli, weight)
 
 
 # a code projector must be Hermitian and idempotent to within this (Frobenius)
 _PROJECTOR_TOL = 1e-8
+# a dense state is a loop eigenvector when ||L v - j v|| is within this
+# fraction of ||v||
+_LOOP_EIGEN_TOL = 1e-8
 # up to this Hilbert dimension `_lowest` takes one dense eigh, not ARPACK:
 # a path choice made from the observed size
 _DENSE_SPECTRUM_CAP = 1024
@@ -50,6 +60,10 @@ class InsufficientDataError(ValueError):
 
 class SectorCertificateError(ValueError):
     """The flux-free sectors are not shown to hold the requested levels."""
+
+
+class NotAnEigenstateError(Exception):
+    """State is not a joint eigenvector of the two Z loops."""
 
 
 @dataclass(frozen=True)
@@ -168,7 +182,7 @@ def kl_check_ground_basis(basis_cols: np.ndarray, errors, labels=None) -> KLRepo
     return _report(out_labels, cs, devs)
 
 
-# ------------------------------------------------------------- code basis
+# ----------------------------------------------------------- dense bridge
 
 def code_projector(lat: TorusLattice, config: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Dense projector onto the joint +1 check eigenspace: 2^-(L1*L2 - 1) on
@@ -198,6 +212,34 @@ def code_basis(lat: TorusLattice, config: EngineConfig = DEFAULT_CONFIG) -> np.n
         v[_coset_states(z0, basis)] = 2.0 ** -len(basis)
         cols.append(v / np.linalg.norm(v))
     return np.stack(cols, axis=1)
+
+
+def dense_state(state: AnyonState, config: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
+    """Exact state vector accumulated_phase * applied |J0> (small lattices)."""
+    basis = code_basis(state.lat, config)
+    vec = basis[:, SECTOR_ORDER.index(tuple(state.sector0.j))]
+    return state.accumulated_phase * apply_to_vector(state.applied, vec)
+
+
+def sector_of(lat: TorusLattice, state) -> SectorLabel:
+    """Joint eigenvalues (j1, j2) of the Z loops g1_Z, g2_Z on a dense state
+    vector: the label of `code_basis`, SECTOR_ORDER and
+    `AnyonState.frame_signs`."""
+    vec = np.asarray(state, dtype=complex)
+    nrm = np.linalg.norm(vec)
+    if nrm == 0:
+        raise NotAnEigenstateError("zero vector")
+    vals = []
+    for lo in homology_basis(lat)[:2]:
+        image = apply_to_vector(lo.op, vec)
+        ev = float(np.real(np.vdot(vec, image)) / nrm**2)
+        j = 1 if ev >= 0 else -1
+        if np.linalg.norm(image - j * vec) > _LOOP_EIGEN_TOL * nrm:
+            raise NotAnEigenstateError(
+                f"state is not an eigenvector of {lo.homology_class} "
+                f"(expectation {ev:.3g})")
+        vals.append(j)
+    return SectorLabel(tuple(vals))
 
 
 # ----------------------------------------------------------- sector orbits

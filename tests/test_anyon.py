@@ -2,9 +2,9 @@
 
 Independent oracles: on the 2x2 torus every state is cross-checked against
 the dense vector obtained by replaying the raw edge operators on the
-reference code vector, and every tableau sign against a dense expectation
-value.  Braiding phases come out of exact symplectic arithmetic and must
-match dense overlaps.
+reference code vector, and every check sign and frame sign against a dense
+expectation value.  Braiding phases come out of exact symplectic arithmetic
+and must match dense overlaps.
 """
 
 import random
@@ -31,29 +31,44 @@ from nsslab import (
 )
 from nsslab import gf2
 from nsslab.anyon import _rectangle_cycle
+from nsslab.lattice import homology_basis
 from nsslab.pauli import PauliOp, apply_to_vector, commutes
 from nsslab.verify import SECTOR_ORDER, code_basis
 
 
-def _assert_valid_tableau(state):
-    n = state.lat.n_qubits
-    rows = state.tableau
-    assert len(rows) == n
-    for _, sign in rows:
-        assert sign in (-1, 1)
+def _signed_generators(state):
+    """(op, sign) for every star, every plaquette and the two Z loops, read
+    from check_signs and frame_signs."""
+    lat = state.lat
+    checks = list(lat.vertex_stars) + list(lat.plaquette_checks)
+    loops = homology_basis(lat)[:2]
+    return (list(zip(checks, state.check_signs)) +
+            [(lo.op, state.frame_signs[lo.homology_class]) for lo in loops])
+
+
+def _assert_valid_signs(state):
+    """The signs describe a stabilizer state: each is +-1, the stars and the
+    plaquettes each multiply to +1, and the signed operators commute and
+    generate a group of rank n."""
+    lat = state.lat
+    n = lat.n_qubits
+    rows = _signed_generators(state)
+    assert all(sign in (-1, 1) for _, sign in rows)
+    cells = lat.L1 * lat.L2
+    assert np.prod(state.check_signs[:cells]) == np.prod(state.check_signs[cells:]) == 1
     ops = [op for op, _ in rows]
     for i in range(len(ops)):
         for j in range(i + 1, len(ops)):
             assert commutes(ops[i], ops[j])
-    bit_rows = [(op.x_bits << n) | op.z_bits for op in ops]
-    assert gf2.rank(bit_rows) == n
+    assert gf2.rank([(op.x_bits << n) | op.z_bits for op in ops]) == n
 
 
 def _assert_dense_consistent(state):
-    """Tableau signs are exact dense expectation values (2x2 only)."""
+    """Every check sign and both frame signs are exact dense expectation
+    values."""
     v = dense_state(state)
     assert abs(np.linalg.norm(v) - 1) < 1e-10
-    for op, sign in state.tableau:
+    for op, sign in _signed_generators(state):
         val = np.vdot(v, apply_to_vector(op, v))
         assert abs(val - sign) < 1e-10, format_pauli(op)
 
@@ -81,7 +96,7 @@ def test_ground_state_is_clean():
     assert s.energy == 0 and s.anyons == ()
     assert s.accumulated_phase == 1
     _assert_sector(s, (1, 1))
-    _assert_valid_tableau(s)
+    _assert_valid_signs(s)
     _assert_dense_consistent(s)
 
 
@@ -93,7 +108,7 @@ def test_creation_places_a_defect_pair():
     a, b = s.anyons
     assert a.kind == b.kind == "e" and a.pair_id == b.pair_id
     assert {a.position, b.position} == set(lat.edge_vertices(0))
-    _assert_valid_tableau(s)
+    _assert_valid_signs(s)
     _assert_dense_consistent(s)
 
     m = create_pair(ground_state(lat), "m", 3)
@@ -182,7 +197,8 @@ def test_contractible_transport_is_homotopy_trivial():
         assert looped.anyons == base.anyons
         assert looped.accumulated_phase == base.accumulated_phase
         assert relative_phase(looped, base) == 1
-        assert [s for _, s in looped.tableau] == [s for _, s in base.tableau]
+        assert looped.check_signs == base.check_signs
+        assert looped.frame_signs == base.frame_signs
 
 
 def test_braid_opposite_types_gives_minus_one():
@@ -196,7 +212,7 @@ def test_braid_opposite_types_gives_minus_one():
     # dense overlap is the same exact -1
     overlap = np.vdot(dense_state(plain), dense_state(braided))
     assert abs(overlap + 1) < 1e-10
-    _assert_valid_tableau(braided)
+    _assert_valid_signs(braided)
     _assert_dense_consistent(braided)
 
     double = braid(braided, 0, 2)
@@ -412,7 +428,7 @@ def test_dense_replay_oracle_for_a_mixed_trajectory():
     got = dense_state(s)
     want = _replay_dense(lat, (1, -1), raw)
     assert np.linalg.norm(got - want) < 1e-10
-    _assert_valid_tableau(s)
+    _assert_valid_signs(s)
     _assert_dense_consistent(s)
 
 

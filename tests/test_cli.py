@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from nsslab import (DEFAULT_CONFIG, build_torus, error_set, error_set_to_json,
-                    lattice_from_json)
+                    lattice_to_json)
 from nsslab.cli import EXIT_RESOURCE, EXIT_VALIDATION, main
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -48,7 +48,7 @@ def _run(capsys, argv):
 def test_toric_emits_a_loadable_lattice(capsys):
     rc, out, _ = _run(capsys, ["toric", "--l1", "2", "--l2", "3"])
     assert rc == 0
-    assert lattice_from_json(out) == build_torus(2, 3)
+    assert out == lattice_to_json(build_torus(2, 3))
 
 
 def test_toric_report_fields(capsys):
@@ -96,7 +96,8 @@ def test_output_flag_silences_stdout(tmp_path, capsys):
     rc, out, _ = _run(capsys, ["toric", "--l1", "2", "--l2", "2",
                                "--output", path])
     assert rc == 0 and out == ""
-    assert lattice_from_json(open(path).read()) == build_torus(2, 2)
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == lattice_to_json(build_torus(2, 2))
 
 
 def test_kl_check_report(capsys):
@@ -247,6 +248,24 @@ def test_validation_exit_codes(tmp_path, capsys):
             assert f"config field {field}" in err
     with pytest.raises(ValueError, match="config field seed"):
         DEFAULT_CONFIG.override(seed=-1)
+
+    # a non-finite h is refused before it reaches a solver, from a flag or a
+    # config file (json writes NaN, Infinity and -Infinity); so is an
+    # integer no float can hold
+    scaling = ["scaling", "--sizes", "2x2,2x3,3x2"]
+    report = ["toric", "--l1", "2", "--l2", "2", "--report"]
+    for flag in ("nan", "inf", "-inf"):
+        for argv in (scaling, report):
+            rc, out, err = _run(capsys, argv + [f"--h={flag}"])
+            assert rc == EXIT_VALIDATION and out == "", (flag, argv)
+            assert "h must be a finite number" in err
+    for k, value in enumerate((float("nan"), float("inf"), float("-inf"), 10**400)):
+        cfg = tmp_path / f"nonfinite{k}.json"
+        cfg.write_text(json.dumps({"h": value}))
+        for argv in (scaling, report):
+            rc, out, err = _run(capsys, argv + ["--config", str(cfg)])
+            assert rc == EXIT_VALIDATION and out == "", (value, argv)
+            assert "h must be a finite number" in err
 
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")

@@ -5,7 +5,9 @@ Kronecker products and a deliberately different edge ordering; eigenvalues
 must agree regardless of qubit labeling.
 """
 
+import ast
 import itertools
+import pathlib
 import time
 
 import numpy as np
@@ -29,7 +31,8 @@ from nsslab import (
     sector_orbits,
     spectrum,
 )
-from nsslab import gf2
+import nsslab
+from nsslab import anyon, gf2, lattice, verify
 from nsslab.cli import EXIT_VALIDATION, main
 from nsslab.lattice import code_dimension, homology_basis
 from nsslab.pauli import PauliOp, apply_to_vector, commutes, multiply, to_dense, weight
@@ -275,6 +278,35 @@ def test_dense_bridge_caps():
             fn(big)
     with pytest.raises(ResourceLimitError):
         spectrum(build_torus(3, 4))  # 24 qubits over the sparse cap
+
+
+def _imported_modules(module):
+    """Every module a source file imports, relative ones as ".name"."""
+    tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "." * node.level + (node.module or "")
+            names.add(base)
+            if not node.module:  # from . import x
+                names.update(base + alias.name for alias in node.names)
+    return names
+
+
+def test_the_dense_bridge_has_one_home():
+    """`anyon` and `lattice` build no 2^n-dimensional vector: anyon imports
+    nothing from verify or config, lattice no numpy, and the dense bridge's
+    functions are defined once, in verify, with no alias elsewhere."""
+    anyon_imports = _imported_modules(anyon)
+    assert not anyon_imports & {".verify", ".config", "nsslab.verify", "nsslab.config"}
+    assert not any(name.split(".")[0] == "numpy" for name in _imported_modules(lattice))
+    for name in ("dense_state", "sector_of", "NotAnEigenstateError"):
+        obj = getattr(verify, name)
+        assert obj.__module__ == "nsslab.verify"
+        assert getattr(nsslab, name) is obj
+        assert not hasattr(anyon, name) and not hasattr(lattice, name)
 
 
 def test_unperturbed_spectrum_dense_path():
