@@ -8,6 +8,12 @@ crossings of `applied` with the two Z loops.  Strings are applied
 dynamically (exact Pauli products), never adiabatically; a transport path
 is a sequence of edge indices in the mover's own graph.
 
+The two members of a pair carry between them one open string that ends on
+both: creation gives the edge operator to one member and the identity to
+the other, and a move extends the mover's string.  Fusing the two members
+of one pair closes their string; fusing anyons of two pairs joins the two
+strings into one that ends on the two partners, which become a pair.
+
 Whenever a closed string turns out to act as a scalar on the reference
 vector (a product of checks and frame loops), that scalar is moved out of
 `applied` into accumulated_phase, so the state vector is always exactly
@@ -22,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .lattice import SectorLabel, TorusLattice, homology_basis, stabilizer_expansion
-from .pauli import PauliOp, identity, multiply
+from .pauli import PauliOp, commutes, identity, multiply
 
 
 class InvalidMoveError(ValueError):
@@ -41,9 +47,8 @@ class PathNotFoundError(ValueError):
 class Anyon:
     kind: str        # "e" (vertex defect) or "m" (plaquette defect)
     position: int    # vertex index for e, face index for m
-    string: PauliOp  # transport extensions applied by this anyon
-    creation: PauliOp  # the pair's creation operator (shared record)
-    pair_id: int
+    string: PauliOp  # this member's part of its pair's open string
+    pair_id: int     # shared by the two members of a pair
 
 
 @dataclass(frozen=True)
@@ -57,24 +62,19 @@ class AnyonState:
 
     # -- derived views -----------------------------------------------------
 
-    def _crossing_sign(self, op: PauliOp) -> int:
-        par = ((op.x_bits & self.applied.z_bits).bit_count() +
-               (op.z_bits & self.applied.x_bits).bit_count()) % 2
-        return -1 if par else 1
-
     @property
     def frame_signs(self) -> dict:
         """Current signs of the two Z-type frame loops: the state's sector
         label, each reference sign times the crossing sign of `applied`."""
         loops = homology_basis(self.lat)
-        return {lo.homology_class: self.sector0.j[i] * self._crossing_sign(lo.op)
-                for i, lo in enumerate(loops[:2])}
+        return {lo.homology_class: j * (1 if commutes(lo.op, self.applied) else -1)
+                for j, lo in zip(self.sector0.j, loops[:2])}
 
     @property
     def check_signs(self) -> tuple:
         """Signs of every star then every plaquette (dependent set included)."""
         checks = list(self.lat.vertex_stars) + list(self.lat.plaquette_checks)
-        return tuple(self._crossing_sign(ch) for ch in checks)
+        return tuple(1 if commutes(ch, self.applied) else -1 for ch in checks)
 
     @property
     def energy(self) -> int:
@@ -154,9 +154,8 @@ def create_pair(state: AnyonState, kind: str, edge: int) -> AnyonState:
     if a in occupied or b in occupied:
         raise InvalidMoveError(f"endpoint already hosts an {kind} anyon")
     op = _edge_operator(state.lat, kind, edge)
-    ext = identity(state.lat.n_qubits)
     pid = state.next_pair
-    new = (Anyon(kind, a, ext, op, pid), Anyon(kind, b, ext, op, pid))
+    new = (Anyon(kind, a, op, pid), Anyon(kind, b, identity(state.lat.n_qubits), pid))
     return replace(state, applied=multiply(op, state.applied),
                    anyons=state.anyons + new, next_pair=pid + 1)
 
@@ -315,12 +314,15 @@ def braid(state: AnyonState, mover: int, around: int) -> AnyonState:
 # ------------------------------------------------------------------- fuse
 
 def fuse(state: AnyonState, a: int, b: int, via: int | None = None) -> AnyonState:
-    """Annihilate a same-type pair, closing their combined string.
+    """Annihilate two same-type anyons, joining their strings.
 
     The anyons must be co-located or adjacent; `via` picks the connecting
-    edge when several exist (default: smallest edge index).  A contractible
-    closed string leaves only a banked scalar; a non-contractible one keeps
-    a frame-loop factor in `applied`, flipping the matching sector sign.
+    edge when several exist (default: smallest edge index).  Two members of
+    one pair close their string: a contractible closed string leaves only a
+    banked scalar; a non-contractible one keeps a frame-loop factor in
+    `applied`, flipping the matching sector sign.  Anyons of two pairs leave
+    one string from a's partner to b's partner, which become one pair; its
+    phase is banked when a later fuse closes it.
     """
     _require_anyons(state, a, b)
     if a == b:
@@ -344,11 +346,14 @@ def fuse(state: AnyonState, a: int, b: int, via: int | None = None) -> AnyonStat
                 raise InvalidFusionError("via edge does not connect the pair")
         connector = _edge_operator(lat, an_a.kind, via)
         out = replace(out, applied=multiply(connector, out.applied))
-    cycle = multiply(connector,
-                     multiply(an_a.string, multiply(an_b.string, an_a.creation)))
-    remaining = tuple(an for k, an in enumerate(out.anyons) if k not in (a, b))
-    out = replace(out, anyons=remaining)
-    return _absorb_if_scalar(out, cycle)
+    joined = multiply(connector, multiply(an_a.string, an_b.string))
+    remaining = [an for k, an in enumerate(out.anyons) if k not in (a, b)]
+    if an_a.pair_id == an_b.pair_id:
+        return _absorb_if_scalar(replace(out, anyons=tuple(remaining)), joined)
+    k = next(k for k, an in enumerate(remaining) if an.pair_id == an_b.pair_id)
+    remaining[k] = replace(remaining[k], string=multiply(joined, remaining[k].string),
+                           pair_id=an_a.pair_id)
+    return replace(out, anyons=tuple(remaining))
 
 
 def relative_phase(state_a: AnyonState, state_b: AnyonState) -> complex:

@@ -6,6 +6,9 @@ a partial output file.  All randomness flows from a single seed through
 counter-based splittable streams, making reports byte-identical across
 reruns at a fixed BLAS thread count.
 
+The parser is the one list of what each subcommand takes: each subparser
+names its handler, and its options are the keys a config file may give.
+
 Exit codes: 0 success, 2 validation failure, 3 convergence failure,
 4 resource-limit refusal.
 """
@@ -13,6 +16,17 @@ Exit codes: 0 success, 2 validation failure, 3 convergence failure,
 import argparse
 import json
 import sys
+
+from .algebra import close_algebra, decompose, decomposition_to_json, \
+    error_set_from_json
+from .anyon import run_trajectory
+from .config import DEFAULT_CONFIG, ConvergenceError, DegenerateSpectrumError, \
+    ResourceLimitError
+from .lattice import build_torus, check_rank, code_dimension, homology_basis, \
+    lattice_to_json
+from .pauli import format_pauli, weight
+from .verify import kl_check_stabilizer, local_error_generators, \
+    perturbation_terms, scaling_study, scaling_to_csv, spectrum
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -27,7 +41,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "checks, and anyon trajectories.")
     sub = p.add_subparsers(dest="command", metavar="command")
 
-    def common(sp):
+    def subcommand(name, run, **kwargs):
+        sp = sub.add_parser(name, **kwargs)
+        sp.set_defaults(run=run)
         sp.add_argument("--config", metavar="PATH",
                         help="JSON file supplying any flag value and, under "
                              "'tolerances', the seed and size caps; explicit "
@@ -37,17 +53,18 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default 0x5EEDC0DE)")
         sp.add_argument("--output", metavar="PATH", default=None,
                         help="write the report here instead of stdout")
+        return sp
 
-    sp = sub.add_parser("decompose",
-                        help="irreducible sector structure of an error algebra")
+    sp = subcommand("decompose", _cmd_decompose,
+                    help="irreducible sector structure of an error algebra")
     sp.add_argument("--input", metavar="PATH", default=None,
                     help="error-set JSON (matrices as [re, im] pair arrays)")
     sp.add_argument("--matrices", action="store_true",
                     help="embed projectors and isometries in the report")
-    common(sp)
 
-    sp = sub.add_parser("toric", help="build a torus lattice; emit its "
-                                      "serialization or a spectral report")
+    sp = subcommand("toric", _cmd_toric,
+                    help="build a torus lattice; emit its serialization or a "
+                         "spectral report")
     sp.add_argument("--l1", type=int, default=None)
     sp.add_argument("--l2", type=int, default=None)
     sp.add_argument("--report", action="store_true",
@@ -57,59 +74,60 @@ def build_parser() -> argparse.ArgumentParser:
                     help="perturbation strength for --report (default 0)")
     sp.add_argument("--perturbation", default=None,
                     help="perturbation kind for --report (default z_field)")
-    common(sp)
 
-    sp = sub.add_parser("kl-check",
-                        help="exact correctability verdicts for local Paulis")
+    sp = subcommand("kl-check", _cmd_kl_check,
+                    help="exact correctability verdicts for local Paulis")
     sp.add_argument("--l1", type=int, default=None)
     sp.add_argument("--l2", type=int, default=None)
     sp.add_argument("--max-weight", type=int, default=None,
                     help="check all Paulis up to this weight (default 2)")
-    common(sp)
 
-    sp = sub.add_parser("scaling",
-                        help="splitting vs lattice size as CSV")
+    sp = subcommand("scaling", _cmd_scaling, help="splitting vs lattice size as CSV")
     sp.add_argument("--sizes", default=None,
                     help="comma list like 2x2,2x3,2x4")
     sp.add_argument("--h", type=float, default=None,
                     help="perturbation strength (default 0.1)")
     sp.add_argument("--perturbation", default=None,
                     help="one of the perturbation kinds (default z_field)")
-    sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
+    sp.add_argument("--format", choices=("csv", "json"),
                     default=None, help="csv (default) or full json report")
-    common(sp)
 
-    sp = sub.add_parser("braid",
-                        help="replay an anyon trajectory script")
+    sp = subcommand("braid", _cmd_braid, help="replay an anyon trajectory script")
     sp.add_argument("--l1", type=int, default=None)
     sp.add_argument("--l2", type=int, default=None)
     sp.add_argument("--script", metavar="PATH", default=None,
                     help="JSON list of operations {op, ...args}")
     sp.add_argument("--sector", default=None,
                     help="initial Z-loop sector, e.g. 1,1 (default 1,1)")
-    common(sp)
+
+    # a config key is an option of any subcommand, so one file may serve several
+    options = (vars(sp.parse_args([])) for sp in sub.choices.values())
+    p.config_keys = {"tolerances"}.union(*options) - {"config", "run"}
     return p
 
 
-def _load_config_file(path):
+def _read_json(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise ValueError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ValueError(f"config file is not valid JSON: {exc}") from exc
+        raise ValueError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def _merge(args, config_keys):
+    """The chosen subcommand's options: explicit flag > config file > None."""
+    doc = _read_json(args.config, "config file") if args.config else {}
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
-    return doc
-
-
-def _merge(args, keys):
-    """Resolved option dict: explicit flag > config file > None."""
-    doc = _load_config_file(args.config) if args.config else {}
+    unknown = sorted(set(doc) - config_keys)
+    if unknown:
+        raise ValueError(f"unknown config key: {', '.join(unknown)}")
     out = {}
-    for key in keys:
-        flag = getattr(args, key, None)
+    for key, flag in vars(args).items():
+        if key in ("command", "config", "run"):
+            continue
         # store_true flags read False when absent; let the config file speak.
         # Identity checks, not equality: 0 and 0.0 are real values, not "unset"
         unset = flag is None or flag is False
@@ -121,9 +139,7 @@ def _merge(args, keys):
 
 
 def _engine_config(opts):
-    from .config import DEFAULT_CONFIG
-
-    overrides = dict(opts.get("tolerances") or {})
+    overrides = dict(opts["tolerances"])
     if opts.get("seed") is not None:
         overrides["seed"] = opts["seed"]
     try:
@@ -158,20 +174,36 @@ def _number(value, name, integral=True):
     return value
 
 
+def _ints(value, sep, name):
+    """A tuple of integers, from a flag string such as "1,-1" or "2x3"
+    (split at `sep`) or from a config-file list, whose entries are checked
+    as _number checks them."""
+    if isinstance(value, str):
+        try:
+            value = [int(part) for part in value.lower().split(sep)]
+        except ValueError as exc:
+            raise ValueError(f"{name} must be integers joined by {sep!r}, "
+                             f"got {value!r}") from exc
+    elif not isinstance(value, list):
+        raise ValueError(f"{name} must be a string or a list, got {value!r}")
+    return tuple(_number(v, f"a {name} entry") for v in value)
+
+
 def _require(opts, *keys):
     for k in keys:
         if opts.get(k) is None:
             raise ValueError(f"missing required option --{k.replace('_', '-')}")
 
 
+def _torus(opts):
+    _require(opts, "l1", "l2")
+    return build_torus(_number(opts["l1"], "l1"), _number(opts["l2"], "l2"))
+
+
 # ------------------------------------------------------------- subcommands
 
-def _cmd_decompose(opts) -> str:
-    from .algebra import close_algebra, decompose, decomposition_to_json, \
-        error_set_from_json
-
+def _cmd_decompose(opts, cfg) -> str:
     _require(opts, "input")
-    cfg = _engine_config(opts)
     try:
         with open(opts["input"], "r", encoding="utf-8") as fh:
             errs = error_set_from_json(fh.read())
@@ -179,32 +211,28 @@ def _cmd_decompose(opts) -> str:
         raise ValueError(f"cannot read input: {exc}") from exc
     alg = close_algebra(errs, cfg)
     dec = decompose(alg, cfg)
-    return decomposition_to_json(dec, include_matrices=bool(opts.get("matrices")))
+    return decomposition_to_json(dec, include_matrices=bool(opts["matrices"]))
 
 
-def _cmd_toric(opts) -> str:
-    from .lattice import build_torus, check_rank, code_dimension, \
-        lattice_to_json
-    from .verify import perturbation_terms, spectrum
-
-    _require(opts, "l1", "l2")
-    cfg = _engine_config(opts)
-    lat = build_torus(_number(opts["l1"], "l1"), _number(opts["l2"], "l2"))
-    if not opts.get("report"):
+def _cmd_toric(opts, cfg) -> str:
+    lat = _torus(opts)
+    if not opts["report"]:
         return lattice_to_json(lat)
     h = float(_number(_get(opts, "h", 0.0), "h", integral=False))
     kind = _get(opts, "perturbation", "z_field")
     pert = perturbation_terms(lat, kind)  # validates the kind at every h
     rep = spectrum(lat, pert if h else None, h, cfg)
+    dim = code_dimension(lat)
     return _json_report({
         "l1": lat.L1,
         "l2": lat.L2,
         "n_qubits": lat.n_qubits,
         "check_rank": check_rank(lat),
-        "code_dimension": code_dimension(lat),
+        "code_dimension": dim,
         "h": h,
         "perturbation": kind if h else None,
-        "energies": list(rep.energies),
+        # the multiplet and the next level: the levels gap and splitting read
+        "energies": list(rep.energies[:dim + 1]),
         "ground_energy": rep.energies[0],
         "ground_degeneracy": rep.ground_degeneracy,
         "gap": rep.gap_delta,
@@ -212,14 +240,8 @@ def _cmd_toric(opts) -> str:
     })
 
 
-def _cmd_kl_check(opts) -> str:
-    from .lattice import build_torus, homology_basis
-    from .pauli import format_pauli, weight
-    from .verify import kl_check_stabilizer, local_error_generators
-
-    _require(opts, "l1", "l2")
-    _engine_config(opts)  # validates config overrides even if unused here
-    lat = build_torus(_number(opts["l1"], "l1"), _number(opts["l2"], "l2"))
+def _cmd_kl_check(opts, cfg) -> str:
+    lat = _torus(opts)
     max_w = _number(_get(opts, "max_weight", 2), "max_weight")
     if max_w < 0:
         raise ValueError("--max-weight must be >= 0")
@@ -243,31 +265,18 @@ def _cmd_kl_check(opts) -> str:
     })
 
 
-def _cmd_scaling(opts) -> str:
-    from .verify import scaling_study, scaling_to_csv
-
+def _cmd_scaling(opts, cfg) -> str:
     _require(opts, "sizes")
-    cfg = _engine_config(opts)
-    sizes = []
     raw = opts["sizes"]
     if not isinstance(raw, (str, list)):
         raise ValueError(f"sizes must be a string or a list, got {raw!r}")
-    for part in raw.split(",") if isinstance(raw, str) else raw:
-        if isinstance(part, str):
-            bits = part.lower().split("x")
-            if len(bits) != 2:
-                raise ValueError(f"bad size {part!r}; want L1xL2")
-            try:
-                sizes.append((int(bits[0]), int(bits[1])))
-            except ValueError as exc:
-                raise ValueError(f"bad size entry {part!r}") from exc
-        elif isinstance(part, list) and len(part) == 2:
-            sizes.append(tuple(_number(v, "a size entry") for v in part))
-        else:
-            raise ValueError(f"bad size entry {part!r}")
+    sizes = [_ints(part, "x", "size")
+             for part in (raw.split(",") if isinstance(raw, str) else raw)]
+    if any(len(size) != 2 for size in sizes):
+        raise ValueError(f"bad sizes {raw!r}; want L1xL2 entries")
     h = float(_number(_get(opts, "h", 0.1), "h", integral=False))
     kind = _get(opts, "perturbation", "z_field")
-    fmt = _get(opts, "fmt", "csv")
+    fmt = _get(opts, "format", "csv")
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}; want csv or json")
     result = scaling_study(sizes, h, kind, cfg)
@@ -286,45 +295,14 @@ def _cmd_scaling(opts) -> str:
     })
 
 
-def _cmd_braid(opts) -> str:
-    from .anyon import run_trajectory
-    from .lattice import build_torus
-
-    _require(opts, "l1", "l2", "script")
-    _engine_config(opts)
-    try:
-        with open(opts["script"], "r", encoding="utf-8") as fh:
-            script = json.load(fh)
-    except OSError as exc:
-        raise ValueError(f"cannot read script: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"script is not valid JSON: {exc}") from exc
+def _cmd_braid(opts, cfg) -> str:
+    lat = _torus(opts)
+    _require(opts, "script")
+    script = _read_json(opts["script"], "script")
     if not isinstance(script, list):
         raise ValueError("script must be a JSON list of operations")
-    sector = _get(opts, "sector", "1,1")
-    if isinstance(sector, str):
-        sector = tuple(int(x) for x in sector.split(","))
-    elif isinstance(sector, list):
-        sector = tuple(_number(x, "a sector entry") for x in sector)
-    else:
-        raise ValueError(f"sector must be a string or a list, got {sector!r}")
-    lat = build_torus(_number(opts["l1"], "l1"), _number(opts["l2"], "l2"))
-    report = run_trajectory(lat, script, sector)
-    return _json_report(report)
-
-
-_COMMANDS = {
-    "decompose": (_cmd_decompose,
-                  ("input", "matrices", "seed", "output")),
-    "toric": (_cmd_toric,
-              ("l1", "l2", "report", "h", "perturbation", "seed", "output")),
-    "kl-check": (_cmd_kl_check,
-                 ("l1", "l2", "max_weight", "seed", "output")),
-    "scaling": (_cmd_scaling,
-                ("sizes", "h", "perturbation", "fmt", "seed", "output")),
-    "braid": (_cmd_braid,
-              ("l1", "l2", "script", "sector", "seed", "output")),
-}
+    sector = _ints(_get(opts, "sector", "1,1"), ",", "sector")
+    return _json_report(run_trajectory(lat, script, sector))
 
 
 def main(argv=None) -> int:
@@ -333,14 +311,9 @@ def main(argv=None) -> int:
     if not args.command:
         parser.print_usage(sys.stderr)
         return EXIT_VALIDATION
-
-    from .config import ConvergenceError, DegenerateSpectrumError, \
-        ResourceLimitError
-
-    handler, keys = _COMMANDS[args.command]
     try:
-        opts = _merge(args, keys)
-        text = handler(opts)
+        opts = _merge(args, parser.config_keys)
+        text = args.run(opts, _engine_config(opts))
     except ResourceLimitError as exc:
         print(f"nsslab: resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -351,7 +324,7 @@ def main(argv=None) -> int:
         print(f"nsslab: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    out = opts.get("output")
+    out = opts["output"]
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)

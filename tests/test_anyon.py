@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nsslab import (
+    DEFAULT_CONFIG,
     InvalidFusionError,
     InvalidMoveError,
     PathNotFoundError,
@@ -467,6 +468,52 @@ def test_fuse_after_braid_differs_only_by_the_phase():
     assert relative_phase(braided, plain) == -1
     assert braided.frame_signs == plain.frame_signs
     _assert_sector(braided, (1, 1))
+
+
+def _pair(kind, edge):
+    return {"op": "create_pair", "type": kind, "edge": edge}
+
+
+def _fuse(a, b, via=None):
+    step = {"op": "fuse", "a": a, "b": b}
+    return step if via is None else dict(step, via=via)
+
+
+# Fusing anyons of two pairs, then their partners, closes the same loop as
+# carrying one anyon of a single pair round it; each route is given as
+# (shape, sector, two-pair script, one-pair script).
+_TWO_PAIR_ROUTES = (
+    # two e strings close round an open m: phase -1
+    ((4, 4), (1, 1),
+     [_pair("m", 13), _pair("e", 10), _pair("e", 18), _fuse(3, 5, 13), _fuse(2, 3, 11)],
+     [_pair("m", 13), _pair("e", 10), {"op": "move", "anyon": 3, "path": [13, 18, 11]},
+      _fuse(2, 3)]),
+    # two e strings close the row-0 frame loop, whose sign is -1 in this sector
+    ((2, 4), (-1, 1),
+     [_pair("e", 0), _pair("e", 4), _fuse(1, 2, 2), _fuse(0, 1, 6)],
+     [_pair("e", 0), {"op": "move", "anyon": 1, "path": [2, 4, 6]}, _fuse(0, 1)]),
+)
+
+
+def test_fusing_across_two_pairs_banks_the_loop_it_closes():
+    for shape, sector, two_pairs, one_pair in _TWO_PAIR_ROUTES:
+        lat = build_torus(*shape)
+        rep = run_trajectory(lat, two_pairs, sector)
+        assert rep == run_trajectory(lat, one_pair, sector), shape
+        assert rep["phase"] == [-1.0, 0.0], shape
+
+
+def test_fusing_across_two_pairs_matches_the_dense_state():
+    """The anyon-free state after two cross-pair fusions is the banked phase
+    times the code vector of its frame signs."""
+    lat = build_torus(2, 4)
+    cfg = DEFAULT_CONFIG.override(dense_bridge_max_qubits=16)
+    s = create_pair(create_pair(ground_state(lat, (-1, 1)), "e", 0), "e", 4)
+    s = fuse(fuse(s, 1, 2, via=2), 0, 1, via=6)
+    assert s.anyons == () and s.accumulated_phase == -1
+    frame = (s.frame_signs["g1_Z"], s.frame_signs["g2_Z"])
+    want = s.accumulated_phase * code_basis(lat, cfg)[:, SECTOR_ORDER.index(frame)]
+    assert np.linalg.norm(dense_state(s, cfg) - want) < 1e-10
 
 
 def test_fuse_validation():

@@ -1,5 +1,6 @@
 """Command-line interface: reports, config merging, exit codes, determinism."""
 
+import argparse
 import json
 import os
 
@@ -8,7 +9,7 @@ import pytest
 
 from nsslab import (DEFAULT_CONFIG, build_torus, error_set, error_set_to_json,
                     lattice_to_json)
-from nsslab.cli import EXIT_RESOURCE, EXIT_VALIDATION, main
+from nsslab.cli import EXIT_RESOURCE, EXIT_VALIDATION, build_parser, main
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -61,6 +62,8 @@ def test_toric_report_fields(capsys):
     assert abs(doc["ground_energy"] + 8) < 1e-9
     assert abs(doc["gap"] - 4) < 1e-9 and doc["splitting"] < 1e-10
     assert doc["energies"] == sorted(doc["energies"])
+    # the multiplet and the first level above it, no higher Ritz values
+    assert len(doc["energies"]) == doc["code_dimension"] + 1
 
     rc, out, _ = _run(capsys, ["toric", "--l1", "2", "--l2", "2", "--report",
                                "--h", "0.1", "--perturbation", "z_field_right"])
@@ -316,6 +319,73 @@ def test_config_file_values_are_refused_not_coerced(tmp_path, capsys):
     rc, out, _ = _run(capsys, ["scaling", "--config", str(cfg), "--h", "0.1"])
     assert rc == 0 and [row.split(",")[:2] for row in out.splitlines()[1:]] == \
         [["2", "2"], ["2", "3"], ["3", "2"]]
+
+
+def _subcommand_options():
+    """{command: [(dest, flag, takes a value)]} for every option but --config,
+    read from the parser."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: [(a.dest, a.option_strings[0], a.nargs != 0) for a in sp._actions
+                   if a.dest not in ("help", "config")]
+            for name, sp in sub.choices.items()}
+
+
+def test_every_option_reads_the_same_from_a_flag_or_a_config_file(tmp_path, capsys):
+    """Each option of each subcommand in turn moves from the flags into a
+    config file, under its dest; the exit code, stdout and written report
+    stay those of the all-flags run."""
+    target = tmp_path / "report.txt"
+    values = {
+        "decompose": {"input": _collective_file(tmp_path), "matrices": True},
+        "toric": {"l1": 2, "l2": 2, "report": True, "h": 0.1,
+                  "perturbation": "z_field_right"},
+        "kl-check": {"l1": 2, "l2": 3, "max_weight": 1},
+        "scaling": {"sizes": "2x2,2x3,3x2", "h": 0.05,
+                    "perturbation": "z_field_down", "format": "json"},
+        "braid": {"l1": 2, "l2": 2, "script": _braid_script(tmp_path),
+                  "sector": "1,-1"},
+    }
+
+    def run(argv):
+        rc, out, _ = _run(capsys, argv)
+        written = target.read_text() if target.exists() else None
+        target.unlink(missing_ok=True)
+        return rc, out, written
+
+    for command, options in _subcommand_options().items():
+        given = dict(values[command], seed=7, output=str(target))
+        assert sorted(given) == sorted(dest for dest, _, _ in options), command
+
+        def flags(skip):
+            argv = [command]
+            for dest, flag, takes_value in options:
+                if dest != skip:
+                    argv += [flag, str(given[dest])] if takes_value else [flag]
+            return argv
+
+        want = run(flags(None))
+        assert want[0] == 0 and want[2], command
+        for dest, _, _ in options:
+            cfg = tmp_path / f"{command}-{dest}.json"
+            cfg.write_text(json.dumps({dest: given[dest]}))
+            assert run(flags(dest) + ["--config", str(cfg)]) == want, (command, dest)
+
+
+def test_config_keys_are_option_names_and_unknown_keys_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "format.json"
+    cfg.write_text(json.dumps({"sizes": "2x2,2x3,3x2", "format": "json"}))
+    rc, out, _ = _run(capsys, ["scaling", "--config", str(cfg)])
+    assert rc == 0 and len(json.loads(out)["rows"]) == 3
+    for command, doc, key in (
+            ("scaling", {"sizes": "2x2,2x3,3x2", "fmt": "json"}, "fmt"),
+            ("kl-check", {"l1": 2, "l2": 2, "max_wieght": 1}, "max_wieght"),
+            ("toric", {"l1": 2, "l2": 2, "config": "other.json"}, "config")):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps(doc))
+        rc, out, err = _run(capsys, [command, "--config", str(cfg)])
+        assert rc == EXIT_VALIDATION and out == "", doc
+        assert f"unknown config key: {key}" in err
 
 
 def test_resource_refusal_leaves_no_partial_output(tmp_path, capsys):
