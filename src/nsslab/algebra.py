@@ -20,8 +20,9 @@ from .config import (DEFAULT_CONFIG, ConvergenceError, DegenerateSpectrumError,
 # closure's "already in the span" test alike)
 _HS_DROP_TOL = 1e-10
 _CLOSURE_MAX_ITER = 50
-# span residuals (closure certificates) and relative singular values (null
-# spaces, intertwiners) at or below this count as zero
+# span residuals (closure certificates), relative singular values (null
+# spaces, intertwiners) and relative block couplings (decompose) at or below
+# this count as zero
 _SPAN_MEMBERSHIP_TOL = 1e-8
 # eigenvalue clusters closer than this (relative) are merged; gaps below
 # _GAP_RATIO_GUARD times it are ambiguous and abort the decomposition
@@ -281,89 +282,61 @@ def _cluster_sorted(w: np.ndarray):
 def decompose(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> SectorDecomposition:
     """Central decomposition A = (+)_J 1_{n_J} (x) M(d_J).
 
-    A random Hermitian element of the center splits H into central sectors;
-    inside each, the eigenspace pattern of a random Hermitian algebra element
-    gives (n_J, d_J), and intertwiners between its eigenblocks assemble the
-    isometry C^{n_J} (x) C^{d_J} -> H.
+    The eigenspaces of a random Hermitian element K of A are the blocks
+    Q_t, one per pair (J, t < d_J), each of size n_J.  Two blocks lie in
+    one sector exactly when Q_t^dag B Q_s != 0 for a second random element
+    B; a sector is the run of blocks coupled to its first block Q_1, and
+    the polar factors of Q_t^dag B Q_1 align them into the isometry
+    C^{n_J} (x) C^{d_J} -> H.  Sum n_J d_J = d and sum d_J^2 = dim A
+    certify the grouping: a false join raises the second sum, a missed
+    one lowers it.
     """
     if not alg.closed:
         raise ValueError("decompose needs a verified-closed algebra")
     d = alg.dim
-    m = len(alg.basis)
     rows = alg.stacked()
-    mats = rows.reshape(m, d, d)
 
-    # center = elements commuting with every basis matrix, solved in
-    # coefficient space: T_i[l, k] = <B_l, [B_k, B_i]>
-    blocks = []
-    for i in range(m):
-        comm = np.matmul(mats, mats[i]) - np.matmul(mats[i], mats)
-        blocks.append(rows.conj() @ comm.reshape(m, d * d).T)
-    T = np.vstack(blocks)
-    # T has m^2 >= m rows, so thin vh is the full m x m
-    _, s, vh = np.linalg.svd(T, full_matrices=False)
-    tol = _SPAN_MEMBERSHIP_TOL * max(1.0, float(s[0]) if len(s) else 1.0)
-    null = vh.conj().T[:, s < tol]
+    def draw(stream):
+        # a seeded d x d Gaussian projected onto the algebra: Gaussian
+        # coefficients whatever the basis
+        rng = spawn_rng(config.seed, stream)
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return ((rows.conj() @ g.reshape(-1)) @ rows).reshape(d, d)
 
-    rng_central = spawn_rng(config.seed, 1)
-    if null.shape[1] <= 1:
-        central_slices = [None]  # factor: single sector, no splitting needed
-    else:
-        # a seeded d x d Gaussian projected onto the algebra, then onto the
-        # center: Gaussian center coefficients, whatever the basis
-        draw = rng_central.standard_normal((d, d)) + 1j * rng_central.standard_normal((d, d))
-        coeff = null @ (null.conj().T @ (rows.conj() @ draw.reshape(-1)))
-        zel = np.tensordot(coeff, mats, axes=1)
-        zel = (zel + zel.conj().T) / 2
-        w, V = np.linalg.eigh(zel)
-        central_slices = [V[:, a:b] for a, b in _cluster_sorted(w)]
+    K = draw(2)
+    kw, kV = np.linalg.eigh((K + K.conj().T) / 2)
+    C = kV.conj().T @ draw(3) @ kV
+    tol = _SPAN_MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(C)))
+    groups = []  # the blocks of each sector as index ranges, its first leading
+    for t in (range(a, b) for a, b in _cluster_sorted(kw)):
+        g = next((g for g in groups if np.linalg.norm(C[t][:, g[0]]) > tol), None)
+        if g is None:
+            groups.append([t])
+        elif len(g[0]) != len(t):
+            raise DegenerateSpectrumError(
+                f"unequal eigenspace sizes {len(g[0])} and {len(t)} in one "
+                "sector; rerun with a different seed")
+        else:
+            g.append(t)
+
+    shapes = [(len(g[0]), len(g)) for g in groups]
+    m = alg.algebra_dim
+    if sum(n * dj for n, dj in shapes) != d or sum(dj * dj for _, dj in shapes) != m:
+        raise DegenerateSpectrumError(
+            f"sectors {shapes} (n, d) do not account for dimension {d} and "
+            f"algebra dimension {m}; rerun with a different seed")
 
     sectors = []
-    for label, S in enumerate(central_slices):
-        if S is None:
-            S = np.eye(d, dtype=complex)
-        mJ = S.shape[1]
-        comp = _orthonormal_rows(
-            np.matmul(S.conj().T[None], np.matmul(mats, S[None])).reshape(m, mJ * mJ),
-            _HS_DROP_TOL)
-        comp_mats = comp.reshape(-1, mJ, mJ)
-
-        rng_k = spawn_rng(config.seed, 2, label)
-        ck = rng_k.standard_normal(len(comp)) + 1j * rng_k.standard_normal(len(comp))
-        K = np.tensordot(ck, comp_mats, axes=1)
-        K = (K + K.conj().T) / 2
-        kw, kV = np.linalg.eigh(K)
-        kcl = _cluster_sorted(kw)
-        sizes = {b - a for a, b in kcl}
-        if len(sizes) != 1:
-            raise DegenerateSpectrumError(
-                f"unequal eigenspace sizes {sorted(sizes)} in sector {label}; "
-                "rerun with a different seed")
-        n_J = sizes.pop()
-        d_J = len(kcl)
-
-        rng_b = spawn_rng(config.seed, 3, label)
-        cb = rng_b.standard_normal(len(comp)) + 1j * rng_b.standard_normal(len(comp))
-        B = np.tensordot(cb, comp_mats, axes=1)
-        Q1 = kV[:, kcl[0][0]:kcl[0][1]]
+    for label, (g, (n_J, d_J)) in enumerate(zip(groups, shapes)):
         iso = np.zeros((d, n_J * d_J), dtype=complex)
-        for t, (a0, b0) in enumerate(kcl):
-            Qt = kV[:, a0:b0]
-            W = Qt.conj().T @ B @ Q1
-            U, sv, Vh = np.linalg.svd(W)
+        for t, blk in enumerate(g):
+            U, sv, Vh = np.linalg.svd(C[blk][:, g[0]])
             if d_J > 1 and sv[-1] < _SPAN_MEMBERSHIP_TOL * max(1.0, sv[0]):
                 raise DegenerateSpectrumError(
                     "singular intertwiner draw; rerun with a different seed")
-            cols = S @ (Qt @ (U @ Vh))
-            iso[:, t::d_J] = cols
-        sectors.append(Sector(label, S @ S.conj().T, n_J, d_J, iso))
-
-    dec = SectorDecomposition(d, tuple(sectors))
-    if dec.total_dim != d:
-        raise DegenerateSpectrumError(
-            f"sector dimensions sum to {dec.total_dim} != {d}; "
-            "rerun with a different seed")
-    return dec
+            iso[:, t::d_J] = kV[:, blk] @ (U @ Vh)
+        sectors.append(Sector(label, iso @ iso.conj().T, n_J, d_J, iso))
+    return SectorDecomposition(d, tuple(sectors))
 
 
 def block_structure_residual(sector: Sector, mat: np.ndarray):

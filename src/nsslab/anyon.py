@@ -413,9 +413,11 @@ def run_trajectory(lat: TorusLattice, script, sector=(1, 1)) -> dict:
         except (TypeError, OverflowError) as exc:
             raise ValueError(f"step {k}: bad argument: {exc}") from exc
     frame = state.frame_signs
+    # + 0.0 turns a negative zero (left by dividing by -1+0j) into 0.0, so
+    # equal phases print equal bytes
     return {
-        "phase": [float(np.real(state.accumulated_phase)),
-                  float(np.imag(state.accumulated_phase))],
+        "phase": [float(np.real(state.accumulated_phase)) + 0.0,
+                  float(np.imag(state.accumulated_phase)) + 0.0],
         "sector": [frame["g1_Z"], frame["g2_Z"]],
         "energy": state.energy,
         "open_anyons": len(state.anyons),

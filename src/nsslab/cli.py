@@ -135,6 +135,11 @@ def _merge(args, config_keys):
     out["tolerances"] = doc.get("tolerances", {})
     if not isinstance(out["tolerances"], dict):
         raise ValueError("config 'tolerances' must be an object")
+    # open() takes an int as a file descriptor: {"output": 2} would write to
+    # stderr and then close it
+    for key in ("input", "output", "script"):
+        if out.get(key) is not None and not isinstance(out[key], str):
+            raise ValueError(f"{key} must be a path string, got {out[key]!r}")
     return out
 
 
@@ -305,8 +310,12 @@ def _cmd_braid(opts, cfg) -> str:
     return _json_report(run_trajectory(lat, script, sector))
 
 
+_parser = None  # built by the first main() call; parsing never changes it
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    parser = _parser = _parser or build_parser()
     args = parser.parse_args(argv)
     if not args.command:
         parser.print_usage(sys.stderr)

@@ -403,6 +403,23 @@ def test_ambiguous_cluster_gaps_raise_instead_of_guessing(monkeypatch):
         decompose(alg)
 
 
+@pytest.mark.parametrize("tol, gens", [
+    # no block joins: collective3's six eigenblocks become six d = 1 sectors,
+    # sum d^2 = 6 < 20
+    (1e6, _collective()),
+    # every block joins: the two rank-2 halves of span{1, P} become one
+    # (2, 2) sector, sum d^2 = 4 > 2, although sum n d = 4 still holds
+    (-1.0, [np.diag([1.0, 1.0, 0.0, 0.0])]),
+], ids=["missed-joins", "false-joins"])
+def test_decompose_refuses_sectors_that_miss_the_algebra_dimension(monkeypatch, tol, gens):
+    from nsslab import algebra
+
+    alg = close_algebra(error_set(gens))
+    monkeypatch.setattr(algebra, "_SPAN_MEMBERSHIP_TOL", tol)
+    with pytest.raises(DegenerateSpectrumError, match="algebra dimension"):
+        decompose(alg)
+
+
 def test_resource_caps_reject_oversized_dense_problems():
     es = error_set(_collective())
     with pytest.raises(ResourceLimitError):

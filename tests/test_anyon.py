@@ -7,6 +7,7 @@ expectation value.  Braiding phases come out of exact symplectic arithmetic
 and must match dense overlaps.
 """
 
+import json
 import random
 
 import numpy as np
@@ -501,6 +502,15 @@ def test_fusing_across_two_pairs_banks_the_loop_it_closes():
         rep = run_trajectory(lat, two_pairs, sector)
         assert rep == run_trajectory(lat, one_pair, sector), shape
         assert rep["phase"] == [-1.0, 0.0], shape
+
+
+def test_trajectory_phases_print_no_negative_zero():
+    """Banking a loop divides by its sign, -1+0j, which turns a zero
+    imaginary part into -0.0; equal phases still print equal bytes."""
+    for shape, sector, two_pairs, one_pair in _TWO_PAIR_ROUTES:
+        for script in (two_pairs, one_pair):
+            rep = run_trajectory(build_torus(*shape), script, sector)
+            assert json.dumps(rep["phase"]) == "[-1.0, 0.0]", (shape, script)
 
 
 def test_fusing_across_two_pairs_matches_the_dense_state():

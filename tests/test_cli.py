@@ -299,6 +299,9 @@ def test_config_file_values_are_refused_not_coerced(tmp_path, capsys):
         ("scaling", {"sizes": 5}, "sizes"),
         ("scaling", {"sizes": "2x2,2x3,3x2", "h": True}, "h"),
         ("scaling", {"sizes": "2x2,2x3,3x2", "h": "0.1"}, "h"),
+        # open() would take these as file descriptors (0 is stdin)
+        ("braid", {"l1": 2, "l2": 2, "script": 0}, "script must be a path string"),
+        ("decompose", {"input": True}, "input must be a path string"),
     ]
     for k, (command, doc, name) in enumerate(cases):
         cfg = tmp_path / f"coerce{k}.json"
@@ -386,6 +389,27 @@ def test_config_keys_are_option_names_and_unknown_keys_exit_2(tmp_path, capsys):
         rc, out, err = _run(capsys, [command, "--config", str(cfg)])
         assert rc == EXIT_VALIDATION and out == "", doc
         assert f"unknown config key: {key}" in err
+
+
+def test_output_path_from_a_config_file_must_be_a_string(tmp_path):
+    """open() takes an int as a file descriptor: {"output": 2} would write
+    the report to stderr and then close descriptor 2, so the case runs in a
+    child process."""
+    import subprocess
+    import sys
+
+    import nsslab
+
+    cfg = tmp_path / "output.json"
+    cfg.write_text(json.dumps({"output": 2}))
+    src = os.path.dirname(os.path.dirname(nsslab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nsslab.cli", "toric", "--l1", "2", "--l2", "2",
+         "--config", str(cfg)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == EXIT_VALIDATION and proc.stdout == ""
+    assert "output must be a path string" in proc.stderr, proc.stderr
 
 
 def test_resource_refusal_leaves_no_partial_output(tmp_path, capsys):
