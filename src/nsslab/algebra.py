@@ -372,7 +372,8 @@ def span_projector_distance(a: MatrixAlgebra, b: MatrixAlgebra) -> float:
 # ---------------------------------------------------------------- JSON I/O
 
 def _matrix_to_pairs(mat: np.ndarray):
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat)]
+    m = np.asarray(mat, dtype=complex)
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def _matrix_from_pairs(rows, d):

@@ -460,6 +460,10 @@ def spectrum(lat: TorusLattice, perturbation=None, h: float = 0.0,
 
 # Energy of the cheapest flux: one pair of violated checks, +2 each.
 _FLUX_PAIR_COST = 4.0
+# `_flux_free_row` builds its shared sign rows in chunks of at most this many
+# entries (1 MB as float64): at 4x4 one chunk of all 32 rows and its int64
+# temporary would raise the run's peak memory by a seventh
+_SIGN_ROW_ENTRIES = 1 << 17
 
 
 def _loop_frames(lat: TorusLattice, swap: bool = False):
@@ -480,6 +484,15 @@ def _loop_frames(lat: TorusLattice, swap: bool = False):
     return checks, frames, [op.x_bits for op, _ in checks if op.x_bits][:-1]
 
 
+def _sign_rows(states, field_bits):
+    """(terms, R) in chunks of at most _SIGN_ROW_ENTRIES entries: R[t, c] =
+    (-1)^|z_t & states[c]| for the field terms t of the slice `terms`."""
+    step = max(1, _SIGN_ROW_ENTRIES // len(states))
+    for start in range(0, len(field_bits), step):
+        terms = slice(start, start + step)
+        yield terms, _signs(states, field_bits[terms, None])
+
+
 def _flux_free_row(lat: TorusLattice, perturbation, h: float,
                    config: EngineConfig):
     """(splitting, gap, coupling_k, deviation_max) of the full spectrum,
@@ -495,24 +508,36 @@ def _flux_free_row(lat: TorusLattice, perturbation, h: float,
     The merged flux-free levels are therefore the full-space levels when the
     (q+1)-th lies at or below w0 + 4 (to within _EIG_RESIDUAL_TOL); else the
     run refuses, as it does on a tie of levels q and q + 1.
+
+    The four sectors share one set of sign rows.  Sector J's states are
+    states0 ^ z0_J, states0 the coset of z0 = 0, so the sign of field term t
+    on state c of sector J is sigma[J, t] * R[t, c], with R[t] the signs of
+    z_t on states0 and the scalar sigma[J, t] = (-1)^|z_t & z0_J|.  Each
+    sector's field is then one product, (coeffs * sigma[J]) @ R, and each
+    sector's blocks G^T Z_t G of the multiplet one batched product.  R is
+    built in chunks of terms (`_sign_rows`), twice: once for the fields and
+    once for the blocks, so it is never held through the solves.
     """
     ops = [op for op, _ in perturbation]
     swap = all(op.z_bits == 0 for op in ops)
     if not ops or any(op.phase or weight(op) != 1 or (op.z_bits if swap else op.x_bits)
                       for op in ops):
         raise ValueError("the sector solver needs single-qubit terms, all X or all Z")
-    field_bits = [op.x_bits if swap else op.z_bits for op in ops]
+    field_bits = np.array([op.x_bits if swap else op.z_bits for op in ops])
+    coeffs = np.array([coeff for _, coeff in perturbation], dtype=float)
     checks, frames, basis = _loop_frames(lat, swap)
     q = code_dimension(lat)
     dim = 1 << len(basis)
+    states0 = _coset_states(0, basis)
+    sigma = _signs(np.array(frames)[:, None], field_bits)
+    fields = np.zeros((len(frames), dim))
+    for terms, R in _sign_rows(states0, field_bits):
+        fields += (coeffs[terms] * sigma[:, terms]) @ R
     # the same in every sector: the X loops of z0 commute with every
     # plaquette, and the stars carry no Z
     check_groups = _coset_sum(checks, frames[0], basis)
-    solved, states, fields = [], [], []
-    for J, z0 in enumerate(frames):
-        states.append(_coset_states(z0, basis))
-        fields.append(sum(coeff * _signs(states[J], z)
-                          for (_, coeff), z in zip(perturbation, field_bits)))
+    solved = []
+    for J in range(len(frames)):
         groups = dict(check_groups)
         groups[0] = h * fields[J] + groups[0]
         solved.append(_lowest(dim, q + 1, lambda: _coset_dense(groups, dim),
@@ -534,11 +559,14 @@ def _flux_free_row(lat: TorusLattice, perturbation, h: float,
     share = [sum(1 for _, J in levels[:q] if J == K) for K in range(len(solved))]
     multiplet = [(J, solved[J][1][:, :m]) for J, m in enumerate(share) if m]
     deviation = 0.0
-    for z in field_bits:
-        blocks = [G.T @ (_signs(states[J], z)[:, None] * G) for J, G in multiplet]
-        c = sum(np.trace(b) for b in blocks) / q
+    for terms, R in _sign_rows(states0, field_bits):
+        # blocks[i][t] = G^T Z_t G in the i-th multiplet sector
+        blocks = [sigma[J, terms, None, None] * np.matmul(G.T, R[:, :, None] * G)
+                  for J, G in multiplet]
+        c = sum(np.trace(b, axis1=1, axis2=2) for b in blocks) / q
         for b in blocks:
-            deviation = max(deviation, float(np.linalg.norm(b - c * np.eye(len(b)), 2)))
+            dev = np.linalg.norm(b - c[:, None, None] * np.eye(b.shape[1]), 2, axis=(1, 2))
+            deviation = max(deviation, float(dev.max()))
     coupling = 0.0
     for J, G in multiplet:
         vg = fields[J][:, None] * G

@@ -26,7 +26,7 @@ from nsslab import (
     error_set_from_json,
     error_set_to_json,
 )
-from nsslab.algebra import span_projector_distance
+from nsslab.algebra import _matrix_to_pairs, span_projector_distance
 from nsslab.gf2 import nullspace
 from nsslab.pauli import PauliOp, to_dense
 
@@ -89,6 +89,19 @@ def test_error_set_json_round_trip_and_shape_check():
     doc["dimension"] = 5
     with pytest.raises(ValueError):
         error_set_from_json(json.dumps(doc))
+
+
+def test_matrix_pairs_equal_the_per_element_floats():
+    """The JSON [re, im] pairs equal float() of each entry, for complex and
+    real dtypes alike, so the reports print the same bytes."""
+    rng = np.random.default_rng(5)
+    mats = [_collective()[1], rng.standard_normal((4, 4)),
+            np.array([[-0.0, 1e-300], [0.1, 2.0]], dtype=np.float32),
+            np.eye(3, dtype=int), np.array([[complex(-0.0, -0.0)]])]
+    for mat in mats:
+        want = [[[float(v.real), float(v.imag)] for v in row] for row in mat]
+        got = _matrix_to_pairs(mat)
+        assert got == want and json.dumps(got) == json.dumps(want)
 
 
 def test_collective_spin_closure_dimension():

@@ -431,6 +431,74 @@ def test_sector_rows_match_the_full_space_solver():
             assert abs(row.coupling_k - coupling) < 1e-9, where
 
 
+def _per_term_row(lat, perturbation, h, config):
+    """`verify._flux_free_row` as it was before its diagnostics shared sign
+    rows: per sector, one sign vector per field term for the field and
+    again for each term's block of the multiplet."""
+    ops = [op for op, _ in perturbation]
+    swap = all(op.z_bits == 0 for op in ops)
+    field_bits = [op.x_bits if swap else op.z_bits for op in ops]
+    checks, frames, basis = verify._loop_frames(lat, swap)
+    q = code_dimension(lat)
+    dim = 1 << len(basis)
+    check_groups = verify._coset_sum(checks, frames[0], basis)
+    solved, states, fields = [], [], []
+    for J, z0 in enumerate(frames):
+        states.append(verify._coset_states(z0, basis))
+        fields.append(sum(coeff * verify._signs(states[J], z)
+                          for (_, coeff), z in zip(perturbation, field_bits)))
+        groups = dict(check_groups)
+        groups[0] = h * fields[J] + groups[0]
+        solved.append(verify._lowest(dim, q + 1,
+                                     lambda: verify._coset_dense(groups, dim),
+                                     lambda: verify._sparse_operator(groups, dim),
+                                     (5, lat.L1, lat.L2, J), config))
+    levels = sorted((float(x), J) for J, (w, _) in enumerate(solved) for x in w)
+    w0, top = levels[0][0], levels[q][0]
+    if top - w0 > verify._FLUX_PAIR_COST + verify._EIG_RESIDUAL_TOL * max(1.0, abs(w0)):
+        raise SectorCertificateError("flux-free certificate failed")
+    verify._refuse_tied_multiplet(lat, h, [x for x, _ in levels], q)
+    share = [sum(1 for _, J in levels[:q] if J == K) for K in range(len(solved))]
+    multiplet = [(J, solved[J][1][:, :m]) for J, m in enumerate(share) if m]
+    deviation = 0.0
+    for z in field_bits:
+        blocks = [G.T @ (verify._signs(states[J], z)[:, None] * G) for J, G in multiplet]
+        c = sum(np.trace(b) for b in blocks) / q
+        for b in blocks:
+            deviation = max(deviation, float(np.linalg.norm(b - c * np.eye(len(b)), 2)))
+    coupling = 0.0
+    for J, G in multiplet:
+        vg = fields[J][:, None] * G
+        coupling = max(coupling, float(np.linalg.norm(vg - G @ (G.T @ vg), 2)))
+    return levels[q - 1][0] - w0, top - w0, coupling, deviation
+
+
+@pytest.mark.parametrize("chunked", [False, True], ids=["budget", "one-term-chunks"])
+def test_shared_sign_rows_match_the_per_term_loop_exactly(chunked, monkeypatch):
+    """`_flux_free_row` builds its fields and multiplet blocks from sign rows
+    shared by the four sectors; with unit field coefficients every sum is the
+    same float sum as the per-term loop's, so the rows are equal, not close.
+    Covers every kind, a sector holding two multiplet levels (z_field_right
+    at h = 1.2), the ARPACK branch (3x3 with the dense cap at 1) and, with
+    `chunked`, a sign-row budget that puts every term in its own chunk."""
+    if chunked:
+        monkeypatch.setattr(verify, "_SIGN_ROW_ENTRIES", 1)
+    cases = [(kind, h, size) for kind in PERTURBATION_KINDS for h in (0.0, 0.1, -0.2)
+             for size in ((2, 2), (2, 3), (3, 2), (2, 4))]
+    cases += [("z_field_right", 1.2, size) for size in ((2, 2), (2, 3))]
+    for kind, h, size in cases:
+        lat = build_torus(*size)
+        pert = perturbation_terms(lat, kind)
+        assert verify._flux_free_row(lat, pert, h, DEFAULT_CONFIG) == \
+            _per_term_row(lat, pert, h, DEFAULT_CONFIG), (kind, h, size)
+    monkeypatch.setattr(verify, "_DENSE_SPECTRUM_CAP", 1)
+    lat = build_torus(3, 3)
+    for kind in ("z_field", "x_field"):
+        pert = perturbation_terms(lat, kind)
+        assert verify._flux_free_row(lat, pert, 0.1, DEFAULT_CONFIG) == \
+            _per_term_row(lat, pert, 0.1, DEFAULT_CONFIG), kind
+
+
 def test_scaling_refuses_when_the_flux_free_certificate_fails(capsys):
     # at h = 2 the fifth flux-free level lies more than 4 above the ground,
     # where a sector with flux could undercut it
