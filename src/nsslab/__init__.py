@@ -48,6 +48,7 @@ from .lattice import (
     homology_basis,
     lattice_to_json,
     stabilizer_expansion,
+    syndrome,
 )
 from .pauli import (
     PauliOp,

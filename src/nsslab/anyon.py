@@ -27,8 +27,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .lattice import SectorLabel, TorusLattice, homology_basis, stabilizer_expansion
-from .pauli import PauliOp, commutes, identity, multiply
+from .lattice import SectorLabel, TorusLattice, stabilizer_expansion, syndrome
+from .pauli import PauliOp, identity, multiply
 
 
 class InvalidMoveError(ValueError):
@@ -66,20 +66,20 @@ class AnyonState:
     def frame_signs(self) -> dict:
         """Current signs of the two Z-type frame loops: the state's sector
         label, each reference sign times the crossing sign of `applied`."""
-        loops = homology_basis(self.lat)
-        return {lo.homology_class: j * (1 if commutes(lo.op, self.applied) else -1)
-                for j, lo in zip(self.sector0.j, loops[:2])}
+        _, loops = syndrome(self.lat, self.applied)
+        return {lo.homology_class: j * (-1 if loops >> i & 1 else 1)
+                for i, (lo, j) in enumerate(zip(self.lat.loops, self.sector0.j))}
 
     @property
     def check_signs(self) -> tuple:
-        """Signs of every star then every plaquette (dependent set included)."""
-        checks = list(self.lat.vertex_stars) + list(self.lat.plaquette_checks)
-        return tuple(1 if commutes(ch, self.applied) else -1 for ch in checks)
+        """Signs of all stars then all plaquettes: one per edge on a torus."""
+        checks, _ = syndrome(self.lat, self.applied)
+        return tuple(-1 if checks >> k & 1 else 1 for k in range(self.lat.n_qubits))
 
     @property
     def energy(self) -> int:
         """Number of violated (-1) checks."""
-        return sum(1 for s in self.check_signs if s < 0)
+        return syndrome(self.lat, self.applied)[0].bit_count()
 
 
 # -------------------------------------------------- scalar-action solver

@@ -2,9 +2,9 @@
 
 Vectors are Python ints (bit i = coordinate i).  Everything here is exact,
 and every routine starts from the one row reduction `_eliminate`.  `rank`
-backs the check count of the toric code, `solve` the coset coordinates of
-the spectral kernel; toric stabilizer membership needs neither (see
-`lattice.stabilizer_expansion`).
+backs the check count of the toric code and its error-orbit sizes, `solve`
+the coset coordinates of the spectral kernel and the orbit overlaps.  Toric
+stabilizer membership needs neither: it is a zero `lattice.syndrome`.
 """
 
 

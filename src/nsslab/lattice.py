@@ -4,8 +4,8 @@ Edge layout: vertex (r, c) owns edge 2*(r*L2 + c) + d, where d = 0 is the
 edge going right and d = 1 the edge going down.  Stars are all-X on the four
 edges meeting a vertex; plaquettes are all-Z on the four edges bounding a
 face (named by its top-left vertex).  Minimal homology representatives run
-straight through row 0 / column 0.  Stabilizer membership is a commutation
-test; GF(2) elimination only ranks the checks.
+straight through row 0 / column 0.  Checks and loops, built once, are the
+one stabilizer frame, read by `syndrome`; GF(2) only ranks the checks.
 """
 
 import json
@@ -39,6 +39,8 @@ class TorusLattice:
     n_qubits: int
     vertex_stars: tuple
     plaquette_checks: tuple
+    loops: tuple = ()       # LoopOperators g1_Z, g2_Z, g1_X, g2_X
+    edge_flips: tuple = ()  # per edge: (checks a Z on it flips, checks an X flips)
     genus: int = 1
 
     def edge_index(self, r: int, c: int, d: int) -> int:
@@ -101,7 +103,14 @@ def build_torus(L1: int, L2: int) -> TorusLattice:
         for c in range(L2):
             stars.append(PauliOp(n, _mask(proto.star_edges(r, c)), 0))
             plaqs.append(PauliOp(n, 0, _mask(proto.plaquette_edges(r, c))))
-    return TorusLattice(L1, L2, n, tuple(stars), tuple(plaqs))
+    # g1 on row 0, g2 on column 0: Z loops on the edges along it, X across it
+    z1, x1 = (_mask(proto.edge_index(0, c, d) for c in range(L2)) for d in (0, 1))
+    x2, z2 = (_mask(proto.edge_index(r, 0, d) for r in range(L1)) for d in (0, 1))
+    loops = (LoopOperator("g1_Z", PauliOp(n, 0, z1)), LoopOperator("g2_Z", PauliOp(n, 0, z2)),
+             LoopOperator("g1_X", PauliOp(n, x1, 0)), LoopOperator("g2_X", PauliOp(n, x2, 0)))
+    flips = tuple((_mask(proto.edge_vertices(e)), _mask(proto.edge_faces(e)) << L1 * L2)
+                  for e in range(n))
+    return TorusLattice(L1, L2, n, tuple(stars), tuple(plaqs), loops, flips)
 
 
 def check_rank(lat: TorusLattice) -> int:
@@ -120,17 +129,23 @@ def homology_basis(lat: TorusLattice) -> list:
     Pairing: g1_Z anticommutes with g2_X, g2_Z with g1_X, all other pairs
     commute.
     """
-    n = lat.n_qubits
-    z1 = _mask(lat.edge_index(0, c, 0) for c in range(lat.L2))
-    z2 = _mask(lat.edge_index(r, 0, 1) for r in range(lat.L1))
-    x1 = _mask(lat.edge_index(0, c, 1) for c in range(lat.L2))
-    x2 = _mask(lat.edge_index(r, 0, 0) for r in range(lat.L1))
-    return [
-        LoopOperator("g1_Z", PauliOp(n, 0, z1)),
-        LoopOperator("g2_Z", PauliOp(n, 0, z2)),
-        LoopOperator("g1_X", PauliOp(n, x1, 0)),
-        LoopOperator("g2_X", PauliOp(n, x2, 0)),
-    ]
+    return list(lat.loops)
+
+
+def syndrome(lat: TorusLattice, op: PauliOp) -> tuple:
+    """(checks, loops): bit k of checks is set when op anticommutes with
+    check k (stars, then plaquettes), bit i of loops when it anticommutes
+    with homology_basis(lat)[i]; a qubit-count mismatch raises ValueError.
+    Check bits are read by incidence in O(weight of op): a Z on an edge
+    flips the stars at its ends, an X the plaquettes on its sides."""
+    loops = sum(1 << i for i, lo in enumerate(lat.loops) if not commutes(op, lo.op))
+    checks = 0
+    for bits, k in ((op.z_bits, 0), (op.x_bits, 1)):
+        while bits:
+            e = bits.bit_length() - 1
+            checks ^= lat.edge_flips[e][k]
+            bits ^= 1 << e
+    return checks, loops
 
 
 def stabilizer_expansion(lat: TorusLattice, op: PauliOp):
@@ -138,15 +153,14 @@ def stabilizer_expansion(lat: TorusLattice, op: PauliOp):
     g2_Z: (phase, (g1_Z used, g2_Z used)), or None if there is none.
 
     These n independent commuting generators on n qubits are a maximal
-    commuting set, so op is in their group iff it commutes with all of them.
-    They are pure X or pure Z with phase 0, so the phase is op's own; only
-    g1_Z anticommutes with g2_X, and only g2_Z with g1_X.
+    commuting set, so op is in their group iff its syndrome against them is
+    zero.  They are pure X or pure Z with phase 0, so the phase is op's own;
+    op uses g1_Z iff it anticommutes with g2_X, and g2_Z iff with g1_X.
     """
-    g1_z, g2_z, g1_x, g2_x = (lo.op for lo in homology_basis(lat))
-    generators = lat.vertex_stars + lat.plaquette_checks + (g1_z, g2_z)
-    if not all(commutes(op, g) for g in generators):
+    checks, loops = syndrome(lat, op)
+    if checks or loops & 3:
         return None
-    return op.phase, (not commutes(op, g2_x), not commutes(op, g1_x))
+    return op.phase, (bool(loops & 8), bool(loops & 4))
 
 
 def lattice_to_json(lat: TorusLattice) -> str:

@@ -22,6 +22,7 @@ the 2^n-dimensional oracles that the exact layers are checked against:
 """
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -33,9 +34,9 @@ from .config import (DEFAULT_CONFIG, ConvergenceError, EngineConfig,
 from .algebra import ErrorSet
 from .anyon import AnyonState
 from .lattice import (SectorLabel, TorusLattice, build_torus, code_dimension,
-                      homology_basis, stabilizer_expansion)
+                      homology_basis, syndrome)
 from .pauli import (PauliOp, _coset_dense, _coset_states, _coset_sum, _signs,
-                    apply_to_vector, commutes, format_pauli, weight)
+                    apply_to_vector, format_pauli, weight)
 
 
 # a code projector must be Hermitian and idempotent to within this (Frobenius)
@@ -52,6 +53,8 @@ _EIG_RESIDUAL_TOL = 1e-9
 _EIG_MAX_ITER = 20000
 # relative (to the gap) width of one quasi-degenerate multiplet
 _DEGENERACY_CLUSTER_REL = 1e-6
+# `local_error_generators` refuses to enumerate more Paulis than this
+_MAX_ERROR_GENERATORS = 1 << 20
 
 
 class InsufficientDataError(ValueError):
@@ -116,28 +119,15 @@ def kl_check_stabilizer(lat: TorusLattice, errors, labels=None) -> KLReport:
     For each error: c = the exact eigenvalue if the error is a product of
     checks (deviation 0), c = 0 if some check detects it (deviation 0), and
     deviation 1 if it commutes with every check without being a product of
-    them (an undetectable logical action on the code space): its expansion
-    in checks and Z-frame loops uses a loop, or it has none at all.
+    them (an undetectable logical action on the code space): it
+    anticommutes with some frame loop.
     """
-    checks = list(lat.vertex_stars) + list(lat.plaquette_checks)
     out_labels, cs, devs = [], [], []
     for i, err in enumerate(errors):
-        if err.n != lat.n_qubits:
-            raise ValueError("error acts on the wrong qubit count")
+        checks, loops = syndrome(lat, err)
         out_labels.append(labels[i] if labels else format_pauli(err))
-        if any(not commutes(err, ch) for ch in checks):
-            cs.append(0j)
-            devs.append(0.0)
-            continue
-        expansion = stabilizer_expansion(lat, err)
-        if expansion is None or any(expansion[1]):
-            # normalizer minus stabilizer: acts within the code space
-            cs.append(0j)
-            devs.append(1.0)
-            continue
-        # err = i^phase * (product of checks), which is +1 on the code space
-        cs.append(1j ** expansion[0])
-        devs.append(0.0)
+        cs.append(0j if checks or loops else 1j ** err.phase)
+        devs.append(1.0 if loops and not checks else 0.0)
     return _report(out_labels, cs, devs)
 
 
@@ -163,7 +153,7 @@ def kl_check_dense(code_projector: np.ndarray, errs: ErrorSet) -> KLReport:
     return _report(list(errs.labels), cs, devs)
 
 
-def kl_check_ground_basis(basis_cols: np.ndarray, errors, labels=None) -> KLReport:
+def kl_check_ground_basis(basis_cols: np.ndarray, errors) -> KLReport:
     """Same condition, matrix-free: deviation of G^dag X G from c*1.
 
     `basis_cols` holds orthonormal columns spanning the (possibly perturbed)
@@ -173,8 +163,8 @@ def kl_check_ground_basis(basis_cols: np.ndarray, errors, labels=None) -> KLRepo
     G = np.asarray(basis_cols)
     m = G.shape[1]
     out_labels, cs, devs = [], [], []
-    for i, err in enumerate(errors):
-        out_labels.append(labels[i] if labels else format_pauli(err))
+    for err in errors:
+        out_labels.append(format_pauli(err))
         comp = G.conj().T @ apply_to_vector(err, G)
         c = complex(np.trace(comp) / m)
         cs.append(c)
@@ -259,25 +249,27 @@ def local_error_generators(lat: TorusLattice, max_weight: int = 2,
 
     Restricting to the loop commutant keeps the generated motion inside one
     sector; products of these operators reach every check and every defect
-    pattern but never a bare logical.
+    pattern but never a bare logical.  More than _MAX_ERROR_GENERATORS
+    Paulis, counted in closed form before any is built, are refused.
     """
     n = lat.n_qubits
-    loops = [lo.op for lo in homology_basis(lat)]
+    count = sum(math.comb(n, w) * 3**w for w in range(1, max_weight + 1))
+    if count > _MAX_ERROR_GENERATORS:
+        raise ResourceLimitError(f"{count} Paulis of weight <= {max_weight} on "
+                                 f"{n} qubits exceed {_MAX_ERROR_GENERATORS}")
     gens = []
-    combos = []
     for w in range(1, max_weight + 1):
-        combos += list(itertools.combinations(range(n), w))
-    for qs in combos:
-        for kinds in itertools.product("XZY", repeat=len(qs)):
-            x = z = 0
-            for q, kind in zip(qs, kinds):
-                if kind in "XY":
-                    x |= 1 << q
-                if kind in "ZY":
-                    z |= 1 << q
-            op = PauliOp(n, x, z)
-            if not loop_commuting or all(commutes(op, lo) for lo in loops):
-                gens.append(op)
+        for qs in itertools.combinations(range(n), w):
+            for kinds in itertools.product("XZY", repeat=w):
+                x = z = 0
+                for q, kind in zip(qs, kinds):
+                    if kind in "XY":
+                        x |= 1 << q
+                    if kind in "ZY":
+                        z |= 1 << q
+                op = PauliOp(n, x, z)
+                if not loop_commuting or not syndrome(lat, op)[1]:
+                    gens.append(op)
     return gens
 
 
@@ -287,21 +279,20 @@ def sector_orbits(lat: TorusLattice, errors=None,
 
     |J> is the stabilizer state of n independent generators: all stars but
     one, all plaquettes but one, and the signed Z loops g1_Z, g2_Z.  A Pauli
-    word moves it to the joint eigenvector of the word's syndrome against
-    them, so the orbit of |J> has one dimension per syndrome in the GF(2)
-    span of the errors' syndromes: 2^rank.  |J'> is the eigenvector of the
-    Z-loop flip taking J to J', so two orbits are the same space when that
-    flip lies in the span (overlap 1) and otherwise share no eigenvector
-    (overlap 0).  No vector is built, so `config` sets no cap here.
+    word moves it to the joint eigenvector of its `lattice.syndrome` against
+    them (the bits of the last star and plaquette, XORs of the others, add
+    no rank), so the orbit of |J> has one dimension per syndrome in the
+    GF(2) span of the errors' syndromes: 2^rank.  |J'> is the eigenvector of
+    the Z-loop flip taking J to J', so two orbits are the same space when
+    that flip lies in the span (overlap 1) and otherwise share no
+    eigenvector (overlap 0).  No vector is built, so `config` sets no cap.
     """
     gens = local_error_generators(lat) if errors is None else list(errors)
-    g1_z, g2_z = (lo.op for lo in homology_basis(lat)[:2])
-    frame = lat.vertex_stars[:-1] + lat.plaquette_checks[:-1] + (g1_z, g2_z)
-    syndromes = [sum(1 << k for k, f in enumerate(frame) if not commutes(g, f))
-                 for g in gens]
+    loop_bit = 2 * lat.L1 * lat.L2
+    syndromes = [checks | (loops & 3) << loop_bit
+                 for checks, loops in (syndrome(lat, g) for g in gens)]
     dims = (2 ** gf2.rank(syndromes),) * len(SECTOR_ORDER)
     # the loop flips between two labels of SECTOR_ORDER: g1_Z, g2_Z or both
-    loop_bit = len(frame) - 2
     coincide = any(gf2.solve(syndromes, flip << loop_bit) is not None
                    for flip in (1, 2, 3))
     return OrbitReport(dims, 1.0 if coincide else 0.0, sum(dims),
@@ -406,8 +397,7 @@ def _lowest(dim, k, dense, operator, stream, config):
 def _refuse_tied_multiplet(lat, h, w, q):
     """Level q + 1 within _DEGENERACY_CLUSTER_REL * max(|gap|, 1) of level q
     leaves the multiplet, and all read from it, to the solver's ranking."""
-    if len(w) > q and w[q] - w[q - 1] <= _DEGENERACY_CLUSTER_REL * max(
-            abs(w[q] - w[0]), 1.0):
+    if w[q] - w[q - 1] <= _DEGENERACY_CLUSTER_REL * max(abs(w[q] - w[0]), 1.0):
         raise ValueError(f"tied multiplet on {lat.L1}x{lat.L2} at h={h!r}: "
                          f"levels {q} and {q + 1} coincide")
 
@@ -441,8 +431,8 @@ def spectrum(lat: TorusLattice, perturbation=None, h: float = 0.0,
     w, V = _lowest(1 << n, _SPECTRUM_LEVELS,
                    lambda: _dense_hamiltonian(n, terms),
                    lambda: _matfree_operator(n, terms), (4, n), config)
-    gap = float(w[q] - w[0]) if len(w) > q else float("nan")
-    splitting = float(w[q - 1] - w[0]) if len(w) >= q else 0.0
+    gap = float(w[q] - w[0])
+    splitting = float(w[q - 1] - w[0])
     _refuse_tied_multiplet(lat, h, w, q)
     tol = _DEGENERACY_CLUSTER_REL * max(abs(gap), 1.0)
     degeneracy = int(np.sum(w - w[0] <= tol))

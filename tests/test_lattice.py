@@ -5,6 +5,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nsslab import gf2
 from nsslab.lattice import (
@@ -15,6 +16,7 @@ from nsslab.lattice import (
     code_dimension,
     homology_basis,
     stabilizer_expansion,
+    syndrome,
 )
 from nsslab.pauli import PauliOp, commutes, multiply, weight
 from nsslab.verify import SECTOR_ORDER, NotAnEigenstateError, code_basis, sector_of
@@ -201,6 +203,46 @@ def test_stabilizer_expansion_recovers_planted_products():
         assert outcomes == {None, (False, False), (True, False), (False, True), (True, True)}
     with pytest.raises(ValueError):
         stabilizer_expansion(build_torus(2, 2), PauliOp(4, 0, 0))
+
+
+def _syndrome_oracle(lat, op):
+    """One `commutes` per frame generator: the checks (stars, then
+    plaquettes) and the loops in homology_basis order."""
+    checks = lat.vertex_stars + lat.plaquette_checks
+    return (sum(1 << k for k, ch in enumerate(checks) if not commutes(op, ch)),
+            sum(1 << i for i, lo in enumerate(homology_basis(lat)) if not commutes(op, lo.op)))
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 5)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_syndrome_matches_one_commutation_per_generator(shape, data):
+    """Random Paulis of every weight 0..n, with random phases, against the
+    per-generator oracle: weight w takes the first w qubits of one random
+    order, each with a random letter."""
+    lat = build_torus(*shape)
+    n = lat.n_qubits
+    order = data.draw(st.permutations(range(n)))
+    letters = data.draw(st.lists(st.sampled_from("XYZ"), min_size=n, max_size=n))
+    phases = data.draw(st.lists(st.integers(0, 3), min_size=n + 1, max_size=n + 1))
+    for w in range(n + 1):
+        x = sum(1 << q for q, kind in zip(order[:w], letters) if kind in "XY")
+        z = sum(1 << q for q, kind in zip(order[:w], letters) if kind in "YZ")
+        op = PauliOp(n, x, z, phases[w])
+        assert weight(op) == w
+        assert syndrome(lat, op) == _syndrome_oracle(lat, op)
+
+
+def test_syndrome_refuses_a_qubit_count_mismatch_and_reads_stored_loops():
+    lat = build_torus(2, 2)
+    for n in (4, 9):
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            syndrome(lat, PauliOp(n, 0, 1))
+    # the loops are built once, with the lattice; homology_basis only names them
+    assert all(a is b for a, b in zip(homology_basis(lat), homology_basis(lat)))
+    assert [lo.homology_class for lo in homology_basis(lat)] == \
+        ["g1_Z", "g2_Z", "g1_X", "g2_X"]
 
 
 def test_sector_label_validation():

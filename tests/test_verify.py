@@ -33,7 +33,7 @@ from nsslab import (
 )
 import nsslab
 from nsslab import anyon, gf2, lattice, verify
-from nsslab.cli import EXIT_VALIDATION, main
+from nsslab.cli import EXIT_RESOURCE, EXIT_VALIDATION, main
 from nsslab.lattice import code_dimension, homology_basis
 from nsslab.pauli import PauliOp, apply_to_vector, commutes, multiply, to_dense, weight
 from nsslab.verify import (
@@ -151,6 +151,28 @@ def test_local_error_generator_counts_and_loop_filter():
         assert all(commutes(g, lo) for lo in loops)
 
 
+def test_error_enumeration_is_refused_before_it_starts(monkeypatch, capsys):
+    """The count sum_{1<=w<=W} C(n, w) 3^w is checked in closed form, before
+    any Pauli is built, by the library call and by `kl-check` (exit 4)."""
+    lat = build_torus(2, 2)
+    monkeypatch.setattr(verify, "_MAX_ERROR_GENERATORS", 276)
+    assert len(local_error_generators(lat, 2, loop_commuting=False)) == 276
+    monkeypatch.setattr(verify, "_MAX_ERROR_GENERATORS", 275)
+    with pytest.raises(ResourceLimitError, match="276 Paulis"):
+        local_error_generators(lat, 2)
+    assert main(["kl-check", "--l1", "2", "--l2", "2"]) == EXIT_RESOURCE
+    out = capsys.readouterr()
+    assert out.out == "" and "276 Paulis" in out.err
+    assert main(["kl-check", "--l1", "2", "--l2", "2", "--max-weight", "1"]) == 0
+    monkeypatch.undo()
+    # 7.7e10 Paulis on 4x4 at weight 8: refused at once at the default cap
+    t0 = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        local_error_generators(build_torus(4, 4), 8, loop_commuting=False)
+    assert main(["kl-check", "--l1", "4", "--l2", "4", "--max-weight", "8"]) == EXIT_RESOURCE
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_sector_orbits_fill_the_space_without_mixing():
     """GF(2) oracle: a loop-commuting Pauli word moves |J> to the vector of
     its syndrome, so each orbit has one dimension per reachable syndrome,
@@ -246,6 +268,40 @@ def test_sector_orbits_match_the_dense_frontier_oracle(size, case):
         assert rep.max_overlap == 1.0 and dims == (256,) * 4
 
 
+def _reduced_frame_orbits(lat, gens):
+    """Orbits from an independent frame of n generators, all stars but the
+    last, all plaquettes but the last, then g1_Z and g2_Z, with one
+    `commutes` per generator; returns (orbit dims, overlap)."""
+    g1_z, g2_z = (lo.op for lo in homology_basis(lat)[:2])
+    frame = lat.vertex_stars[:-1] + lat.plaquette_checks[:-1] + (g1_z, g2_z)
+    rows = [sum(1 << k for k, f in enumerate(frame) if not commutes(g, f)) for g in gens]
+    loop_bit = len(frame) - 2
+    coincide = any(gf2.solve(rows, flip << loop_bit) is not None for flip in (1, 2, 3))
+    return (2 ** gf2.rank(rows),) * 4, 1.0 if coincide else 0.0
+
+
+@pytest.mark.parametrize("size", ["2x2", "2x3"])
+def test_sector_orbits_match_the_reduced_frame(size):
+    """Rows of `lattice.syndrome` keep the last star's and plaquette's bits;
+    they are XORs of the others, so ranks and solutions are unchanged.  The
+    full weight-1 and weight-2 sets, and seeded subsets of one to six of
+    their members, whose ranks and overlaps vary."""
+    lat = build_torus(*map(int, size.split("x")))
+    rng = np.random.default_rng(5)
+    outcomes = set()
+    for w in (1, 2):
+        for loop_commuting in (True, False):
+            full = local_error_generators(lat, w, loop_commuting)
+            subsets = [[full[k] for k in rng.choice(len(full), rng.integers(1, 7))]
+                       for _ in range(40)]
+            for gens in [full] + subsets:
+                rep = sector_orbits(lat, errors=gens)
+                expect = _reduced_frame_orbits(lat, gens)
+                assert (rep.orbit_dims, rep.max_overlap) == expect
+                outcomes.add(expect[1])
+    assert outcomes == {0.0, 1.0}
+
+
 def test_sector_orbits_of_3x3_are_counted_not_built():
     """Four orbits of 2^16 states fill the 2^18-dimensional space of 3x3,
     far past the dense bridge, from GF(2) ranks alone."""
@@ -307,6 +363,17 @@ def test_the_dense_bridge_has_one_home():
         assert obj.__module__ == "nsslab.verify"
         assert getattr(nsslab, name) is obj
         assert not hasattr(anyon, name) and not hasattr(lattice, name)
+
+
+def test_the_stabilizer_frame_has_one_reader():
+    """Anticommutation with the checks and loops is read only by
+    `lattice.syndrome`: neither anyon nor verify imports `commutes`."""
+    for module in (anyon, verify):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert "commutes" not in imported, module.__name__
+        assert not hasattr(module, "commutes"), module.__name__
 
 
 def test_unperturbed_spectrum_dense_path():
