@@ -108,8 +108,9 @@ def _project_out(rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
     """Remove the span of orthonormal `rows` from candidate row vectors."""
     if rows.size == 0:
         return cand
+    rows_h = rows.conj().T
     for _ in range(2):  # reorthogonalization pass
-        cand = cand - (cand @ rows.conj().T) @ rows
+        cand = cand - (cand @ rows_h) @ rows
     return cand
 
 

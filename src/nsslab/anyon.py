@@ -216,35 +216,53 @@ def move_anyon(state: AnyonState, index: int, path) -> AnyonState:
 
 # ------------------------------------------------------------------ braid
 
-def _rectangle_cycle(lat: TorusLattice, kind: str, corner: tuple, dr: int, dc: int):
+def _rectangle_tables(lat: TorusLattice, kind: str) -> tuple:
+    """Index tables of the mover's graph (vertices for e, faces for m) over
+    twice the torus's period in each direction.
+
+    Returns (by_row, by_col).  by_row[r], r < 2 L1, holds three lists over
+    the columns c < 2 L2: node (r, c), and the edge a step right and a step
+    left from it crosses; by_col[c], c < 2 L2, holds the node and the down-
+    and up-step edges over the rows r < 2 L1.  Node (r, c) is
+    (r mod L1) L2 + c mod L2, the common row-major layout of vertices and
+    faces; node v owns edges 2v (right of vertex v, top of face v) and
+    2v + 1 (down from vertex v, left of face v).  A rectangle cornered in
+    the first period ends within the second, so each of its sides is one
+    slice of one list.
+    """
+    L1, L2 = lat.L1, lat.L2
+    ahead = 1 if kind == "m" else 0
+    rows = [[(r % L1) * L2 + c % L2 for c in range(2 * L2)] for r in range(2 * L1)]
+    cols = [list(col) for col in zip(*rows)]
+
+    def layout(lines, bit):
+        # a forward step crosses an edge of the node `ahead` steps on (0 for
+        # a vertex, 1 for a face), a backward step one of the node
+        # `ahead - 1` on; a rotated line keeps its period
+        return [(line,
+                 [2 * v + bit for v in line[ahead:] + line[:ahead]],
+                 [2 * v + bit for v in line[ahead - 1:] + line[:ahead - 1]])
+                for line in lines]
+    return layout(rows, ahead), layout(cols, 1 - ahead)
+
+
+def _rectangle_cycle(tables: tuple, corner: tuple, dr: int, dc: int):
     """Boundary cycle of a dr x dc cell rectangle, clockwise from corner.
 
-    Works in the vertex graph (kind e) or the face graph (kind m); returns
-    (ordered edge steps, boundary nodes).  Node (r, c) -> node index uses
-    the common row-major layout of vertices and faces, and node v owns the
-    edges 2v (right of vertex v, top of face v) and 2v + 1 (down from
-    vertex v, left of face v).  Step k joins nodes[k] to nodes[k + 1]: a
-    vertex step crosses an edge its left or upper end owns, in the step's
-    direction; a face step crosses an edge its right or lower end owns,
-    across the step's direction.
+    `tables` are `_rectangle_tables` of the mover's graph (vertices for e,
+    faces for m); corner (r0, c0) has r0 < L1 and c0 < L2, and dr <= L1,
+    dc <= L2.  Returns (ordered edge steps, boundary nodes): step k joins
+    nodes[k] to nodes[k + 1], so each side's steps are the same slice as
+    its nodes, read from the table of the side's direction.
     """
+    by_row, by_col = tables
     r0, c0 = corner
-    rows = [((r0 + i) % lat.L1) * lat.L2 for i in range(dr + 1)]
-    cols = [(c0 + j) % lat.L2 for j in range(dc + 1)]
-    top, bottom, left, right = rows[0], rows[dr], cols[0], cols[dc]
-    nodes = ([top + c for c in cols[:dc]] + [r + right for r in rows[:dr]] +
-             [bottom + c for c in cols[:0:-1]] + [r + left for r in rows[:0:-1]])
-    ring = nodes + nodes[:1]
-    # the top, right, bottom and left sides end at ring offsets e1..e4; on
-    # the top and right the owner is a vertex step's start and a face step's
-    # end (offset s), on the bottom and left the other one (offset t)
-    e1, e2, e3, e4 = dc, dc + dr, 2 * dc + dr, 2 * (dc + dr)
-    s = 1 if kind == "m" else 0
-    t = 1 - s
-    steps = ([2 * v + s for v in ring[s:e1 + s]] +
-             [2 * v + t for v in ring[e1 + s:e2 + s]] +
-             [2 * v + s for v in ring[e2 + t:e3 + t]] +
-             [2 * v + t for v in ring[e3 + t:e4 + t]])
+    r1, c1 = r0 + dr, c0 + dc
+    top, right, bottom, left = by_row[r0], by_col[c1], by_row[r1], by_col[c0]
+    nodes = (top[0][c0:c1] + right[0][r0:r1] +
+             bottom[0][c1:c0:-1] + left[0][r1:r0:-1])
+    steps = (top[1][c0:c1] + right[1][r0:r1] +
+             bottom[2][c1:c0:-1] + left[2][r1:r0:-1])
     return steps, nodes
 
 
@@ -259,12 +277,15 @@ def braid(state: AnyonState, mover: int, around: int) -> AnyonState:
     Encircling the dual type multiplies the phase by -1, the same type
     by +1.
 
-    Every candidate rectangle is built; enclosure is offset arithmetic.  A
-    rectangle from corner (r0, c0) encloses the same-type node (r, c) when
-    0 < (r - r0) mod L1 < dr and 0 < (c - c0) mod L2 < dc, and the
-    dual-type cell (r, c) when (r - r0 - shift) mod L1 < dr and
-    (c - c0 - shift) mod L2 < dc, with shift 1 for a face-graph rectangle
-    (the vertex inside face (r, c) is (r + 1, c + 1)) and 0 otherwise.
+    Every candidate rectangle is still built, in the order (dr, dc, r0,
+    c0), each side as one slice of the mover's graph's index tables; the
+    tables are built once per call, in O(L1 L2), and dropped on return.
+    Enclosure is offset arithmetic.  A rectangle from corner (r0, c0)
+    encloses the same-type node (r, c) when 0 < (r - r0) mod L1 < dr and
+    0 < (c - c0) mod L2 < dc, and the dual-type cell (r, c) when
+    (r - r0 - shift) mod L1 < dr and (c - c0 - shift) mod L2 < dc, with
+    shift 1 for a face-graph rectangle (the vertex inside face (r, c) is
+    (r + 1, c + 1)) and 0 otherwise.
     """
     _require_anyons(state, mover, around)
     if mover == around:
@@ -285,12 +306,13 @@ def braid(state: AnyonState, mover: int, around: int) -> AnyonState:
     lo = 1 if same_type else 0
     if not same_type:
         tr, tc = tr - shift, tc - shift
+    tables = _rectangle_tables(lat, mv.kind)
     best = None
     for dr in range(1, L1):
         for dc in range(1, L2):
             for r0 in range(L1):
                 for c0 in range(L2):
-                    steps, nodes = _rectangle_cycle(lat, mv.kind, (r0, c0), dr, dc)
+                    steps, nodes = _rectangle_cycle(tables, (r0, c0), dr, dc)
                     if mv.position not in nodes:
                         continue
                     if not (lo <= (tr - r0) % L1 < dr and lo <= (tc - c0) % L2 < dc):

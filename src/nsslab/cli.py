@@ -251,8 +251,9 @@ def _cmd_kl_check(opts, cfg) -> str:
     if max_w < 0:
         raise ValueError("--max-weight must be >= 0")
     errors = local_error_generators(lat, max_w, loop_commuting=False)
-    rep = kl_check_stabilizer(lat, errors)
-    logicals = [lab for lab, dev in rep.per_error if dev > 0.5]
+    # label by index, so only the logicals get a Pauli string
+    rep = kl_check_stabilizer(lat, errors, labels=range(len(errors)))
+    logicals = [format_pauli(errors[i]) for i, dev in rep.per_error if dev > 0.5]
     loops = homology_basis(lat)
     loop_rep = kl_check_stabilizer(lat, [lo.op for lo in loops],
                                    labels=[lo.homology_class for lo in loops])

@@ -31,8 +31,8 @@ from nsslab import (
     run_trajectory,
     sector_of,
 )
-from nsslab import gf2
-from nsslab.anyon import _rectangle_cycle
+from nsslab import anyon, gf2
+from nsslab.anyon import _rectangle_cycle, _rectangle_tables
 from nsslab.lattice import homology_basis
 from nsslab.pauli import PauliOp, apply_to_vector, commutes
 from nsslab.verify import SECTOR_ORDER, code_basis
@@ -345,15 +345,38 @@ def _old_braid(state, mover, around):
 
 
 def test_rectangle_cycle_matches_the_closure_builder():
-    for shape in ((2, 2), (2, 3), (3, 4), (4, 5), (5, 3), (6, 6)):
+    """Every corner and size up to a whole period, so the slices reach the
+    last rows and columns of the doubled tables; the long thin shapes make
+    the two periods differ most."""
+    for shape in ((2, 2), (2, 3), (3, 4), (4, 5), (5, 3), (6, 6), (2, 7), (7, 3)):
         lat = build_torus(*shape)
         for kind in "em":
+            tables = _rectangle_tables(lat, kind)
             for dr in range(1, lat.L1 + 1):
                 for dc in range(1, lat.L2 + 1):
                     for r0 in range(lat.L1):
                         for c0 in range(lat.L2):
-                            args = (lat, kind, (r0, c0), dr, dc)
-                            assert _rectangle_cycle(*args) == _old_rectangle_cycle(*args), args
+                            args = ((r0, c0), dr, dc)
+                            assert (_rectangle_cycle(tables, *args) ==
+                                    _old_rectangle_cycle(lat, kind, *args)), (shape, kind, args)
+
+
+def test_braid_builds_one_rectangle_per_candidate(monkeypatch):
+    """The search builds every corner of every size below a full period:
+    (L1 - 1)(L2 - 1) L1 L2 rectangles, found or not."""
+    built = []
+
+    def counted(*args):
+        built.append(args)
+        return _rectangle_cycle(*args)
+    monkeypatch.setattr(anyon, "_rectangle_cycle", counted)
+    s = create_pair(create_pair(ground_state(build_torus(4, 4)), "e", 0), "m", 11)
+    assert relative_phase(braid(s, 0, 2), s) == -1
+    assert len(built) == 3 * 3 * 16
+    del built[:]
+    s = create_pair(create_pair(ground_state(build_torus(3, 5)), "m", 0), "e", 7)
+    braid(s, 0, 2)
+    assert len(built) == (3 - 1) * (5 - 1) * 3 * 5
 
 
 def _outcome(fn, state, mover, around):

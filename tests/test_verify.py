@@ -498,6 +498,40 @@ def test_sector_rows_match_the_full_space_solver():
             assert abs(row.coupling_k - coupling) < 1e-9, where
 
 
+def _assert_rows_agree(rows_a, rows_b, where):
+    for a, b in zip(rows_a, rows_b, strict=True):
+        for field in ("splitting", "gap", "coupling_k", "deviation_max"):
+            assert abs(getattr(a, field) - getattr(b, field)) < 1e-12, (where, a, b, field)
+
+
+_DENSE_SIZES = [(2, 2), (2, 3), (3, 2), (2, 4)]
+
+
+@pytest.mark.parametrize("h", [0.1, 0.3])
+def test_sector_rows_respect_e_m_duality(h):
+    """An X field and a Z field are exchanged by the lattice duality that
+    swaps stars and plaquettes, so their rows agree."""
+    _assert_rows_agree(scaling_study(_DENSE_SIZES, h, kind="x_field").rows,
+                       scaling_study(_DENSE_SIZES, h, kind="z_field").rows, h)
+
+
+@pytest.mark.parametrize("kind", PERTURBATION_KINDS)
+def test_sector_rows_are_even_in_h(kind):
+    """X on every edge commutes with every check and flips every Z (and Z
+    on every edge every X), so h and -h give the same rows."""
+    _assert_rows_agree(scaling_study(_DENSE_SIZES, 0.2, kind=kind).rows,
+                       scaling_study(_DENSE_SIZES, -0.2, kind=kind).rows, kind)
+
+
+def test_sector_rows_of_transposed_tori_agree():
+    """Transposing L1 x L2 to L2 x L1 turns the row-direction field into the
+    column-direction one."""
+    transposed = [(L2, L1) for L1, L2 in _DENSE_SIZES]
+    for h in (0.1, -0.3):
+        _assert_rows_agree(scaling_study(_DENSE_SIZES, h, kind="z_field_right").rows,
+                           scaling_study(transposed, h, kind="z_field_down").rows, h)
+
+
 def _per_term_row(lat, perturbation, h, config):
     """`verify._flux_free_row` as it was before its diagnostics shared sign
     rows: per sector, one sign vector per field term for the field and
