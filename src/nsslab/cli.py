@@ -25,8 +25,8 @@ from .config import DEFAULT_CONFIG, ConvergenceError, DegenerateSpectrumError, \
 from .lattice import build_torus, check_rank, code_dimension, homology_basis, \
     lattice_to_json
 from .pauli import format_pauli, weight
-from .verify import kl_check_stabilizer, local_error_generators, \
-    perturbation_terms, scaling_study, scaling_to_csv, spectrum
+from .verify import flux_free_spectrum, kl_check_stabilizer, \
+    local_error_generators, perturbation_terms, scaling_study, scaling_to_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -225,19 +225,18 @@ def _cmd_toric(opts, cfg) -> str:
         return lattice_to_json(lat)
     h = float(_number(_get(opts, "h", 0.0), "h", integral=False))
     kind = _get(opts, "perturbation", "z_field")
-    pert = perturbation_terms(lat, kind)  # validates the kind at every h
-    rep = spectrum(lat, pert if h else None, h, cfg)
-    dim = code_dimension(lat)
+    # the kind is validated and solved at every h; at h = 0 its field is zero
+    rep, _ = flux_free_spectrum(lat, perturbation_terms(lat, kind), h, cfg)
     return _json_report({
         "l1": lat.L1,
         "l2": lat.L2,
         "n_qubits": lat.n_qubits,
         "check_rank": check_rank(lat),
-        "code_dimension": dim,
+        "code_dimension": code_dimension(lat),
         "h": h,
         "perturbation": kind if h else None,
         # the multiplet and the next level: the levels gap and splitting read
-        "energies": list(rep.energies[:dim + 1]),
+        "energies": list(rep.energies),
         "ground_energy": rep.energies[0],
         "ground_degeneracy": rep.ground_degeneracy,
         "gap": rep.gap_delta,

@@ -22,8 +22,9 @@ class EngineConfig:
     seed: int = DEFAULT_SEED
     # size caps
     dense_bridge_max_qubits: int = 12
-    # log2 of the largest solved dimension: spectrum's qubit count,
-    # scaling's sector dimension
+    # log2 of the largest solved dimension: for `toric --report` and `scaling`
+    # it caps L1*L2 - 1, the flux-free sectors' exponent; only the library's
+    # `spectrum` reads it as a qubit count
     sparse_max_qubits: int = 20
     # dense-matrix ceiling for the algebra engine
     algebra_dense_cap: int = 4096

@@ -2,17 +2,20 @@
 
 Three layers: exact symplectic verdicts for Pauli errors (the projected
 error-correction condition, and the error orbits of the code vectors,
-counted from the GF(2) rank of the errors' syndromes), dense/matrix-free
-spectral analysis of the check Hamiltonian under local perturbations, and
-the size-scaling study of the quasi-degenerate ground-multiplet splitting,
-solved in the flux-free symmetry sectors of single-type fields.
+counted from the GF(2) rank of the errors' syndromes), spectral analysis of
+the check Hamiltonian under local perturbations, and the size-scaling study
+of the quasi-degenerate ground-multiplet splitting.
 
-Both spectral paths build the Hamiltonian with one kernel, `pauli._coset_sum`
+The CLI's one spectral engine, `flux_free_spectrum`, solves fields of one
+Pauli type in the four flux-free symmetry sectors; the full-space
+`spectrum`, for any Pauli perturbation, is its oracle and has no CLI
+caller.  Both build the Hamiltonian with one kernel, `pauli._coset_sum`
 (the full space is its unit frame, a flux-free sector a coset of the star
-span), and solve it with `_lowest`: dense eigh up to _DENSE_SPECTRUM_CAP
-states, seeded ARPACK above.  scipy is imported only in the ARPACK paths
-(`_lowest`, `_sparse_operator`), so every path that stays dense loads none
-of it.  Every tolerance is a fixed module constant, not a config field.
+span), solve it with `_lowest` (dense eigh up to _DENSE_SPECTRUM_CAP
+states, seeded ARPACK above) and read the multiplet with `_multiplet`.
+scipy is imported only in the ARPACK paths (`_lowest`, `_sparse_operator`),
+so every path that stays dense loads none of it.  Every tolerance is a
+fixed module constant, not a config field.
 
 This module is also the one home of the dense bridge for small lattices,
 the 2^n-dimensional oracles that the exact layers are checked against:
@@ -394,12 +397,16 @@ def _lowest(dim, k, dense, operator, stream, config):
     return w, V
 
 
-def _refuse_tied_multiplet(lat, h, w, q):
-    """Level q + 1 within _DEGENERACY_CLUSTER_REL * max(|gap|, 1) of level q
-    leaves the multiplet, and all read from it, to the solver's ranking."""
-    if w[q] - w[q - 1] <= _DEGENERACY_CLUSTER_REL * max(abs(w[q] - w[0]), 1.0):
+def _multiplet(lat, h, w, q):
+    """(ground_degeneracy, gap, splitting) of the lowest q ascending levels w,
+    refused when level q + 1 lies within _DEGENERACY_CLUSTER_REL * max(gap, 1)
+    of level q: that would leave the multiplet to the solver's ranking."""
+    gap = float(w[q] - w[0])
+    tol = _DEGENERACY_CLUSTER_REL * max(abs(gap), 1.0)
+    if w[q] - w[q - 1] <= tol:
         raise ValueError(f"tied multiplet on {lat.L1}x{lat.L2} at h={h!r}: "
                          f"levels {q} and {q + 1} coincide")
+    return int(sum(x - w[0] <= tol for x in w)), gap, float(w[q - 1] - w[0])
 
 
 # Levels `spectrum` asks for: three times the four-fold ground multiplet,
@@ -409,18 +416,14 @@ _SPECTRUM_LEVELS = 12
 
 def spectrum(lat: TorusLattice, perturbation=None, h: float = 0.0,
              config: EngineConfig = DEFAULT_CONFIG, return_vectors: bool = False):
-    """The 12 lowest levels of -sum(stars) - sum(plaquettes) + h*V.
+    """The 12 lowest levels of -sum(stars) - sum(plaquettes) + h*V on the
+    full 2^n-dimensional space: the oracle for any Pauli perturbation, with
+    no CLI caller (the CLI solves its fields with `flux_free_spectrum`).
 
-    Solved on the full 2^n-dimensional space (dense eigh up to
-    _DENSE_SPECTRUM_CAP states, ARPACK above, refused above
-    sparse_max_qubits), so any Pauli perturbation is accepted;
-    `scaling_study` instead solves single-type fields in their flux-free
-    sectors.  The ground multiplet is
-    the lowest code-dimension levels (refused when the next level ties with
-    them); gap_delta runs from the ground energy to the first level above
-    it, and splitting is its spread.  coupling_k is ||(1 - P0) V P0|| for
-    the bare perturbation V and the projector P0 onto the multiplet, which
-    does not depend on the basis the solver returns.
+    Dense eigh up to _DENSE_SPECTRUM_CAP states, ARPACK above, refused
+    above sparse_max_qubits qubits; the multiplet is read by `_multiplet`.
+    coupling_k is ||(1 - P0) V P0|| for the bare perturbation V and the
+    multiplet projector P0, which does not depend on the solver's basis.
     """
     if lat.n_qubits > config.sparse_max_qubits:
         raise ResourceLimitError(
@@ -431,11 +434,7 @@ def spectrum(lat: TorusLattice, perturbation=None, h: float = 0.0,
     w, V = _lowest(1 << n, _SPECTRUM_LEVELS,
                    lambda: _dense_hamiltonian(n, terms),
                    lambda: _matfree_operator(n, terms), (4, n), config)
-    gap = float(w[q] - w[0])
-    splitting = float(w[q - 1] - w[0])
-    _refuse_tied_multiplet(lat, h, w, q)
-    tol = _DEGENERACY_CLUSTER_REL * max(abs(gap), 1.0)
-    degeneracy = int(np.sum(w - w[0] <= tol))
+    degeneracy, gap, splitting = _multiplet(lat, h, w, q)
     coupling = 0.0
     if perturbation:
         G = V[:, :q]
@@ -450,9 +449,9 @@ def spectrum(lat: TorusLattice, perturbation=None, h: float = 0.0,
 
 # Energy of the cheapest flux: one pair of violated checks, +2 each.
 _FLUX_PAIR_COST = 4.0
-# `_flux_free_row` builds its shared sign rows in chunks of at most this many
-# entries (1 MB as float64): at 4x4 one chunk of all 32 rows and its int64
-# temporary would raise the run's peak memory by a seventh
+# `flux_free_spectrum` builds its shared sign rows in chunks of at most this
+# many entries (1 MB as float64): at 4x4 one chunk of all 32 rows and its
+# int64 temporary would raise the run's peak memory by a seventh
 _SIGN_ROW_ENTRIES = 1 << 17
 
 
@@ -483,10 +482,18 @@ def _sign_rows(states, field_bits):
         yield terms, _signs(states, field_bits[terms, None])
 
 
-def _flux_free_row(lat: TorusLattice, perturbation, h: float,
-                   config: EngineConfig):
-    """(splitting, gap, coupling_k, deviation_max) of the full spectrum,
-    from the four flux-free sectors.
+def _check_sector_cap(L1, L2, config):
+    """sparse_max_qubits caps L1*L2 - 1, the log2 of a flux-free sector."""
+    if L1 * L2 - 1 > config.sparse_max_qubits:
+        raise ResourceLimitError(f"size {L1}x{L2} exceeds the sparse cap")
+
+
+def flux_free_spectrum(lat: TorusLattice, perturbation, h: float,
+                       config: EngineConfig = DEFAULT_CONFIG):
+    """(SpectralReport of the q + 1 lowest levels, deviation_max) for a field
+    V of one Pauli type, from the four flux-free sectors.  coupling_k is
+    ||(1 - P0) V P0|| for the multiplet projector P0, and deviation_max the
+    largest projected-condition deviation of one term of V on the multiplet.
 
     A Z field commutes with every plaquette and both Z loops, so each sector
     is a coset of `_loop_frames`, of dimension 2^(L1*L2 - 1): stars shift
@@ -508,6 +515,7 @@ def _flux_free_row(lat: TorusLattice, perturbation, h: float,
     built in chunks of terms (`_sign_rows`), twice: once for the fields and
     once for the blocks, so it is never held through the solves.
     """
+    _check_sector_cap(lat.L1, lat.L2, config)
     ops = [op for op, _ in perturbation]
     swap = all(op.z_bits == 0 for op in ops)
     if not ops or any(op.phase or weight(op) != 1 or (op.z_bits if swap else op.x_bits)
@@ -535,15 +543,15 @@ def _flux_free_row(lat: TorusLattice, perturbation, h: float,
                               (5, lat.L1, lat.L2, J), config))
 
     levels = sorted((float(x), J) for J, (w, _) in enumerate(solved) for x in w)
-    w0, top = levels[0][0], levels[q][0]
-    if top - w0 > _FLUX_PAIR_COST + _EIG_RESIDUAL_TOL * max(1.0, abs(w0)):
+    w = [x for x, _ in levels]
+    if w[q] - w[0] > _FLUX_PAIR_COST + _EIG_RESIDUAL_TOL * max(1.0, abs(w[0])):
         raise SectorCertificateError(
             f"flux-free certificate failed on {lat.L1}x{lat.L2} at h={h!r}: "
-            f"flux-free level {q + 1} lies {top - w0:.6g} above the ground, "
+            f"flux-free level {q + 1} lies {w[q] - w[0]:.6g} above the ground, "
             f"but sectors with flux are only bounded below by "
             f"{_FLUX_PAIR_COST:g} above it, so these levels need not be the "
             f"full spectrum")
-    _refuse_tied_multiplet(lat, h, [x for x, _ in levels], q)
+    degeneracy, gap, splitting = _multiplet(lat, h, w, q)
 
     # the multiplet: the lowest q levels, with each sector's share of vectors
     share = [sum(1 for _, J in levels[:q] if J == K) for K in range(len(solved))]
@@ -561,7 +569,7 @@ def _flux_free_row(lat: TorusLattice, perturbation, h: float,
     for J, G in multiplet:
         vg = fields[J][:, None] * G
         coupling = max(coupling, float(np.linalg.norm(vg - G @ (G.T @ vg), 2)))
-    return levels[q - 1][0] - w0, top - w0, coupling, deviation
+    return SpectralReport(tuple(w[:q + 1]), degeneracy, gap, splitting, coupling), deviation
 
 
 # ------------------------------------------------------------ scaling fit
@@ -588,17 +596,10 @@ def scaling_study(sizes, h: float, kind: str = "z_field",
 
     Sizes are deduplicated (order kept, with a note).  Every kind in
     PERTURBATION_KINDS is a field of one Pauli type, so each size is solved
-    in the four flux-free loop sectors, each a coset of dimension
-    2^(L1*L2 - 1) (see `_flux_free_row`); that dimension must fit the
-    sparse cap (L1*L2 - 1 <= sparse_max_qubits) at every size, or the whole
-    run is refused.  A size whose levels the sectors cannot certify raises
-    SectorCertificateError, and one whose multiplet ties with the next level
-    raises ValueError.
-    Per size, gap is the distance from the ground level to the first level
-    above the multiplet, coupling_k is ||(1 - P0) V P0|| for the bare field
-    V and the multiplet projector P0, and deviation_max is the largest
-    projected-condition deviation of one field term on the multiplet, which
-    for one level per sector J is max_J |<Z_e>_J - mean_J <Z_e>_J|.
+    by `flux_free_spectrum`, which defines a row's fields and refuses an
+    uncertified or tied multiplet.  Every size must fit the sector cap, or
+    the run is refused before any is solved.  For one level per sector J,
+    deviation_max is max_J |<Z_e>_J - mean_J <Z_e>_J|.
     """
     notes, uniq = [], []
     for s in ((int(a), int(b)) for a, b in sizes):
@@ -610,14 +611,13 @@ def scaling_study(sizes, h: float, kind: str = "z_field",
     if len(uniq) < 3:
         raise InsufficientDataError("need at least 3 distinct sizes")
     for L1, L2 in uniq:
-        if L1 * L2 - 1 > config.sparse_max_qubits:
-            raise ResourceLimitError(f"size {L1}x{L2} exceeds the sparse cap")
+        _check_sector_cap(L1, L2, config)
 
     rows = []
     for L1, L2 in uniq:
         lat = build_torus(L1, L2)
-        row = _flux_free_row(lat, perturbation_terms(lat, kind), h, config)
-        rows.append(ScalingRow(L1, L2, h, *row))
+        rep, dev = flux_free_spectrum(lat, perturbation_terms(lat, kind), h, config)
+        rows.append(ScalingRow(L1, L2, h, rep.splitting, rep.gap_delta, rep.coupling_k, dev))
 
     points = tuple((2 * r.L1 * r.L2, r.splitting) for r in rows)
     if all(r.splitting < 1e-10 for r in rows):

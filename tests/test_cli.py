@@ -1,15 +1,18 @@
 """Command-line interface: reports, config merging, exit codes, determinism."""
 
 import argparse
+import ast
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
 
-from nsslab import (DEFAULT_CONFIG, build_torus, error_set, error_set_to_json,
-                    lattice_to_json)
+from nsslab import (DEFAULT_CONFIG, build_torus, cli, error_set, error_set_to_json,
+                    lattice_to_json, spectrum)
 from nsslab.cli import EXIT_RESOURCE, EXIT_VALIDATION, build_parser, main
+from nsslab.verify import perturbation_terms
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
 _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -64,12 +67,66 @@ def test_toric_report_fields(capsys):
     assert doc["energies"] == sorted(doc["energies"])
     # the multiplet and the first level above it, no higher Ritz values
     assert len(doc["energies"]) == doc["code_dimension"] + 1
+    _assert_matches_the_full_space_oracle(doc, None)
 
     rc, out, _ = _run(capsys, ["toric", "--l1", "2", "--l2", "2", "--report",
                                "--h", "0.1", "--perturbation", "z_field_right"])
     doc = json.loads(out)
     assert doc["perturbation"] == "z_field_right"
     assert abs(doc["splitting"] - 0.019950248448358465) < 1e-8
+    _assert_matches_the_full_space_oracle(doc, "z_field_right")
+
+
+def _assert_matches_the_full_space_oracle(doc, kind):
+    """A `toric --report` from the flux-free sectors against the full-space
+    `spectrum`: its levels to 1e-12, and the same degeneracy."""
+    lat = build_torus(doc["l1"], doc["l2"])
+    rep = spectrum(lat, perturbation_terms(lat, kind) if kind else None, doc["h"])
+    q = doc["code_dimension"]
+    assert np.abs(np.subtract(doc["energies"], rep.energies[:q + 1])).max() < 1e-12
+    assert doc["ground_degeneracy"] == rep.ground_degeneracy
+    for key, value in (("ground_energy", rep.energies[0]), ("gap", rep.gap_delta),
+                       ("splitting", rep.splitting)):
+        assert abs(doc[key] - value) < 1e-12, key
+
+
+def test_toric_report_is_solved_in_the_flux_free_sectors(capsys):
+    """`toric --report` reads its levels from the four flux-free sectors, as
+    `scaling` does: sizes beyond the full-space solver report, a strong field
+    whose sector levels cannot be certified exits 2, and the sector cap
+    (L1*L2 - 1 <= sparse_max_qubits) refuses 5x5 with exit 4."""
+    rc, out, _ = _run(capsys, ["toric", "--l1", "3", "--l2", "4", "--report"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["n_qubits"] == 24 and doc["ground_degeneracy"] == 4
+    assert abs(doc["gap"] - 4) < 1e-9 and doc["splitting"] < 1e-10
+
+    rc, out, err = _run(capsys, ["toric", "--l1", "2", "--l2", "2", "--report",
+                                 "--h", "0.9"])
+    assert rc == EXIT_VALIDATION and out == ""
+    assert "flux-free certificate failed on 2x2 at h=0.9" in err
+
+    rc, out, err = _run(capsys, ["toric", "--l1", "5", "--l2", "5", "--report"])
+    assert rc == EXIT_RESOURCE and out == ""
+    assert "size 5x5 exceeds the sparse cap" in err
+
+
+def test_the_cli_has_one_spectral_engine():
+    """No CLI path reaches the full-space solver: cli.py names none of
+    `spectrum`, `_dense_hamiltonian` or `_matfree_operator`, whether
+    imported or read as an attribute."""
+    tree = ast.parse(pathlib.Path(cli.__file__).read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+    full_space = {"spectrum", "_dense_hamiltonian", "_matfree_operator"}
+    assert not named & full_space
+    assert not any(hasattr(cli, name) for name in full_space)
 
 
 def test_decompose_report_and_determinism(tmp_path, capsys):
@@ -164,13 +221,14 @@ def test_config_file_supplies_values_and_flags_win(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "l1": 3, "l2": 2, "report": True,
-        "tolerances": {"sparse_max_qubits": 10},
+        "tolerances": {"sparse_max_qubits": 4},
     }))
     rc, out, _ = _run(capsys, ["toric", "--config", str(cfg), "--l1", "2"])
     assert rc == 0
     doc = json.loads(out)
     assert doc["l1"] == 2 and doc["l2"] == 2  # flag beat the config file
-    # 3x2 has 12 qubits: within the default cap of 20, above the override
+    # 3x2's flux-free sectors hold 2^5 states (2x2's 2^3): 5 is within the
+    # default cap of 20, above the override
     rc, out, _ = _run(capsys, ["toric", "--config", str(cfg)])
     assert rc == EXIT_RESOURCE and out == ""  # tolerance override honoured
 

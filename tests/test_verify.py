@@ -18,6 +18,7 @@ from nsslab import (
     InsufficientDataError,
     ResourceLimitError,
     SectorCertificateError,
+    SpectralReport,
     build_torus,
     code_basis,
     code_projector,
@@ -468,8 +469,9 @@ def test_scaling_handles_exact_degeneracy_and_duplicates():
 
 
 def test_sector_rows_match_the_full_space_solver():
-    """The flux-free sector path against full-space `spectrum`: levels, and
-    the deviation and coupling built from the full-space ground vectors."""
+    """The flux-free sector path against the full-space oracle `spectrum`:
+    the multiplet and the next level, the degeneracy, gap, splitting and
+    coupling_k, and the deviation built from the full-space ground vectors."""
     sizes = [(2, 2), (2, 3), (3, 2)]
     cases = [(kind, h, sizes, sizes) for kind in PERTURBATION_KINDS
              for h in (0.0, 0.1, 0.3, -0.2)]
@@ -486,16 +488,18 @@ def test_sector_rows_match_the_full_space_solver():
             lat = build_torus(L1, L2)
             pert = perturbation_terms(lat, kind)
             rep, V = spectrum(lat, pert, h, return_vectors=True)
-            G = V[:, :code_dimension(lat)]
-            kl = kl_check_ground_basis(G, [op for op, _ in pert])
-            vg = sum(coeff * apply_to_vector(op, G) for op, coeff in pert)
-            coupling = np.linalg.norm(vg - G @ (G.conj().T @ vg), 2)
+            q = code_dimension(lat)
+            kl = kl_check_ground_basis(V[:, :q], [op for op, _ in pert])
+            sector, _ = verify.flux_free_spectrum(lat, pert, h)
             where = (kind, h, L1, L2)
             assert (row.L1, row.L2, row.h) == (L1, L2, h)
+            assert len(sector.energies) == q + 1, where
+            assert np.abs(np.subtract(sector.energies, rep.energies[:q + 1])).max() < 1e-12, where
+            assert sector.ground_degeneracy == rep.ground_degeneracy, where
             assert abs(row.splitting - rep.splitting) < 1e-10, where
             assert abs(row.gap - rep.gap_delta) < 1e-10, where
             assert abs(row.deviation_max - kl.max_deviation) < 1e-9, where
-            assert abs(row.coupling_k - coupling) < 1e-9, where
+            assert abs(row.coupling_k - rep.coupling_k) < 1e-9, where
 
 
 def _assert_rows_agree(rows_a, rows_b, where):
@@ -533,8 +537,8 @@ def test_sector_rows_of_transposed_tori_agree():
 
 
 def _per_term_row(lat, perturbation, h, config):
-    """`verify._flux_free_row` as it was before its diagnostics shared sign
-    rows: per sector, one sign vector per field term for the field and
+    """`verify.flux_free_spectrum` as it was before its diagnostics shared
+    sign rows: per sector, one sign vector per field term for the field and
     again for each term's block of the multiplet."""
     ops = [op for op, _ in perturbation]
     swap = all(op.z_bits == 0 for op in ops)
@@ -555,10 +559,10 @@ def _per_term_row(lat, perturbation, h, config):
                                      lambda: verify._sparse_operator(groups, dim),
                                      (5, lat.L1, lat.L2, J), config))
     levels = sorted((float(x), J) for J, (w, _) in enumerate(solved) for x in w)
-    w0, top = levels[0][0], levels[q][0]
-    if top - w0 > verify._FLUX_PAIR_COST + verify._EIG_RESIDUAL_TOL * max(1.0, abs(w0)):
+    w = [x for x, _ in levels]
+    if w[q] - w[0] > verify._FLUX_PAIR_COST + verify._EIG_RESIDUAL_TOL * max(1.0, abs(w[0])):
         raise SectorCertificateError("flux-free certificate failed")
-    verify._refuse_tied_multiplet(lat, h, [x for x, _ in levels], q)
+    degeneracy, gap, splitting = verify._multiplet(lat, h, w, q)
     share = [sum(1 for _, J in levels[:q] if J == K) for K in range(len(solved))]
     multiplet = [(J, solved[J][1][:, :m]) for J, m in enumerate(share) if m]
     deviation = 0.0
@@ -571,14 +575,16 @@ def _per_term_row(lat, perturbation, h, config):
     for J, G in multiplet:
         vg = fields[J][:, None] * G
         coupling = max(coupling, float(np.linalg.norm(vg - G @ (G.T @ vg), 2)))
-    return levels[q - 1][0] - w0, top - w0, coupling, deviation
+    return SpectralReport(tuple(w[:q + 1]), degeneracy, gap, splitting, coupling), deviation
 
 
 @pytest.mark.parametrize("chunked", [False, True], ids=["budget", "one-term-chunks"])
 def test_shared_sign_rows_match_the_per_term_loop_exactly(chunked, monkeypatch):
-    """`_flux_free_row` builds its fields and multiplet blocks from sign rows
-    shared by the four sectors; with unit field coefficients every sum is the
-    same float sum as the per-term loop's, so the rows are equal, not close.
+    """`flux_free_spectrum` builds its fields and multiplet blocks from sign
+    rows shared by the four sectors; with unit field coefficients every sum
+    is the same float sum as the per-term loop's, so the reports (levels,
+    degeneracy, gap, splitting, coupling_k) and deviation_max are equal, not
+    close.
     Covers every kind, a sector holding two multiplet levels (z_field_right
     at h = 1.2), the ARPACK branch (3x3 with the dense cap at 1) and, with
     `chunked`, a sign-row budget that puts every term in its own chunk."""
@@ -590,13 +596,13 @@ def test_shared_sign_rows_match_the_per_term_loop_exactly(chunked, monkeypatch):
     for kind, h, size in cases:
         lat = build_torus(*size)
         pert = perturbation_terms(lat, kind)
-        assert verify._flux_free_row(lat, pert, h, DEFAULT_CONFIG) == \
+        assert verify.flux_free_spectrum(lat, pert, h, DEFAULT_CONFIG) == \
             _per_term_row(lat, pert, h, DEFAULT_CONFIG), (kind, h, size)
     monkeypatch.setattr(verify, "_DENSE_SPECTRUM_CAP", 1)
     lat = build_torus(3, 3)
     for kind in ("z_field", "x_field"):
         pert = perturbation_terms(lat, kind)
-        assert verify._flux_free_row(lat, pert, 0.1, DEFAULT_CONFIG) == \
+        assert verify.flux_free_spectrum(lat, pert, 0.1, DEFAULT_CONFIG) == \
             _per_term_row(lat, pert, 0.1, DEFAULT_CONFIG), kind
 
 
