@@ -20,6 +20,7 @@ from .config import (DEFAULT_CONFIG, ConvergenceError, DegenerateSpectrumError,
 # closure's "already in the span" test alike)
 _HS_DROP_TOL = 1e-10
 _CLOSURE_MAX_ITER = 50
+_STACK_ENTRIES = 2**16  # complex entries per stack of certificate products (1 MB)
 # span residuals (closure certificates), relative singular values (null
 # spaces, intertwiners) and relative block couplings (decompose) at or below
 # this count as zero
@@ -104,11 +105,8 @@ class SectorDecomposition:
         return sorted((s.n_J, s.d_J) for s in self.sectors)
 
 
-def _project_out(rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Remove the span of orthonormal `rows` from candidate row vectors."""
-    if rows.size == 0:
-        return cand
-    rows_h = rows.conj().T
+def _project_out(rows: np.ndarray, rows_h: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Remove the span of orthonormal `rows` (`rows_h` = rows^dag) from rows."""
     for _ in range(2):  # reorthogonalization pass
         cand = cand - (cand @ rows_h) @ rows
     return cand
@@ -136,37 +134,36 @@ def _orthonormal_rows(cand: np.ndarray, tol: float) -> np.ndarray:
 def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> MatrixAlgebra:
     """Generator-driven closure of {1, E_a, E_a^dag} under products.
 
-    Starts from an HS-orthonormal basis G of span{1, E_a, E_a^dag}.  Each
-    round right-multiplies only the elements the previous round added by
-    every g in G, projects out the current span and orthonormalizes what
-    is left (modified Gram-Schmidt); products of older elements already
-    lie in the span.  The result is certified exactly by `verify_closure`
-    with `generators=G`: a span holding 1 and closed under right
-    multiplication by a spanning set of the generators and their adjoints
-    holds every word in them, so `closed=True` never rests on a sample.
+    Starts from an HS-orthonormal basis (1, G) of span{1, E_a, E_a^dag}.
+    Each round right-multiplies only the elements the previous round added
+    by every g in G (never by 1), projects out the current span and
+    orthonormalizes what is left (modified Gram-Schmidt); products of older
+    elements already lie in the span.  The result is certified exactly by
+    `verify_closure` with `generators=G`: a span holding 1 and closed under
+    right multiplication by G holds every word in 1 and G, which span the
+    generators and their adjoints, so `closed=True` never rests on a sample.
+    An empty G (generators all multiples of 1) closes at dimension 1.
     """
     d = errs.dim
     if d > config.algebra_dense_cap:
         raise ResourceLimitError(f"dense algebra capped at dimension {config.algebra_dense_cap}")
     # the seed rows 1, E_a, E_a^dag, one at a time rather than a stack of
-    # 2k + 1 copies; the identity always survives
-    seed = itertools.chain(
-        [np.eye(d, dtype=complex)],
-        (np.asarray(g, dtype=complex) for g in errs.generators),
-        (g.conj().T for g in errs.generators))
+    # 2k + 1 copies; the identity always survives, and a generator of norm at
+    # most _HS_DROP_TOL is skipped with its adjoint (Gram-Schmidt drops both)
+    live = [g for g in errs.generators if np.linalg.norm(g) > _HS_DROP_TOL]
+    seed = itertools.chain([np.eye(d, dtype=complex)], live,
+                           (g.conj().T for g in live))
     rows = _orthonormal_rows((m.reshape(-1) for m in seed), _HS_DROP_TOL)
-    gens = rows.reshape(-1, d, d)
-
-    new = gens
-    last_residual = float("inf")
+    new = gens = rows[1:].reshape(-1, d, d)
     for _ in range(_CLOSURE_MAX_ITER):
+        rows_h = rows.conj().T
         new_rows = np.empty((0, d * d), dtype=complex)
         last_residual = 0.0
         for b in new:
             prods = np.matmul(b, gens).reshape(-1, d * d)
-            prods = _project_out(rows, prods)
+            prods = _project_out(rows, rows_h, prods)
             if new_rows.size:
-                prods = _project_out(new_rows, prods)
+                prods = _project_out(new_rows, new_rows.conj().T, prods)
             norms = np.linalg.norm(prods, axis=1)
             last_residual = max(last_residual, float(norms.max(initial=0.0)))
             big = prods[norms > _HS_DROP_TOL]
@@ -194,25 +191,27 @@ def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> Matr
 def verify_closure(alg: MatrixAlgebra, generators) -> float:
     """Max span residual over the identity, the adjoints, and products.
 
-    `generators` are matrices spanning a set G and its adjoints; the
-    products are B_i g for every basis element B_i and every g: m * k of
-    them, an exact certificate that the span is the *-algebra generated by
-    G, because a span holding 1 and closed under right multiplication by
-    G and G^dag holds every word.
+    `generators` with 1 span a set G and its adjoints; the products are
+    B_i g for every basis element B_i and every g, in stacks of at most
+    _STACK_ENTRIES entries: m * k of them, an exact certificate that the
+    span is the *-algebra generated by G, because a span holding 1 and
+    closed under right multiplication by G and G^dag holds every word.
     """
     d = alg.dim
     rows = alg.stacked()
+    rows_h = rows.conj().T
     mats = rows.reshape(-1, d, d)
     gens = np.asarray(generators, dtype=complex).reshape(-1, d, d)
 
     def span_residual(batch):
-        resid = _project_out(rows, batch.reshape(batch.shape[0], -1))
+        resid = _project_out(rows, rows_h, batch.reshape(-1, d * d))
         return float(np.linalg.norm(resid, axis=1).max(initial=0.0))
 
-    worst = max(span_residual(np.eye(d, dtype=complex)[None] / np.sqrt(d)),
+    worst = max(span_residual(np.eye(d, dtype=complex) / np.sqrt(d)),
                 span_residual(mats.conj().transpose(0, 2, 1)))
-    for b in mats:
-        worst = max(worst, span_residual(np.matmul(b, gens)))
+    step = max(1, _STACK_ENTRIES // max(1, gens.size))
+    for i in range(0, len(mats), step):
+        worst = max(worst, span_residual(np.matmul(mats[i:i + step, None], gens)))
     return worst
 
 
@@ -259,12 +258,11 @@ def commutant(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Matr
 def _cluster_sorted(w: np.ndarray):
     """Split sorted eigenvalues into clusters; guard ambiguous gaps.
 
-    Gaps below _CLUSTER_MERGE_TOL * scale merge; gaps between that and
-    _GAP_RATIO_GUARD times it are ambiguous and raise DegenerateSpectrumError.
+    Gaps below _CLUSTER_MERGE_TOL * max(1, max |w|) merge; gaps between
+    that and _GAP_RATIO_GUARD times it are ambiguous and raise
+    DegenerateSpectrumError.
     """
-    scale = max(1.0, float(np.max(np.abs(w))))
-    merge = _CLUSTER_MERGE_TOL * scale
-    guard = _GAP_RATIO_GUARD
+    merge = _CLUSTER_MERGE_TOL * max(1.0, float(np.max(np.abs(w))))
     clusters = []
     start = 0
     for i in range(1, len(w) + 1):
@@ -273,10 +271,10 @@ def _cluster_sorted(w: np.ndarray):
             start = i
     for (a0, a1), (b0, _) in zip(clusters, clusters[1:]):
         gap = w[b0] - w[a1 - 1]
-        if gap < guard * merge:
+        if gap < _GAP_RATIO_GUARD * merge:
             raise DegenerateSpectrumError(
                 f"cluster gap {gap:.3e} within the guard band "
-                f"({guard} x {merge:.1e}); rerun with a different seed")
+                f"({_GAP_RATIO_GUARD} x {merge:.1e}); rerun with a different seed")
     return clusters
 
 
@@ -286,8 +284,9 @@ def decompose(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Sect
     The eigenspaces of a random Hermitian element K of A are the blocks
     Q_t, one per pair (J, t < d_J), each of size n_J.  Two blocks lie in
     one sector exactly when Q_t^dag B Q_s != 0 for a second random element
-    B; a sector is the run of blocks coupled to its first block Q_1, and
-    the polar factors of Q_t^dag B Q_1 align them into the isometry
+    B; a sector is the run of blocks coupled to its first block Q_0, and
+    the polar factors of Q_t^dag B Q_0 (t >= 1; Q_0^dag B Q_0 = c 1, so
+    Q_0 enters as it is) align them into the isometry
     C^{n_J} (x) C^{d_J} -> H.  Sum n_J d_J = d and sum d_J^2 = dim A
     certify the grouping: a false join raises the second sum, a missed
     one lowers it.
@@ -330,9 +329,10 @@ def decompose(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Sect
     sectors = []
     for label, (g, (n_J, d_J)) in enumerate(zip(groups, shapes)):
         iso = np.zeros((d, n_J * d_J), dtype=complex)
-        for t, blk in enumerate(g):
+        iso[:, 0::d_J] = kV[:, g[0]]
+        for t, blk in enumerate(g[1:], 1):
             U, sv, Vh = np.linalg.svd(C[blk][:, g[0]])
-            if d_J > 1 and sv[-1] < _SPAN_MEMBERSHIP_TOL * max(1.0, sv[0]):
+            if sv[-1] < _SPAN_MEMBERSHIP_TOL * max(1.0, sv[0]):
                 raise DegenerateSpectrumError(
                     "singular intertwiner draw; rerun with a different seed")
             iso[:, t::d_J] = kV[:, blk] @ (U @ Vh)

@@ -52,7 +52,7 @@ class EngineConfig:
 DEFAULT_CONFIG = EngineConfig()
 
 
-def spawn_rng(seed: int, *stream: int) -> np.random.Generator:
+def spawn_rng(seed: int, *stream: int) -> "np.random.Generator":
     """Deterministic per-stream generator.
 
     Each distinct `stream` key tuple yields an independent Philox stream, so

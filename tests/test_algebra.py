@@ -592,3 +592,108 @@ def test_decomposition_invariants_hold_on_random_error_sets(case):
     assert sum(n * n for n, _ in shapes) == commutant(alg).algebra_dim
     if planted is not None:
         assert dec.sector_shapes == planted
+
+
+def _compressed_weight1():
+    """The weight-1 Paulis of the 2x2 torus compressed to the code space, and
+    the code projector P: every weight-1 error is detected, so P E P = 0."""
+    from nsslab.verify import code_projector, local_error_generators
+
+    lat = build_torus(2, 2)
+    P = code_projector(lat)
+    weight1 = local_error_generators(lat, 1, loop_commuting=False)
+    return [P @ to_dense(E) @ P for E in weight1], P
+
+
+def test_zero_generators_leave_the_closure_basis_bit_identical():
+    """A generator of norm below the drop tolerance is skipped with its
+    adjoint; Gram-Schmidt would drop both, so the basis does not move."""
+    zeros = [np.zeros((8, 8), dtype=complex)] * 3
+    padded = close_algebra(error_set(_collective() + zeros))
+    assert np.array_equal(padded.stacked(), close_algebra(error_set(_collective())).stacked())
+    mats, P = _compressed_weight1()
+    assert sum(np.linalg.norm(m) == 0 for m in mats) == len(mats)
+    alg = close_algebra(error_set(mats + [P]))
+    assert alg.algebra_dim == 2 and alg.closed
+    assert np.array_equal(alg.stacked(), close_algebra(error_set([P])).stacked())
+
+
+def test_multiples_of_the_identity_close_at_dimension_one():
+    eye = np.eye(4, dtype=complex)
+    for gens in ([2.5 * eye, -1j * eye], [eye, np.zeros((4, 4))]):
+        alg = close_algebra(error_set(gens))
+        assert alg.algebra_dim == 1 and alg.closed
+        assert np.allclose(alg.basis[0], eye / 2, atol=1e-15)
+
+
+def _per_element_certificate(alg, generators):
+    """Oracle: every candidate of the closure certificate (1, the adjoints,
+    each product B_i g) projected on its own, one matrix-vector pass at a
+    time."""
+    rows = alg.stacked()
+    d = alg.dim
+
+    def residual(mat):
+        v = mat.reshape(-1)
+        for _ in range(2):
+            v = v - rows.T @ (rows.conj() @ v)
+        return float(np.linalg.norm(v))
+
+    cands = [np.eye(d) / np.sqrt(d)] + [b.conj().T for b in alg.basis]
+    cands += [b @ g for b in alg.basis for g in generators]
+    return max(residual(m) for m in cands)
+
+
+def _generic_pair_at_18():
+    rng = np.random.default_rng(18)
+    return [rng.standard_normal((18, 18)) + 1j * rng.standard_normal((18, 18))
+            for _ in range(2)]
+
+
+@pytest.mark.parametrize("gens", [_collective(3), _collective(5), _generic_pair_at_18()],
+                         ids=["collective3", "collective5", "generic18"])
+def test_stacked_certificate_matches_a_per_element_loop(gens):
+    """The certificate's stacked products give the residual a per-element
+    loop gives, on the closed basis (near zero) and on a basis missing its
+    last element (order one)."""
+    from nsslab.algebra import MatrixAlgebra, verify_closure
+
+    alg = close_algebra(error_set(gens))
+    generators = gens + [g.conj().T for g in gens]
+    cut = MatrixAlgebra(alg.dim, alg.basis[:-1])
+    for a in (alg, cut):
+        got = verify_closure(a, generators=generators)
+        assert abs(got - _per_element_certificate(a, generators)) < 1e-14
+    assert verify_closure(alg, generators=generators) < 1e-12
+    assert verify_closure(cut, generators=generators) > 1e-3
+
+
+def test_decompose_takes_no_svd_for_a_sector_leading_block(monkeypatch):
+    """Block 0 of a sector is its own reference, so decompose takes one SVD
+    per other block: sum (d_J - 1) in all."""
+    real = np.linalg.svd
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    mats, P = _compressed_weight1()
+    cases = ((close_algebra(error_set(mats + [P])), 0),
+             (close_algebra(error_set(_collective(5))), 5 + 3 + 1))
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    for alg, want in cases:
+        calls.clear()
+        dec = decompose(alg)
+        assert len(calls) == sum(s.d_J - 1 for s in dec.sectors) == want
+
+
+@pytest.mark.parametrize("seed", [1, 7, 12345])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_every_generator_is_block_diagonal_in_the_isometries(n, seed):
+    gens = _collective(n)
+    cfg = DEFAULT_CONFIG.override(seed=seed)
+    dec = decompose(close_algebra(error_set(gens), cfg), cfg)
+    for s in dec.sectors:
+        for g in gens:
+            assert block_structure_residual(s, g)[0] < 1e-8

@@ -511,7 +511,9 @@ def test_decompose_runs_without_loading_scipy(tmp_path):
 def test_dense_scaling_runs_without_loading_scipy(tmp_path):
     """Sectors of at most _DENSE_SPECTRUM_CAP states are assembled and solved
     with numpy alone: a fresh-process scaling run over 2x2, 2x3 and 2x4
-    (8 to 128 states per sector) loads no scipy module."""
+    (8 to 128 states per sector) loads no scipy module.  Nor does it, or
+    `import nsslab` before it, load `numpy.random` (about 17 ms): only the
+    seeded routines need it, and this run draws nothing."""
     import subprocess
     import sys
 
@@ -520,12 +522,16 @@ def test_dense_scaling_runs_without_loading_scipy(tmp_path):
     src = os.path.dirname(os.path.dirname(nsslab.__file__))
     code = (
         "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "                  or m.startswith('numpy.random'))\n"
+        "import nsslab\n"
+        "assert not loaded(), loaded()[:5]\n"
         "from nsslab.cli import main\n"
         "rc = main(['scaling', '--sizes', '2x2,2x3,2x4', '--h', '0.1', "
         f"'--output', {str(tmp_path / 'out.csv')!r}])\n"
         "assert rc == 0, rc\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded[:5]\n"
+        "assert not loaded(), loaded()[:5]\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env,

@@ -508,7 +508,7 @@ def _assert_rows_agree(rows_a, rows_b, where):
             assert abs(getattr(a, field) - getattr(b, field)) < 1e-12, (where, a, b, field)
 
 
-_DENSE_SIZES = [(2, 2), (2, 3), (3, 2), (2, 4)]
+_DENSE_SIZES = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]
 
 
 @pytest.mark.parametrize("h", [0.1, 0.3])
