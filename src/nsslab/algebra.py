@@ -145,8 +145,8 @@ def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> Matr
     An empty G (generators all multiples of 1) closes at dimension 1.
     """
     d = errs.dim
-    if d > config.algebra_dense_cap:
-        raise ResourceLimitError(f"dense algebra capped at dimension {config.algebra_dense_cap}")
+    if d > config.dense_cap:
+        raise ResourceLimitError(f"dense algebra capped at dimension {config.dense_cap}")
     # the seed rows 1, E_a, E_a^dag, one at a time rather than a stack of
     # 2k + 1 copies; the identity always survives, and a generator of norm at
     # most _HS_DROP_TOL is skipped with its adjoint (Gram-Schmidt drops both)
@@ -195,7 +195,8 @@ def verify_closure(alg: MatrixAlgebra, generators) -> float:
     B_i g for every basis element B_i and every g, in stacks of at most
     _STACK_ENTRIES entries: m * k of them, an exact certificate that the
     span is the *-algebra generated by G, because a span holding 1 and
-    closed under right multiplication by G and G^dag holds every word.
+    closed under right multiplication by G and G^dag holds every word.  Each
+    stack checks its adjoints B_i^dag beside its products.
     """
     d = alg.dim
     rows = alg.stacked()
@@ -207,11 +208,12 @@ def verify_closure(alg: MatrixAlgebra, generators) -> float:
         resid = _project_out(rows, rows_h, batch.reshape(-1, d * d))
         return float(np.linalg.norm(resid, axis=1).max(initial=0.0))
 
-    worst = max(span_residual(np.eye(d, dtype=complex) / np.sqrt(d)),
-                span_residual(mats.conj().transpose(0, 2, 1)))
+    worst = span_residual(np.eye(d, dtype=complex) / np.sqrt(d))
     step = max(1, _STACK_ENTRIES // max(1, gens.size))
     for i in range(0, len(mats), step):
-        worst = max(worst, span_residual(np.matmul(mats[i:i + step, None], gens)))
+        block = mats[i:i + step]
+        worst = max(worst, span_residual(block.conj().transpose(0, 2, 1)),
+                    span_residual(np.matmul(block[:, None], gens)))
     return worst
 
 
@@ -234,9 +236,9 @@ def commutant(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Matr
     if not alg.closed:
         raise ValueError("commutant needs a verified-closed algebra")
     d = alg.dim
-    if d > config.commutant_dense_cap:
+    if d * d > config.dense_cap:
         raise ResourceLimitError(
-            f"commutant eigenproblem capped at dimension {config.commutant_dense_cap}")
+            f"commutant superoperator of dimension {d * d} exceeds {config.dense_cap}")
     eye = np.eye(d)
     M = np.zeros((d * d, d * d), dtype=complex)
     for b in alg.basis:

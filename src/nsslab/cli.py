@@ -26,7 +26,7 @@ from .lattice import build_torus, check_rank, code_dimension, homology_basis, \
     lattice_to_json
 from .pauli import format_pauli, weight
 from .verify import flux_free_spectrum, kl_check_stabilizer, \
-    local_error_generators, perturbation_terms, scaling_study, scaling_to_csv
+    local_error_generators, scaling_study, scaling_to_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -147,10 +147,7 @@ def _engine_config(opts):
     overrides = dict(opts["tolerances"])
     if opts.get("seed") is not None:
         overrides["seed"] = opts["seed"]
-    try:
-        return DEFAULT_CONFIG.override(**overrides)
-    except KeyError as exc:
-        raise ValueError(f"bad tolerance override: {exc}") from exc
+    return DEFAULT_CONFIG.override(**overrides)
 
 
 def _json_report(doc) -> str:
@@ -225,8 +222,9 @@ def _cmd_toric(opts, cfg) -> str:
         return lattice_to_json(lat)
     h = float(_number(_get(opts, "h", 0.0), "h", integral=False))
     kind = _get(opts, "perturbation", "z_field")
-    # the kind is validated and solved at every h; at h = 0 its field is zero
-    rep, _ = flux_free_spectrum(lat, perturbation_terms(lat, kind), h, cfg)
+    # flux_free_spectrum validates the kind before its size cap and solves
+    # it at every h; at h = 0 its field is zero
+    rep, _ = flux_free_spectrum(lat, kind, h, cfg)
     return _json_report({
         "l1": lat.L1,
         "l2": lat.L2,
@@ -250,12 +248,10 @@ def _cmd_kl_check(opts, cfg) -> str:
     if max_w < 0:
         raise ValueError("--max-weight must be >= 0")
     errors = local_error_generators(lat, max_w, loop_commuting=False)
-    # label by index, so only the logicals get a Pauli string
-    rep = kl_check_stabilizer(lat, errors, labels=range(len(errors)))
-    logicals = [format_pauli(errors[i]) for i, dev in rep.per_error if dev > 0.5]
+    rep = kl_check_stabilizer(lat, errors)
+    logicals = [format_pauli(e) for e, dev in zip(errors, rep.deviations) if dev > 0.5]
     loops = homology_basis(lat)
-    loop_rep = kl_check_stabilizer(lat, [lo.op for lo in loops],
-                                   labels=[lo.homology_class for lo in loops])
+    loop_rep = kl_check_stabilizer(lat, [lo.op for lo in loops])
     return _json_report({
         "l1": lat.L1,
         "l2": lat.L2,
@@ -265,7 +261,8 @@ def _cmd_kl_check(opts, cfg) -> str:
         "logical_count": len(logicals),
         "logical_examples": logicals[:8],
         "weights": sorted({weight(e) for e in errors}),
-        "loop_deviations": {lab: dev for lab, dev in loop_rep.per_error},
+        "loop_deviations": {lo.homology_class: dev
+                            for lo, dev in zip(loops, loop_rep.deviations)},
         "first_error": format_pauli(errors[0]) if errors else None,
     })
 

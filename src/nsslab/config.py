@@ -20,16 +20,15 @@ DEFAULT_SEED = 0x5EEDC0DE
 @dataclass(frozen=True)
 class EngineConfig:
     seed: int = DEFAULT_SEED
-    # size caps
-    dense_bridge_max_qubits: int = 12
     # log2 of the largest solved dimension: for `toric --report` and `scaling`
     # it caps L1*L2 - 1, the flux-free sectors' exponent; only the library's
     # `spectrum` reads it as a qubit count
     sparse_max_qubits: int = 20
-    # dense-matrix ceiling for the algebra engine
-    algebra_dense_cap: int = 4096
-    # dim cap for the d^2 x d^2 commutant eigenproblem
-    commutant_dense_cap: int = 64
+    # largest dimension of a dense operator, each reader comparing its own:
+    # 2^n for the dense bridge (`code_projector`, `code_basis`, `dense_state`;
+    # `pauli.to_dense` takes no config and reads the default), d for
+    # `close_algebra`, d^2 for `commutant`'s d^2 x d^2 superoperator
+    dense_cap: int = 4096
 
     def __post_init__(self):
         for f in fields(self):
@@ -41,11 +40,11 @@ class EngineConfig:
                     f"got {value!r}")
 
     def override(self, **kwargs) -> "EngineConfig":
-        """Copy with selected fields replaced; unknown names raise KeyError."""
+        """Copy with selected fields replaced; unknown names raise ValueError."""
         valid = {f.name for f in fields(self)}
         for k in kwargs:
             if k not in valid:
-                raise KeyError(f"unknown config field: {k}")
+                raise ValueError(f"unknown config field: {k}")
         return replace(self, **kwargs)
 
 

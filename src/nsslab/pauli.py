@@ -150,11 +150,11 @@ def _coset_dense(groups, dim):
 
 
 def to_dense(a: PauliOp) -> np.ndarray:
-    """Dense 2^n x 2^n unitary in the computational basis."""
-    cap = DEFAULT_CONFIG.dense_bridge_max_qubits
-    if a.n > cap:
-        raise ResourceLimitError(f"dense bridge capped at {cap} qubits, got {a.n}")
-    dim = 1 << a.n
+    """Dense 2^n x 2^n unitary in the computational basis, refused above the
+    default `dense_cap` (this takes no config)."""
+    dim, cap = 1 << a.n, DEFAULT_CONFIG.dense_cap
+    if dim > cap:
+        raise ResourceLimitError(f"dense bridge capped at dimension {cap}, got 2^{a.n}")
     rows, vals = _scatter(a)
     mat = np.zeros((dim, dim), dtype=complex)
     mat[rows, np.arange(dim)] = vals

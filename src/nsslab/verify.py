@@ -39,7 +39,7 @@ from .anyon import AnyonState
 from .lattice import (SectorLabel, TorusLattice, build_torus, code_dimension,
                       homology_basis, syndrome)
 from .pauli import (PauliOp, _coset_dense, _coset_states, _coset_sum, _signs,
-                    apply_to_vector, format_pauli, weight)
+                    apply_to_vector, format_pauli)
 
 
 # a code projector must be Hermitian and idempotent to within this (Frobenius)
@@ -74,8 +74,8 @@ class NotAnEigenstateError(Exception):
 
 @dataclass(frozen=True)
 class KLReport:
-    c_values: dict           # label -> complex scalar
-    per_error: tuple         # (label, deviation)
+    c_values: tuple          # complex scalar per error, in input order
+    deviations: tuple        # deviation per error, in input order
     max_deviation: float
 
 
@@ -111,13 +111,13 @@ class ScalingResult:
     notes: tuple
 
 
-def _report(labels, cs, devs) -> KLReport:
-    per = tuple(zip(labels, [float(d) for d in devs]))
-    return KLReport(dict(zip(labels, cs)), per, max((d for _, d in per), default=0.0))
+def _report(cs, devs) -> KLReport:
+    devs = tuple(float(d) for d in devs)
+    return KLReport(tuple(cs), devs, max(devs, default=0.0))
 
 
-def kl_check_stabilizer(lat: TorusLattice, errors, labels=None) -> KLReport:
-    """Exact error-correction verdict for Pauli errors.
+def kl_check_stabilizer(lat: TorusLattice, errors) -> KLReport:
+    """Exact error-correction verdict for Pauli errors, in input order.
 
     For each error: c = the exact eigenvalue if the error is a product of
     checks (deviation 0), c = 0 if some check detects it (deviation 0), and
@@ -125,18 +125,17 @@ def kl_check_stabilizer(lat: TorusLattice, errors, labels=None) -> KLReport:
     them (an undetectable logical action on the code space): it
     anticommutes with some frame loop.
     """
-    out_labels, cs, devs = [], [], []
-    for i, err in enumerate(errors):
+    cs, devs = [], []
+    for err in errors:
         checks, loops = syndrome(lat, err)
-        out_labels.append(labels[i] if labels else format_pauli(err))
         cs.append(0j if checks or loops else 1j ** err.phase)
         devs.append(1.0 if loops and not checks else 0.0)
-    return _report(out_labels, cs, devs)
+    return _report(cs, devs)
 
 
 def kl_check_dense(code_projector: np.ndarray, errs: ErrorSet) -> KLReport:
-    """Numerical condition on a projector: c(X) = tr(PXP)/tr(P), deviation
-    = operator norm of PXP - c(X) P."""
+    """Numerical condition on a projector, per generator of `errs` in order:
+    c(X) = tr(PXP)/tr(P), deviation = operator norm of PXP - c(X) P."""
     P = np.asarray(code_projector, dtype=complex)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise ValueError("projector must be square")
@@ -153,11 +152,12 @@ def kl_check_dense(code_projector: np.ndarray, errs: ErrorSet) -> KLReport:
         c = complex(np.trace(pxp) / r)
         devs.append(float(np.linalg.norm(pxp - c * P, 2)))
         cs.append(c)
-    return _report(list(errs.labels), cs, devs)
+    return _report(cs, devs)
 
 
 def kl_check_ground_basis(basis_cols: np.ndarray, errors) -> KLReport:
-    """Same condition, matrix-free: deviation of G^dag X G from c*1.
+    """Same condition, matrix-free, in input order: deviation of G^dag X G
+    from c*1.
 
     `basis_cols` holds orthonormal columns spanning the (possibly perturbed)
     code space; since PXP - cP is supported on that span, its operator norm
@@ -165,14 +165,13 @@ def kl_check_ground_basis(basis_cols: np.ndarray, errors) -> KLReport:
     """
     G = np.asarray(basis_cols)
     m = G.shape[1]
-    out_labels, cs, devs = [], [], []
+    cs, devs = [], []
     for err in errors:
-        out_labels.append(format_pauli(err))
         comp = G.conj().T @ apply_to_vector(err, G)
         c = complex(np.trace(comp) / m)
         cs.append(c)
         devs.append(float(np.linalg.norm(comp - c * np.eye(m), 2)))
-    return _report(out_labels, cs, devs)
+    return _report(cs, devs)
 
 
 # ----------------------------------------------------------- dense bridge
@@ -180,7 +179,7 @@ def kl_check_ground_basis(basis_cols: np.ndarray, errors) -> KLReport:
 def code_projector(lat: TorusLattice, config: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Dense projector onto the joint +1 check eigenspace: 2^-(L1*L2 - 1) on
     each pair of states in one flux-free coset (`_loop_frames`)."""
-    if lat.n_qubits > config.dense_bridge_max_qubits:
+    if 1 << lat.n_qubits > config.dense_cap:
         raise ResourceLimitError("code projector needs the dense bridge")
     _, frames, basis = _loop_frames(lat)
     P = np.zeros((1 << lat.n_qubits,) * 2, dtype=complex)
@@ -196,7 +195,7 @@ SECTOR_ORDER = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 def code_basis(lat: TorusLattice, config: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Orthonormal columns |J> for J in SECTOR_ORDER (Z-loop labels): the
     uniform superposition over the flux-free coset of J (`_loop_frames`)."""
-    if lat.n_qubits > config.dense_bridge_max_qubits:
+    if 1 << lat.n_qubits > config.dense_cap:
         raise ResourceLimitError("code basis needs the dense bridge")
     _, frames, basis = _loop_frames(lat)
     cols = []
@@ -488,12 +487,13 @@ def _check_sector_cap(L1, L2, config):
         raise ResourceLimitError(f"size {L1}x{L2} exceeds the sparse cap")
 
 
-def flux_free_spectrum(lat: TorusLattice, perturbation, h: float,
+def flux_free_spectrum(lat: TorusLattice, kind: str, h: float,
                        config: EngineConfig = DEFAULT_CONFIG):
-    """(SpectralReport of the q + 1 lowest levels, deviation_max) for a field
-    V of one Pauli type, from the four flux-free sectors.  coupling_k is
-    ||(1 - P0) V P0|| for the multiplet projector P0, and deviation_max the
-    largest projected-condition deviation of one term of V on the multiplet.
+    """(SpectralReport of the q + 1 lowest levels, deviation_max) for the
+    field V = `perturbation_terms(lat, kind)`, checked before the sector
+    cap, from the four flux-free sectors.  coupling_k is ||(1 - P0) V P0||
+    for the multiplet projector P0, and deviation_max the largest
+    projected-condition deviation of one term of V on the multiplet.
 
     A Z field commutes with every plaquette and both Z loops, so each sector
     is a coset of `_loop_frames`, of dimension 2^(L1*L2 - 1): stars shift
@@ -510,19 +510,15 @@ def flux_free_spectrum(lat: TorusLattice, perturbation, h: float,
     states0 ^ z0_J, states0 the coset of z0 = 0, so the sign of field term t
     on state c of sector J is sigma[J, t] * R[t, c], with R[t] the signs of
     z_t on states0 and the scalar sigma[J, t] = (-1)^|z_t & z0_J|.  Each
-    sector's field is then one product, (coeffs * sigma[J]) @ R, and each
-    sector's blocks G^T Z_t G of the multiplet one batched product.  R is
-    built in chunks of terms (`_sign_rows`), twice: once for the fields and
-    once for the blocks, so it is never held through the solves.
+    sector's field is then one product, sigma[J] @ R, and each sector's
+    blocks G^T Z_t G of the multiplet one batched product.  R is built in
+    chunks of terms (`_sign_rows`), twice: once for the fields and once for
+    the blocks, so it is never held through the solves.
     """
+    swap = kind == "x_field"
+    field_bits = np.array([op.x_bits if swap else op.z_bits
+                           for op, _ in perturbation_terms(lat, kind)])
     _check_sector_cap(lat.L1, lat.L2, config)
-    ops = [op for op, _ in perturbation]
-    swap = all(op.z_bits == 0 for op in ops)
-    if not ops or any(op.phase or weight(op) != 1 or (op.z_bits if swap else op.x_bits)
-                      for op in ops):
-        raise ValueError("the sector solver needs single-qubit terms, all X or all Z")
-    field_bits = np.array([op.x_bits if swap else op.z_bits for op in ops])
-    coeffs = np.array([coeff for _, coeff in perturbation], dtype=float)
     checks, frames, basis = _loop_frames(lat, swap)
     q = code_dimension(lat)
     dim = 1 << len(basis)
@@ -530,7 +526,7 @@ def flux_free_spectrum(lat: TorusLattice, perturbation, h: float,
     sigma = _signs(np.array(frames)[:, None], field_bits)
     fields = np.zeros((len(frames), dim))
     for terms, R in _sign_rows(states0, field_bits):
-        fields += (coeffs[terms] * sigma[:, terms]) @ R
+        fields += sigma[:, terms] @ R
     # the same in every sector: the X loops of z0 commute with every
     # plaquette, and the stars carry no Z
     check_groups = _coset_sum(checks, frames[0], basis)
@@ -594,12 +590,12 @@ def scaling_study(sizes, h: float, kind: str = "z_field",
     """Ground-multiplet splitting across lattice sizes, with an exponential
     fit of splitting against |lattice|^(1/n).
 
-    Sizes are deduplicated (order kept, with a note).  Every kind in
-    PERTURBATION_KINDS is a field of one Pauli type, so each size is solved
-    by `flux_free_spectrum`, which defines a row's fields and refuses an
-    uncertified or tied multiplet.  Every size must fit the sector cap, or
-    the run is refused before any is solved.  For one level per sector J,
-    deviation_max is max_J |<Z_e>_J - mean_J <Z_e>_J|.
+    Sizes are deduplicated (order kept, with a note).  Each size is solved
+    by `flux_free_spectrum` for the field `kind`, which defines a row's
+    fields and refuses an unknown kind or an uncertified or tied multiplet.
+    Every size must fit the sector cap, or the run is refused before any is
+    solved.  For one level per sector J, deviation_max is
+    max_J |<Z_e>_J - mean_J <Z_e>_J|.
     """
     notes, uniq = [], []
     for s in ((int(a), int(b)) for a, b in sizes):
@@ -616,7 +612,7 @@ def scaling_study(sizes, h: float, kind: str = "z_field",
     rows = []
     for L1, L2 in uniq:
         lat = build_torus(L1, L2)
-        rep, dev = flux_free_spectrum(lat, perturbation_terms(lat, kind), h, config)
+        rep, dev = flux_free_spectrum(lat, kind, h, config)
         rows.append(ScalingRow(L1, L2, h, rep.splitting, rep.gap_delta, rep.coupling_k, dev))
 
     points = tuple((2 * r.L1 * r.L2, r.splitting) for r in rows)

@@ -83,18 +83,18 @@ def test_criterion_2_low_weight_errors_exactly_correctable(capfd):
 
     lat22 = build_torus(2, 2)
     loops = homology_basis(lat22)
-    loop_rep = kl_check_stabilizer(lat22, [lo.op for lo in loops],
-                                   labels=[lo.homology_class for lo in loops])
+    loop_rep = kl_check_stabilizer(lat22, [lo.op for lo in loops])
     elapsed = time.time() - t0
     ok = (sweep.max_deviation == 0.0 and len(errors) == 1431
-          and all(dev == 1.0 for _, dev in loop_rep.per_error)
-          and len(loop_rep.per_error) == 4
+          and all(dev == 1.0 for dev in loop_rep.deviations)
+          and len(loop_rep.deviations) == 4
           and elapsed < 10.0)
     detail = _verdict(
         capfd, 2, ok,
         f"all {len(errors)} Paulis of weight <= 2 on 3x3 have deviation "
         f"{sweep.max_deviation}; the 4 minimal loops on 2x2 each deviate "
-        f"{ {lab: dev for lab, dev in loop_rep.per_error} }; {elapsed:.2f}s")
+        f"{ {lo.homology_class: dev for lo, dev in zip(loops, loop_rep.deviations)} }; "
+        f"{elapsed:.2f}s")
     assert ok, detail
 
 

@@ -434,12 +434,20 @@ def test_decompose_refuses_sectors_that_miss_the_algebra_dimension(monkeypatch, 
 
 
 def test_resource_caps_reject_oversized_dense_problems():
+    """`dense_cap` bounds d for the closure and d^2 for the commutant's
+    superoperator: at the default 4096, d = 64 is the largest commutant."""
     es = error_set(_collective())
     with pytest.raises(ResourceLimitError):
-        close_algebra(es, DEFAULT_CONFIG.override(algebra_dense_cap=4))
+        close_algebra(es, DEFAULT_CONFIG.override(dense_cap=4))
     alg = close_algebra(es)
+    assert commutant(alg, DEFAULT_CONFIG.override(dense_cap=64)).closed
     with pytest.raises(ResourceLimitError):
-        commutant(alg, DEFAULT_CONFIG.override(commutant_dense_cap=4))
+        commutant(alg, DEFAULT_CONFIG.override(dense_cap=63))
+    clock = np.diag(np.exp(2j * np.pi * np.arange(65) / 65))
+    big = close_algebra(error_set([clock]))
+    assert big.closed and big.algebra_dim == 65
+    with pytest.raises(ResourceLimitError):
+        commutant(big)
 
 
 def _span(vecs):
@@ -666,6 +674,29 @@ def test_stacked_certificate_matches_a_per_element_loop(gens):
         assert abs(got - _per_element_certificate(a, generators)) < 1e-14
     assert verify_closure(alg, generators=generators) < 1e-12
     assert verify_closure(cut, generators=generators) > 1e-3
+
+
+def test_closure_certificate_peak_memory_stays_below_four_bases():
+    """The certificate checks the adjoints stack by stack, beside the
+    products, so on the matrix-unit basis of M_24 (576 elements) its traced
+    peak stays below four copies of the basis."""
+    import tracemalloc
+
+    from nsslab.algebra import MatrixAlgebra, verify_closure
+
+    d = 24
+    units = np.eye(d * d, dtype=complex).reshape(-1, d, d)
+    alg = MatrixAlgebra(d, tuple(units))
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    tracemalloc.start()
+    try:
+        resid = verify_closure(alg, generators=[shift, clock])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert resid < 1e-12
+    assert peak < 4 * units.nbytes
 
 
 def test_decompose_takes_no_svd_for_a_sector_leading_block(monkeypatch):

@@ -540,7 +540,7 @@ def test_fusing_across_two_pairs_matches_the_dense_state():
     """The anyon-free state after two cross-pair fusions is the banked phase
     times the code vector of its frame signs."""
     lat = build_torus(2, 4)
-    cfg = DEFAULT_CONFIG.override(dense_bridge_max_qubits=16)
+    cfg = DEFAULT_CONFIG.override(dense_cap=1 << 16)
     s = create_pair(create_pair(ground_state(lat, (-1, 1)), "e", 0), "e", 4)
     s = fuse(fuse(s, 1, 2, via=2), 0, 1, via=6)
     assert s.anyons == () and s.accumulated_phase == -1

@@ -238,7 +238,8 @@ def test_config_naming_a_deleted_knob_exits_2(tmp_path, capsys):
                  "closure_residual_tol", "closure_max_iter", "span_membership_tol",
                  "projector_tol", "cluster_merge_tol", "gap_ratio_guard",
                  "orbit_overlap_tol", "eig_residual_tol", "eig_max_iter",
-                 "degeneracy_cluster_rel", "dense_spectrum_cap"):
+                 "degeneracy_cluster_rel", "dense_spectrum_cap",
+                 "dense_bridge_max_qubits", "algebra_dense_cap", "commutant_dense_cap"):
         cfg = tmp_path / f"{knob}.json"
         cfg.write_text(json.dumps({"tolerances": {knob: 8}}))
         rc, out, err = _run(capsys, ["toric", "--l1", "2", "--l2", "3",
@@ -298,7 +299,7 @@ def test_validation_exit_codes(tmp_path, capsys):
             ("sparse_max_qubits", {"tolerances": {"sparse_max_qubits": "32"}}),
             ("seed", {"tolerances": {"seed": "7"}}),
             ("seed", {"tolerances": {"seed": -1}}),
-            ("dense_bridge_max_qubits", {"tolerances": {"dense_bridge_max_qubits": True}}),
+            ("dense_cap", {"tolerances": {"dense_cap": True}}),
             ("seed", {"seed": "7"}))):
         cfg = tmp_path / f"badfield{k}.json"
         cfg.write_text(json.dumps(doc))

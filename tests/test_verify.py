@@ -6,6 +6,7 @@ must agree regardless of qubit labeling.
 """
 
 import ast
+import dataclasses
 import itertools
 import pathlib
 import time
@@ -103,15 +104,14 @@ def test_three_kl_implementations_agree():
     expect_dev = [0, 0, 0, 0, 0, 0, 0, 1]
 
     stab = kl_check_stabilizer(lat, errors)
-    dense = kl_check_dense(code_projector(lat),
-                           error_set([to_dense(e) for e in errors],
-                                     labels=[lbl for lbl, _ in stab.per_error]))
+    dense = kl_check_dense(code_projector(lat), error_set([to_dense(e) for e in errors]))
     ground = kl_check_ground_basis(code_basis(lat), errors)
 
     for rep in (stab, dense, ground):
-        for (lbl, dev), c, d in zip(rep.per_error, expect_c, expect_dev):
-            assert abs(rep.c_values[lbl] - c) < 1e-8, lbl
-            assert abs(dev - d) < 1e-7, lbl
+        for k, (got_c, dev, c, d) in enumerate(
+                zip(rep.c_values, rep.deviations, expect_c, expect_dev, strict=True)):
+            assert abs(got_c - c) < 1e-8, k
+            assert abs(dev - d) < 1e-7, k
     assert abs(stab.max_deviation - 1.0) < 1e-12
     assert abs(dense.max_deviation - 1.0) < 1e-7
 
@@ -134,7 +134,11 @@ def test_dense_check_validates_the_projector():
     with pytest.raises(ValueError):
         kl_check_dense(np.eye(4), errs)  # dimension mismatch
     rep = kl_check_dense(code_projector(lat), errs)
-    assert abs(rep.c_values["E0"] - 1) < 1e-12 and rep.max_deviation < 1e-12
+    assert abs(rep.c_values[0] - 1) < 1e-12 and rep.max_deviation < 1e-12
+    # reported by position: two errors under one label keep two c values
+    rep = kl_check_dense(np.diag([1.0, 0.0]),
+                         error_set([np.eye(2), np.diag([-1.0, 1.0])], labels=("E", "E")))
+    assert rep.c_values == (1, -1) and rep.deviations == (0.0, 0.0)
 
 
 def test_local_error_generator_counts_and_loop_filter():
@@ -329,10 +333,16 @@ def test_code_basis_is_orthonormal_and_stabilized():
 
 
 def test_dense_bridge_caps():
-    big = build_torus(3, 3)  # 18 qubits
-    for fn in (code_projector, code_basis):
-        with pytest.raises(ResourceLimitError):
-            fn(big)
+    """`dense_cap` (default 4096) bounds the 2^n of the dense bridge: 2x3
+    (12 qubits) builds, 2x4 (16) and 3x3 (18) are refused, and
+    `pauli.to_dense`, which takes no config, reads the default."""
+    assert code_basis(build_torus(2, 3)).shape == (4096, 4)
+    for lat in (build_torus(2, 4), build_torus(3, 3)):
+        for fn in (code_projector, code_basis):
+            with pytest.raises(ResourceLimitError):
+                fn(lat)
+    with pytest.raises(ResourceLimitError):
+        to_dense(PauliOp(13, 0, 0))
     with pytest.raises(ResourceLimitError):
         spectrum(build_torus(3, 4))  # 24 qubits over the sparse cap
 
@@ -364,6 +374,18 @@ def test_the_dense_bridge_has_one_home():
         assert obj.__module__ == "nsslab.verify"
         assert getattr(nsslab, name) is obj
         assert not hasattr(anyon, name) and not hasattr(lattice, name)
+
+
+def test_every_config_field_has_a_reader():
+    """Each `EngineConfig` field is read as an attribute somewhere in
+    `src/nsslab` outside `config.py`: no setting is a knob that does nothing."""
+    src = pathlib.Path(nsslab.__file__).parent
+    read = {node.attr for path in src.glob("*.py") if path.name != "config.py"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute)}
+    fields = [f.name for f in dataclasses.fields(nsslab.EngineConfig)]
+    assert fields == ["seed", "sparse_max_qubits", "dense_cap"]
+    assert set(fields) <= read, set(fields) - read
 
 
 def test_the_stabilizer_frame_has_one_reader():
@@ -490,7 +512,7 @@ def test_sector_rows_match_the_full_space_solver():
             rep, V = spectrum(lat, pert, h, return_vectors=True)
             q = code_dimension(lat)
             kl = kl_check_ground_basis(V[:, :q], [op for op, _ in pert])
-            sector, _ = verify.flux_free_spectrum(lat, pert, h)
+            sector, _ = verify.flux_free_spectrum(lat, kind, h)
             where = (kind, h, L1, L2)
             assert (row.L1, row.L2, row.h) == (L1, L2, h)
             assert len(sector.energies) == q + 1, where
@@ -596,13 +618,13 @@ def test_shared_sign_rows_match_the_per_term_loop_exactly(chunked, monkeypatch):
     for kind, h, size in cases:
         lat = build_torus(*size)
         pert = perturbation_terms(lat, kind)
-        assert verify.flux_free_spectrum(lat, pert, h, DEFAULT_CONFIG) == \
+        assert verify.flux_free_spectrum(lat, kind, h, DEFAULT_CONFIG) == \
             _per_term_row(lat, pert, h, DEFAULT_CONFIG), (kind, h, size)
     monkeypatch.setattr(verify, "_DENSE_SPECTRUM_CAP", 1)
     lat = build_torus(3, 3)
     for kind in ("z_field", "x_field"):
         pert = perturbation_terms(lat, kind)
-        assert verify.flux_free_spectrum(lat, pert, 0.1, DEFAULT_CONFIG) == \
+        assert verify.flux_free_spectrum(lat, kind, 0.1, DEFAULT_CONFIG) == \
             _per_term_row(lat, pert, 0.1, DEFAULT_CONFIG), kind
 
 
