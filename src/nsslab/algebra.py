@@ -19,7 +19,6 @@ from .config import (DEFAULT_CONFIG, ConvergenceError, DegenerateSpectrumError,
 # Gram-Schmidt drops a residual row below this norm (basis hygiene and the
 # closure's "already in the span" test alike)
 _HS_DROP_TOL = 1e-10
-_CLOSURE_MAX_ITER = 50
 _STACK_ENTRIES = 2**16  # complex entries per stack of certificate products (1 MB)
 # span residuals (closure certificates), relative singular values (null
 # spaces, intertwiners) and relative block couplings (decompose) at or below
@@ -61,7 +60,7 @@ def error_set(mats, labels=None) -> ErrorSet:
 @dataclass(frozen=True)
 class MatrixAlgebra:
     dim: int
-    basis: tuple          # HS-orthonormal d x d matrices
+    basis: np.ndarray     # (m, d, d) HS-orthonormal matrices; a tuple works too
     closed: bool = False
     closure_residual: float = float("nan")
 
@@ -70,8 +69,9 @@ class MatrixAlgebra:
         return len(self.basis)
 
     def stacked(self) -> np.ndarray:
-        """Basis as an (m, d*d) row-orthonormal array."""
-        return np.stack([b.reshape(-1) for b in self.basis])
+        """Basis as an (m, d*d) row-orthonormal array: a view of an array
+        basis, one copy of a tuple."""
+        return np.reshape(self.basis, (len(self.basis), -1))
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,11 @@ class SectorDecomposition:
         return sorted((s.n_J, s.d_J) for s in self.sectors)
 
 
-def _project_out(rows: np.ndarray, rows_h: np.ndarray, cand: np.ndarray) -> np.ndarray:
-    """Remove the span of orthonormal `rows` (`rows_h` = rows^dag) from rows."""
+def _project_out(rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
+    """Remove the span of orthonormal `rows` from the rows of `cand`; the
+    product cand rows^dag = conj(conj(cand) rows^T) conjugates cand only."""
     for _ in range(2):  # reorthogonalization pass
-        cand = cand - (cand @ rows_h) @ rows
+        cand = cand - (cand.conj() @ rows.T).conj() @ rows
     return cand
 
 
@@ -138,7 +139,10 @@ def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> Matr
     Each round right-multiplies only the elements the previous round added
     by every g in G (never by 1), projects out the current span and
     orthonormalizes what is left (modified Gram-Schmidt); products of older
-    elements already lie in the span.  The result is certified exactly by
+    elements already lie in the span.  Rounds go on until one adds no row,
+    as many as the longest word needs (d - 1 for a Krylov chain); each that
+    goes on adds a row, so they end.  The basis is one (m, d*d) array; the
+    result holds an (m, d, d) view of it.  It is certified exactly by
     `verify_closure` with `generators=G`: a span holding 1 and closed under
     right multiplication by G holds every word in 1 and G, which span the
     generators and their adjoints, so `closed=True` never rests on a sample.
@@ -155,26 +159,18 @@ def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> Matr
                            (g.conj().T for g in live))
     rows = _orthonormal_rows((m.reshape(-1) for m in seed), _HS_DROP_TOL)
     new = gens = rows[1:].reshape(-1, d, d)
-    for _ in range(_CLOSURE_MAX_ITER):
-        rows_h = rows.conj().T
+    while True:
         new_rows = np.empty((0, d * d), dtype=complex)
-        last_residual = 0.0
         for b in new:
-            prods = np.matmul(b, gens).reshape(-1, d * d)
-            prods = _project_out(rows, rows_h, prods)
+            prods = _project_out(rows, np.matmul(b, gens).reshape(-1, d * d))
             if new_rows.size:
-                prods = _project_out(new_rows, new_rows.conj().T, prods)
-            norms = np.linalg.norm(prods, axis=1)
-            last_residual = max(last_residual, float(norms.max(initial=0.0)))
-            big = prods[norms > _HS_DROP_TOL]
+                prods = _project_out(new_rows, prods)
+            big = prods[np.linalg.norm(prods, axis=1) > _HS_DROP_TOL]
             if big.size:
                 extracted = _orthonormal_rows(big, _HS_DROP_TOL)
                 new_rows = np.vstack([new_rows, extracted]) if new_rows.size else extracted
-        if new_rows.shape[0] == 0:
-            basis = tuple(rows.reshape(-1, d, d))
-            resid = verify_closure(MatrixAlgebra(d, basis), generators=gens)
-            return MatrixAlgebra(d, basis, closed=resid <= _SPAN_MEMBERSHIP_TOL,
-                                 closure_residual=resid)
+        if not new_rows.size:
+            break
         rows = np.vstack([rows, new_rows])
         new = new_rows.reshape(-1, d, d)
         if rows.shape[0] > d * d:
@@ -183,9 +179,10 @@ def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> Matr
             raise ResourceLimitError(
                 f"closure basis reached {rows.shape[0]} elements at dimension {d}; "
                 "the generated algebra is too large for the dense engine")
-    raise ConvergenceError(
-        f"no closure after {_CLOSURE_MAX_ITER} iterations "
-        f"(last residual {last_residual:.3e})")
+    basis = rows.reshape(-1, d, d)
+    resid = verify_closure(MatrixAlgebra(d, basis), generators=gens)
+    return MatrixAlgebra(d, basis, closed=resid <= _SPAN_MEMBERSHIP_TOL,
+                         closure_residual=resid)
 
 
 def verify_closure(alg: MatrixAlgebra, generators) -> float:
@@ -196,16 +193,16 @@ def verify_closure(alg: MatrixAlgebra, generators) -> float:
     _STACK_ENTRIES entries: m * k of them, an exact certificate that the
     span is the *-algebra generated by G, because a span holding 1 and
     closed under right multiplication by G and G^dag holds every word.  Each
-    stack checks its adjoints B_i^dag beside its products.
+    stack checks its adjoints B_i^dag beside its products.  An array basis
+    is read through views, never copied; only the stacks are allocated.
     """
     d = alg.dim
     rows = alg.stacked()
-    rows_h = rows.conj().T
     mats = rows.reshape(-1, d, d)
     gens = np.asarray(generators, dtype=complex).reshape(-1, d, d)
 
     def span_residual(batch):
-        resid = _project_out(rows, rows_h, batch.reshape(-1, d * d))
+        resid = _project_out(rows, batch.reshape(-1, d * d))
         return float(np.linalg.norm(resid, axis=1).max(initial=0.0))
 
     worst = span_residual(np.eye(d, dtype=complex) / np.sqrt(d))
@@ -248,8 +245,8 @@ def commutant(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Matr
     null_tol = _SPAN_MEMBERSHIP_TOL * max(1.0, float(w[-1]) if len(w) else 1.0)
     cols = V[:, w < null_tol]
     s_plus = float(np.sqrt(w[w >= null_tol].min(initial=np.inf)))
-    basis = tuple(cols[:, i].reshape(d, d) for i in range(cols.shape[1]))
-    mats = np.stack(alg.basis)
+    basis = cols.T.reshape(-1, d, d)
+    mats = np.asarray(alg.basis)
     r = np.sqrt(sum(np.linalg.norm(np.matmul(x, mats) - np.matmul(mats, x)) ** 2
                     for x in basis))
     resid = float(2 * r / s_plus)
@@ -303,7 +300,7 @@ def decompose(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Sect
         # coefficients whatever the basis
         rng = spawn_rng(config.seed, stream)
         g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        return ((rows.conj() @ g.reshape(-1)) @ rows).reshape(d, d)
+        return (np.conj(rows @ g.reshape(-1).conj()) @ rows).reshape(d, d)
 
     K = draw(2)
     kw, kV = np.linalg.eigh((K + K.conj().T) / 2)

@@ -5,7 +5,7 @@ bound memory on the user's machine, each a non-negative integer.  Every
 numerical tolerance is a fixed constant beside the one module that reads
 it, so no reported number moves with a knob.  All randomness flows from one
 64-bit seed through counter-based splittable streams (see `spawn_rng`),
-which keeps results independent of scheduling order.
+which keeps results independent of call order.
 """
 
 import numbers
@@ -55,7 +55,7 @@ def spawn_rng(seed: int, *stream: int) -> "np.random.Generator":
     """Deterministic per-stream generator.
 
     Each distinct `stream` key tuple yields an independent Philox stream, so
-    concurrent workers can draw without any shared state or ordering effects.
+    a draw depends on its key alone, never on the order of the calls.
     """
     ss = np.random.SeedSequence(seed, spawn_key=tuple(stream))
     return np.random.Generator(np.random.Philox(ss))

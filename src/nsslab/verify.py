@@ -593,9 +593,9 @@ def scaling_study(sizes, h: float, kind: str = "z_field",
     Sizes are deduplicated (order kept, with a note).  Each size is solved
     by `flux_free_spectrum` for the field `kind`, which defines a row's
     fields and refuses an unknown kind or an uncertified or tied multiplet.
-    Every size must fit the sector cap, or the run is refused before any is
-    solved.  For one level per sector J, deviation_max is
-    max_J |<Z_e>_J - mean_J <Z_e>_J|.
+    Every size must fit the sector cap and make a torus, or the run is
+    refused before any is solved.  For one level per sector J,
+    deviation_max is max_J |<Z_e>_J - mean_J <Z_e>_J|.
     """
     notes, uniq = [], []
     for s in ((int(a), int(b)) for a, b in sizes):
@@ -608,10 +608,10 @@ def scaling_study(sizes, h: float, kind: str = "z_field",
         raise InsufficientDataError("need at least 3 distinct sizes")
     for L1, L2 in uniq:
         _check_sector_cap(L1, L2, config)
+    lattices = [build_torus(L1, L2) for L1, L2 in uniq]
 
     rows = []
-    for L1, L2 in uniq:
-        lat = build_torus(L1, L2)
+    for (L1, L2), lat in zip(uniq, lattices):
         rep, dev = flux_free_spectrum(lat, kind, h, config)
         rows.append(ScalingRow(L1, L2, h, rep.splitting, rep.gap_delta, rep.coupling_k, dev))
 

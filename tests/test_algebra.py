@@ -634,6 +634,26 @@ def test_multiples_of_the_identity_close_at_dimension_one():
         assert np.allclose(alg.basis[0], eye / 2, atol=1e-15)
 
 
+@pytest.mark.parametrize("d", [52, 64])
+def test_long_krylov_chain_closes_without_a_round_cap(d):
+    """One diagonal generator with d distinct eigenvalues generates the
+    diagonal algebra one power per round, d - 1 rounds in all; the closure
+    runs them all and the space splits into d sectors of shape (1, 1)."""
+    gen = np.diag(np.cos(np.pi * (np.arange(d) + 0.5) / d))
+    alg = close_algebra(error_set([gen]))
+    assert alg.algebra_dim == d and alg.closed
+    assert decompose(alg).sector_shapes == [(1, 1)] * d
+
+
+def test_closure_and_commutant_hold_one_basis_array():
+    alg = close_algebra(error_set(_collective()))
+    com = commutant(alg)
+    for a in (alg, com):
+        assert isinstance(a.basis, np.ndarray)
+        assert a.basis.shape == (a.algebra_dim, 8, 8)
+        assert np.shares_memory(a.stacked(), a.basis)
+
+
 def _per_element_certificate(alg, generators):
     """Oracle: every candidate of the closure certificate (1, the adjoints,
     each product B_i g) projected on its own, one matrix-vector pass at a
@@ -679,24 +699,26 @@ def test_stacked_certificate_matches_a_per_element_loop(gens):
 def test_closure_certificate_peak_memory_stays_below_four_bases():
     """The certificate checks the adjoints stack by stack, beside the
     products, so on the matrix-unit basis of M_24 (576 elements) its traced
-    peak stays below four copies of the basis."""
+    peak stays below four copies of a tuple basis, which it stacks once,
+    and below one copy of an (m, d, d) array basis, as `close_algebra`
+    passes it, which it neither copies nor conjugates."""
     import tracemalloc
 
     from nsslab.algebra import MatrixAlgebra, verify_closure
 
     d = 24
     units = np.eye(d * d, dtype=complex).reshape(-1, d, d)
-    alg = MatrixAlgebra(d, tuple(units))
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    tracemalloc.start()
-    try:
-        resid = verify_closure(alg, generators=[shift, clock])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert resid < 1e-12
-    assert peak < 4 * units.nbytes
+    for basis, copies in ((tuple(units), 4), (units, 1)):
+        tracemalloc.start()
+        try:
+            resid = verify_closure(MatrixAlgebra(d, basis), generators=[shift, clock])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert resid < 1e-12
+        assert peak < copies * units.nbytes, copies
 
 
 def test_decompose_takes_no_svd_for_a_sector_leading_block(monkeypatch):

@@ -151,6 +151,19 @@ def test_decompose_report_and_determinism(tmp_path, capsys):
     assert "isometry" in doc["sectors"][0]
 
 
+def test_decompose_answers_a_chain_longer_than_fifty_rounds(tmp_path, capsys):
+    """A diagonal generator with 52 distinct eigenvalues needs 51 closure
+    rounds; the closure runs them all and the report has 52 sectors."""
+    gen = np.diag(np.cos(np.pi * (np.arange(52) + 0.5) / 52))
+    path = tmp_path / "chain.json"
+    path.write_text(error_set_to_json(error_set([gen])))
+    rc, out, err = _run(capsys, ["decompose", "--input", str(path)])
+    assert rc == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["algebra_dim"] == 52
+    assert doc["sector_shapes"] == [[1, 1]] * 52
+
+
 def test_output_flag_silences_stdout(tmp_path, capsys):
     path = str(tmp_path / "lat.json")
     rc, out, _ = _run(capsys, ["toric", "--l1", "2", "--l2", "2",

@@ -481,6 +481,21 @@ def test_scaling_needs_three_distinct_sizes_within_the_cap():
         scaling_study([(2, 2), (2, 3), (5, 5)], 0.1)  # 2^24 states per sector
 
 
+def test_scaling_checks_every_size_before_solving_any(monkeypatch):
+    """A size that makes no torus is refused before the sizes ahead of it
+    are solved."""
+    solve, solved = verify.flux_free_spectrum, []
+
+    def counted(lat, *args):
+        solved.append((lat.L1, lat.L2))
+        return solve(lat, *args)
+
+    monkeypatch.setattr(verify, "flux_free_spectrum", counted)
+    with pytest.raises(ValueError, match="torus needs"):
+        scaling_study([(3, 4), (3, 3), (1, 2)], 0.1)
+    assert solved == []
+
+
 def test_scaling_handles_exact_degeneracy_and_duplicates():
     with pytest.warns(UserWarning, match="duplicate"):
         res = scaling_study([(2, 2), (2, 2), (2, 3), (3, 2)], 0.0)
