@@ -19,7 +19,7 @@ from .config import (DEFAULT_CONFIG, ConvergenceError, DegenerateSpectrumError,
 # Gram-Schmidt drops a residual row below this norm (basis hygiene and the
 # closure's "already in the span" test alike)
 _HS_DROP_TOL = 1e-10
-_STACK_ENTRIES = 2**16  # complex entries per stack of certificate products (1 MB)
+_STACK_ENTRIES = 2**16  # least complex entries per stack of certificate products (1 MB)
 # span residuals (closure certificates), relative singular values (null
 # spaces, intertwiners) and relative block couplings (decompose) at or below
 # this count as zero
@@ -42,6 +42,8 @@ class ErrorSet:
         for g in self.generators:
             if g.shape != (d, d):
                 raise ValueError("generators must be square with a common dimension")
+            if not np.isfinite(g).all():
+                raise ValueError("generator entries must be finite")
         if len(self.labels) != len(self.generators):
             raise ValueError("one label per generator required")
 
@@ -189,12 +191,15 @@ def verify_closure(alg: MatrixAlgebra, generators) -> float:
     """Max span residual over the identity, the adjoints, and products.
 
     `generators` with 1 span a set G and its adjoints; the products are
-    B_i g for every basis element B_i and every g, in stacks of at most
-    _STACK_ENTRIES entries: m * k of them, an exact certificate that the
-    span is the *-algebra generated by G, because a span holding 1 and
-    closed under right multiplication by G and G^dag holds every word.  Each
-    stack checks its adjoints B_i^dag beside its products.  An array basis
-    is read through views, never copied; only the stacks are allocated.
+    B_i g for every basis element B_i and every g: m * k of them, an exact
+    certificate that the span is the *-algebra generated by G, because a
+    span holding 1 and closed under right multiplication by G and G^dag
+    holds every word.  Each stack of products holds at most an eighth of the
+    basis's entries, or _STACK_ENTRIES if that is more: each stack streams
+    the whole basis through `_project_out`, so few stacks save time, and the
+    peak stays near half a large basis.  Each stack checks its adjoints B_i^dag
+    beside its products.  An array basis is read through views, never
+    copied; only the stacks are allocated.
     """
     d = alg.dim
     rows = alg.stacked()
@@ -206,7 +211,7 @@ def verify_closure(alg: MatrixAlgebra, generators) -> float:
         return float(np.linalg.norm(resid, axis=1).max(initial=0.0))
 
     worst = span_residual(np.eye(d, dtype=complex) / np.sqrt(d))
-    step = max(1, _STACK_ENTRIES // max(1, gens.size))
+    step = max(1, max(_STACK_ENTRIES, rows.size // 8) // max(1, gens.size))
     for i in range(0, len(mats), step):
         block = mats[i:i + step]
         worst = max(worst, span_residual(block.conj().transpose(0, 2, 1)),

@@ -135,12 +135,13 @@ def _endpoints(lat: TorusLattice, kind: str, edge: int) -> tuple:
     return lat.edge_vertices(edge) if kind == "e" else lat.edge_faces(edge)
 
 
-def _edge_operator(lat: TorusLattice, kind: str, edge: int) -> PauliOp:
-    # Z strings excite the stars at their endpoints (e); X strings the
-    # plaquettes (m)
+def _edge_operator(lat: TorusLattice, kind: str, edges: int) -> PauliOp:
+    """The string of one Pauli type on the edge mask `edges`: Z for e (its
+    endpoints excite stars), X for m (plaquettes).  Such strings multiply
+    with phase 0, so a path's string is the XOR of its edges' bits."""
     if kind == "e":
-        return PauliOp(lat.n_qubits, 0, 1 << edge)
-    return PauliOp(lat.n_qubits, 1 << edge, 0)
+        return PauliOp(lat.n_qubits, 0, edges)
+    return PauliOp(lat.n_qubits, edges, 0)
 
 
 def create_pair(state: AnyonState, kind: str, edge: int) -> AnyonState:
@@ -153,7 +154,7 @@ def create_pair(state: AnyonState, kind: str, edge: int) -> AnyonState:
     occupied = {an.position for an in state.anyons if an.kind == kind}
     if a in occupied or b in occupied:
         raise InvalidMoveError(f"endpoint already hosts an {kind} anyon")
-    op = _edge_operator(state.lat, kind, edge)
+    op = _edge_operator(state.lat, kind, 1 << edge)
     pid = state.next_pair
     new = (Anyon(kind, a, op, pid), Anyon(kind, b, identity(state.lat.n_qubits), pid))
     return replace(state, applied=multiply(op, state.applied),
@@ -198,9 +199,10 @@ def move_anyon(state: AnyonState, index: int, path) -> AnyonState:
     if not all(0 <= e < state.lat.n_qubits for e in steps):
         raise ValueError("edge index out of range")
     end = _walk(state.lat, mover.kind, mover.position, steps)
-    op = identity(state.lat.n_qubits)
+    mask = 0
     for e in steps:
-        op = multiply(_edge_operator(state.lat, mover.kind, e), op)
+        mask ^= 1 << e
+    op = _edge_operator(state.lat, mover.kind, mask)
     out = replace(state, applied=multiply(op, state.applied))
     if end == mover.position:
         absorbed = _absorb_if_scalar(out, op)
@@ -366,7 +368,7 @@ def fuse(state: AnyonState, a: int, b: int, via: int | None = None) -> AnyonStat
         else:
             if set(_endpoints(lat, an_a.kind, via)) != {an_a.position, an_b.position}:
                 raise InvalidFusionError("via edge does not connect the pair")
-        connector = _edge_operator(lat, an_a.kind, via)
+        connector = _edge_operator(lat, an_a.kind, 1 << via)
         out = replace(out, applied=multiply(connector, out.applied))
     joined = multiply(connector, multiply(an_a.string, an_b.string))
     remaining = [an for k, an in enumerate(out.anyons) if k not in (a, b)]

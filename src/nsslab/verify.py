@@ -448,9 +448,9 @@ def spectrum(lat: TorusLattice, perturbation=None, h: float = 0.0,
 
 # Energy of the cheapest flux: one pair of violated checks, +2 each.
 _FLUX_PAIR_COST = 4.0
-# `flux_free_spectrum` builds its shared sign rows in chunks of at most this
-# many entries (1 MB as float64): at 4x4 one chunk of all 32 rows and its
-# int64 temporary would raise the run's peak memory by a seventh
+# `flux_free_spectrum` builds each multiplet sector's sign rows in chunks of at
+# most this many entries (1 MB as float64): at 4x4 one chunk of all 32 rows and
+# its int64 temporary would raise the run's peak memory by a seventh
 _SIGN_ROW_ENTRIES = 1 << 17
 
 
@@ -470,15 +470,6 @@ def _loop_frames(lat: TorusLattice, swap: bool = False):
     frames = [(j1 == -1) * pair[0].x_bits ^ (j2 == -1) * pair[1].x_bits
               for j1, j2 in SECTOR_ORDER]
     return checks, frames, [op.x_bits for op, _ in checks if op.x_bits][:-1]
-
-
-def _sign_rows(states, field_bits):
-    """(terms, R) in chunks of at most _SIGN_ROW_ENTRIES entries: R[t, c] =
-    (-1)^|z_t & states[c]| for the field terms t of the slice `terms`."""
-    step = max(1, _SIGN_ROW_ENTRIES // len(states))
-    for start in range(0, len(field_bits), step):
-        terms = slice(start, start + step)
-        yield terms, _signs(states, field_bits[terms, None])
 
 
 def _check_sector_cap(L1, L2, config):
@@ -506,14 +497,12 @@ def flux_free_spectrum(lat: TorusLattice, kind: str, h: float,
     (q+1)-th lies at or below w0 + 4 (to within _EIG_RESIDUAL_TOL); else the
     run refuses, as it does on a tie of levels q and q + 1.
 
-    The four sectors share one set of sign rows.  Sector J's states are
-    states0 ^ z0_J, states0 the coset of z0 = 0, so the sign of field term t
-    on state c of sector J is sigma[J, t] * R[t, c], with R[t] the signs of
-    z_t on states0 and the scalar sigma[J, t] = (-1)^|z_t & z0_J|.  Each
-    sector's field is then one product, sigma[J] @ R, and each sector's
-    blocks G^T Z_t G of the multiplet one batched product.  R is built in
-    chunks of terms (`_sign_rows`), twice: once for the fields and once for
-    the blocks, so it is never held through the solves.
+    Each sector is read from its own coset states.  The field's terms are
+    distinct single edges with unit coefficients, so on state s it is the
+    number of terms minus 2|s & mask|, mask the OR of their bits: one
+    popcount per state.  Each multiplet sector's blocks G^T Z_t G are one
+    batched product over its sign rows, built in chunks of terms of at most
+    _SIGN_ROW_ENTRIES entries.
     """
     swap = kind == "x_field"
     field_bits = np.array([op.x_bits if swap else op.z_bits
@@ -522,11 +511,9 @@ def flux_free_spectrum(lat: TorusLattice, kind: str, h: float,
     checks, frames, basis = _loop_frames(lat, swap)
     q = code_dimension(lat)
     dim = 1 << len(basis)
-    states0 = _coset_states(0, basis)
-    sigma = _signs(np.array(frames)[:, None], field_bits)
-    fields = np.zeros((len(frames), dim))
-    for terms, R in _sign_rows(states0, field_bits):
-        fields += sigma[:, terms] @ R
+    states = [_coset_states(z0, basis) for z0 in frames]
+    mask = np.bitwise_or.reduce(field_bits)
+    fields = [len(field_bits) - 2.0 * np.bitwise_count(s & mask) for s in states]
     # the same in every sector: the X loops of z0 commute with every
     # plaquette, and the stars carry no Z
     check_groups = _coset_sum(checks, frames[0], basis)
@@ -553,9 +540,11 @@ def flux_free_spectrum(lat: TorusLattice, kind: str, h: float,
     share = [sum(1 for _, J in levels[:q] if J == K) for K in range(len(solved))]
     multiplet = [(J, solved[J][1][:, :m]) for J, m in enumerate(share) if m]
     deviation = 0.0
-    for terms, R in _sign_rows(states0, field_bits):
+    step = max(1, _SIGN_ROW_ENTRIES // dim)
+    for start in range(0, len(field_bits), step):
+        z = field_bits[start:start + step, None]
         # blocks[i][t] = G^T Z_t G in the i-th multiplet sector
-        blocks = [sigma[J, terms, None, None] * np.matmul(G.T, R[:, :, None] * G)
+        blocks = [np.matmul(G.T, _signs(states[J], z)[:, :, None] * G)
                   for J, G in multiplet]
         c = sum(np.trace(b, axis1=1, axis2=2) for b in blocks) / q
         for b in blocks:

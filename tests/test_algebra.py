@@ -77,6 +77,11 @@ def test_error_set_validation_and_default_labels():
         error_set([np.eye(2), np.eye(3)])
     with pytest.raises(ValueError):
         error_set([np.eye(2)], labels=("a", "b"))
+    # a NaN norm compares false with the drop tolerance, so the closure
+    # would drop a non-finite generator unseen
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            error_set([_SX, np.diag([1.0, bad])])
 
 
 def test_error_set_json_round_trip_and_shape_check():
@@ -696,29 +701,43 @@ def test_stacked_certificate_matches_a_per_element_loop(gens):
     assert verify_closure(cut, generators=generators) > 1e-3
 
 
-def test_closure_certificate_peak_memory_stays_below_four_bases():
+def test_closure_certificate_peak_memory_stays_below_four_bases(monkeypatch):
     """The certificate checks the adjoints stack by stack, beside the
     products, so on the matrix-unit basis of M_24 (576 elements) its traced
     peak stays below four copies of a tuple basis, which it stacks once,
     and below one copy of an (m, d, d) array basis, as `close_algebra`
-    passes it, which it neither copies nor conjugates."""
+    passes it, which it neither copies nor conjugates.  Its stacks grow with
+    the basis: on the 96 diagonal units (a 14 MB basis) with one diagonal
+    generator, eight stacks of 12 products make 17 `_project_out` calls
+    (1 MB stacks would make 29), and the peak stays below one basis."""
     import tracemalloc
 
+    from nsslab import algebra
     from nsslab.algebra import MatrixAlgebra, verify_closure
 
     d = 24
     units = np.eye(d * d, dtype=complex).reshape(-1, d, d)
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    for basis, copies in ((tuple(units), 4), (units, 1)):
+    diagonal = np.zeros((96, 96, 96), dtype=complex)
+    diagonal[np.arange(96), np.arange(96), np.arange(96)] = 1.0
+    calls = []
+    project_out = algebra._project_out
+    monkeypatch.setattr(algebra, "_project_out",
+                        lambda *args: calls.append(1) or project_out(*args))
+    for basis, gens, copies in ((tuple(units), [shift, clock], 4),
+                                (units, [shift, clock], 1),
+                                (diagonal, [np.diag(np.arange(96.0))], 1)):
+        calls.clear()
         tracemalloc.start()
         try:
-            resid = verify_closure(MatrixAlgebra(d, basis), generators=[shift, clock])
+            resid = verify_closure(MatrixAlgebra(len(gens[0]), basis), generators=gens)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert resid < 1e-12
-        assert peak < copies * units.nbytes, copies
+        assert peak < copies * sum(b.nbytes for b in basis), copies
+    assert len(calls) <= 17  # the last case's, the diagonal units
 
 
 def test_decompose_takes_no_svd_for_a_sector_leading_block(monkeypatch):

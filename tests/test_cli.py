@@ -291,7 +291,9 @@ def test_validation_exit_codes(tmp_path, capsys):
                [pair, {"op": "move", "anyon": "0", "path": [1]}])
     error_sets = ({"dimension": 2, "matrices": [1]},
                   {"dimension": 2, "matrices": [[[1, 0], [0, 1]]]}, [1],
-                  {"dimension": 1, "matrices": [[[[1, 0]]]], "labels": 5})
+                  {"dimension": 1, "matrices": [[[[1, 0]]]], "labels": 5},
+                  # JSON NaN parses as a float; the closure would drop it unseen
+                  {"dimension": 1, "matrices": [[[[1, 0]]], [[[float("nan"), 0]]]]})
     for k, doc in enumerate(scripts + error_sets):
         path = tmp_path / f"malformed{k}.json"
         path.write_text(json.dumps(doc))

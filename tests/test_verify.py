@@ -574,9 +574,9 @@ def test_sector_rows_of_transposed_tori_agree():
 
 
 def _per_term_row(lat, perturbation, h, config):
-    """`verify.flux_free_spectrum` as it was before its diagnostics shared
-    sign rows: per sector, one sign vector per field term for the field and
-    again for each term's block of the multiplet."""
+    """`verify.flux_free_spectrum` one term at a time: per sector, one sign
+    vector per field term, summed for the field and again for each term's
+    block of the multiplet."""
     ops = [op for op, _ in perturbation]
     swap = all(op.z_bits == 0 for op in ops)
     field_bits = [op.x_bits if swap else op.z_bits for op in ops]
@@ -617,11 +617,11 @@ def _per_term_row(lat, perturbation, h, config):
 
 @pytest.mark.parametrize("chunked", [False, True], ids=["budget", "one-term-chunks"])
 def test_shared_sign_rows_match_the_per_term_loop_exactly(chunked, monkeypatch):
-    """`flux_free_spectrum` builds its fields and multiplet blocks from sign
-    rows shared by the four sectors; with unit field coefficients every sum
-    is the same float sum as the per-term loop's, so the reports (levels,
-    degeneracy, gap, splitting, coupling_k) and deviation_max are equal, not
-    close.
+    """`flux_free_spectrum` takes each sector's field as one popcount and
+    its multiplet blocks from chunked sign rows; with unit field
+    coefficients every field is the same integer as the per-term loop's sum
+    and every block the same product, so the reports (levels, degeneracy,
+    gap, splitting, coupling_k) and deviation_max are equal, not close.
     Covers every kind, a sector holding two multiplet levels (z_field_right
     at h = 1.2), the ARPACK branch (3x3 with the dense cap at 1) and, with
     `chunked`, a sign-row budget that puts every term in its own chunk."""
