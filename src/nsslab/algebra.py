@@ -149,14 +149,21 @@ def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> Matr
     right multiplication by G holds every word in 1 and G, which span the
     generators and their adjoints, so `closed=True` never rests on a sample.
     An empty G (generators all multiples of 1) closes at dimension 1.
+    The set is first scaled by the power of two that puts its largest entry
+    modulus in [1/2, 1) (short of it below 2^-1022): exact and commuting
+    with Gram-Schmidt, so a common scale keeps the basis's bits, and the
+    _HS_DROP_TOL floor is relative to that entry ({Z, 1e-11 X} closes at 2).
     """
     d = errs.dim
     if d > config.dense_cap:
         raise ResourceLimitError(f"dense algebra capped at dimension {config.dense_cap}")
     # the seed rows 1, E_a, E_a^dag, one at a time rather than a stack of
-    # 2k + 1 copies; the identity always survives, and a generator of norm at
-    # most _HS_DROP_TOL is skipped with its adjoint (Gram-Schmidt drops both)
-    live = [g for g in errs.generators if np.linalg.norm(g) > _HS_DROP_TOL]
+    # 2k + 1 copies; the identity always survives, a zero generator is skipped
+    # before any copy, a scaled one of norm at most _HS_DROP_TOL with its adjoint
+    tops = [np.abs(g).max() for g in errs.generators]
+    scale = 2.0 ** min(-int(np.frexp(max(tops))[1]), 1023)
+    live = [g * scale for g, top in zip(errs.generators, tops) if top]
+    live = [g for g in live if np.linalg.norm(g) > _HS_DROP_TOL]
     seed = itertools.chain([np.eye(d, dtype=complex)], live,
                            (g.conj().T for g in live))
     rows = _orthonormal_rows((m.reshape(-1) for m in seed), _HS_DROP_TOL)
@@ -386,7 +393,7 @@ def _matrix_from_pairs(rows, d):
         pairs = np.array(rows)
     except ValueError:  # ragged nesting
         pairs = np.array(())
-    if pairs.dtype.kind not in "biuf" or pairs.shape != (d, d, 2):
+    if pairs.dtype.kind not in "iuf" or pairs.shape != (d, d, 2):
         raise ValueError(f"each matrix must be {d}x{d} [re, im] number pairs")
     return pairs.astype(float).view(complex)[..., 0]
 
@@ -402,7 +409,7 @@ def error_set_to_json(errs: ErrorSet) -> str:
 
 def error_set_from_json(text: str) -> ErrorSet:
     doc = json.loads(text)
-    if not (isinstance(doc, dict) and isinstance(doc.get("dimension"), int)
+    if not (isinstance(doc, dict) and type(doc.get("dimension")) is int
             and isinstance(doc.get("matrices"), list)
             and isinstance(doc.get("labels") or [], list)):
         raise ValueError("error set needs an integer dimension and lists of "

@@ -9,8 +9,8 @@ reruns at a fixed BLAS thread count.
 The parser is the one list of what each subcommand takes: each subparser
 names its handler, and its options are the keys a config file may give.
 
-Exit codes: 0 success, 2 validation failure, 3 convergence failure,
-4 resource-limit refusal.
+Exit codes: 0 success, 2 validation failure (an unwritable --output too),
+3 convergence failure, 4 resource-limit refusal.
 """
 
 import argparse
@@ -330,12 +330,15 @@ def main(argv=None) -> int:
         print(f"nsslab: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    out = opts["output"]
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
+    if not opts["output"]:
         sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(opts["output"], "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"nsslab: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     return EXIT_OK
 
 

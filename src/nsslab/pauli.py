@@ -101,13 +101,6 @@ def _signs(states, z_bits):
     return 1.0 - 2.0 * (np.bitwise_count(states & z_bits) & 1)
 
 
-def _scatter(a: PauliOp):
-    """(rows, vals): column c holds i^phase * (-1)^|z & c| at row c ^ x, one
-    scatter instead of an n-fold Kronecker product."""
-    cols = np.arange(1 << a.n)
-    return cols ^ a.x_bits, (1j ** a.phase) * _signs(cols, a.z_bits)
-
-
 def _coset_states(z0, basis):
     """Index c of the coset frame (z0, basis) is the state z0 ^ (XOR of
     basis[i] over the set bits i of c); z0 = 0 and unit vectors: full space."""
@@ -123,7 +116,8 @@ def _coset_sum(terms, z0, basis):
     coordinates of x in the basis, with the value coeff * i^p *
     (-1)^|z & state(c)|: a scalar when z commutes with the basis, and real
     unless some term carries a Y or an odd phase.  Terms that share a add,
-    in term order, so the sum is one diagonal plus one shift per distinct a."""
+    in term order (a lone term's value kept as it is, signed zeros too), so
+    the sum is one diagonal plus one shift per distinct a."""
     if gf2.rank(basis) != len(basis):
         raise ValueError("coset basis vectors are not independent")
     real = not any(op.x_bits & op.z_bits or op.phase & 1 for op, _ in terms)
@@ -136,8 +130,13 @@ def _coset_sum(terms, z0, basis):
         value = coeff * (1j ** op.phase).real if real else coeff * 1j ** op.phase
         constant = not any((op.z_bits & b).bit_count() & 1 for b in basis)
         value = value * _signs(states[0] if constant else states, op.z_bits)
-        groups[a] = groups.get(a, 0) + value
+        groups[a] = groups[a] + value if a in groups else value
     return groups
+
+
+def _full_sum(terms, n):
+    """`_coset_sum` on the full space: the frame of the n unit vectors."""
+    return _coset_sum(terms, 0, [1 << i for i in range(n)])
 
 
 def _coset_dense(groups, dim):
@@ -150,15 +149,12 @@ def _coset_dense(groups, dim):
 
 
 def to_dense(a: PauliOp) -> np.ndarray:
-    """Dense 2^n x 2^n unitary in the computational basis, refused above the
-    default `dense_cap` (this takes no config)."""
+    """Dense complex 2^n x 2^n unitary, the one-term `_full_sum`, refused
+    above the default `dense_cap` (this takes no config)."""
     dim, cap = 1 << a.n, DEFAULT_CONFIG.dense_cap
     if dim > cap:
         raise ResourceLimitError(f"dense bridge capped at dimension {cap}, got 2^{a.n}")
-    rows, vals = _scatter(a)
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[rows, np.arange(dim)] = vals
-    return mat
+    return _coset_dense(_full_sum([(a, 1 + 0j)], a.n), dim)
 
 
 def format_pauli(a: PauliOp) -> str:
@@ -204,12 +200,11 @@ def parse_pauli(text: str) -> PauliOp:
 
 
 def apply_to_vector(a: PauliOp, vec: np.ndarray) -> np.ndarray:
-    """Matrix-free action on state vectors (length-2^n array or stack of columns)."""
+    """Matrix-free action on state vectors (length-2^n array or stack of
+    columns): the one group (x, values) of the one-term `_full_sum`."""
     if vec.shape[0] != 1 << a.n:
         raise ValueError("vector length does not match qubit count")
-    rows, vals = _scatter(a)
-    if vec.ndim > 1:
-        vals = vals[:, None]
+    ((shift, values),) = _full_sum([(a, 1 + 0j)], a.n).items()
     out = np.empty_like(vec, dtype=complex)
-    out[rows] = vals * vec
+    out[np.arange(len(vec)) ^ shift] = (values * vec.T).T  # values scale the rows
     return out

@@ -10,12 +10,12 @@ The CLI's one spectral engine, `flux_free_spectrum`, solves fields of one
 Pauli type in the four flux-free symmetry sectors; the full-space
 `spectrum`, for any Pauli perturbation, is its oracle and has no CLI
 caller.  Both build the Hamiltonian with one kernel, `pauli._coset_sum`
-(the full space is its unit frame, a flux-free sector a coset of the star
-span), solve it with `_lowest` (dense eigh up to _DENSE_SPECTRUM_CAP
-states, seeded ARPACK above) and read the multiplet with `_multiplet`.
-scipy is imported only in the ARPACK paths (`_lowest`, `_sparse_operator`),
-so every path that stays dense loads none of it.  Every tolerance is a
-fixed module constant, not a config field.
+(the full space is its unit frame, `_full_sum`; a flux-free sector is a
+coset of the star span), solve it with `_lowest` (dense eigh up to
+_DENSE_SPECTRUM_CAP states, seeded ARPACK above) and read the multiplet
+with `_multiplet`.  scipy is imported only in the ARPACK paths (`_lowest`,
+`_sparse_operator`), so every path that stays dense loads none of it.
+Every tolerance is a fixed module constant, not a config field.
 
 This module is also the one home of the dense bridge for small lattices,
 the 2^n-dimensional oracles that the exact layers are checked against:
@@ -38,8 +38,8 @@ from .algebra import ErrorSet
 from .anyon import AnyonState
 from .lattice import (SectorLabel, TorusLattice, build_torus, code_dimension,
                       homology_basis, syndrome)
-from .pauli import (PauliOp, _coset_dense, _coset_states, _coset_sum, _signs,
-                    apply_to_vector, format_pauli)
+from .pauli import (PauliOp, _coset_dense, _coset_states, _coset_sum, _full_sum,
+                    _signs, apply_to_vector, format_pauli)
 
 
 # a code projector must be Hermitian and idempotent to within this (Frobenius)
@@ -347,11 +347,11 @@ def _assemble_terms(lat, perturbation, h):
 
 
 def _dense_hamiltonian(n, terms):
-    return _coset_dense(_coset_sum(terms, 0, [1 << i for i in range(n)]), 1 << n)
+    return _coset_dense(_full_sum(terms, n), 1 << n)
 
 
 def _matfree_operator(n, terms):
-    return _sparse_operator(_coset_sum(terms, 0, [1 << i for i in range(n)]), 1 << n)
+    return _sparse_operator(_full_sum(terms, n), 1 << n)
 
 
 def _sparse_operator(groups, dim):
@@ -383,7 +383,7 @@ def _lowest(dim, k, dense, operator, stream, config):
     A = operator()
     v0 = spawn_rng(config.seed, *stream).standard_normal(dim)
     try:
-        w, V = spla.eigsh(A, k=min(k, dim - 2), which="SA", v0=v0,
+        w, V = spla.eigsh(A, k=k, which="SA", v0=v0,
                           tol=_EIG_RESIDUAL_TOL * 1e-2, maxiter=_EIG_MAX_ITER)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc

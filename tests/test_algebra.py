@@ -619,8 +619,8 @@ def _compressed_weight1():
 
 
 def test_zero_generators_leave_the_closure_basis_bit_identical():
-    """A generator of norm below the drop tolerance is skipped with its
-    adjoint; Gram-Schmidt would drop both, so the basis does not move."""
+    """An exactly zero generator is skipped with its adjoint; Gram-Schmidt
+    would drop both, so the basis does not move."""
     zeros = [np.zeros((8, 8), dtype=complex)] * 3
     padded = close_algebra(error_set(_collective() + zeros))
     assert np.array_equal(padded.stacked(), close_algebra(error_set(_collective())).stacked())
@@ -629,6 +629,34 @@ def test_zero_generators_leave_the_closure_basis_bit_identical():
     alg = close_algebra(error_set(mats + [P]))
     assert alg.algebra_dim == 2 and alg.closed
     assert np.array_equal(alg.stacked(), close_algebra(error_set([P])).stacked())
+
+
+def test_a_common_scale_of_the_set_leaves_the_closure_basis_bit_identical():
+    """The closure first scales the set by a power of two, so powers of two
+    far beyond the drop tolerance and past the range where squared entries
+    underflow give the unscaled basis, byte for byte."""
+    basis = close_algebra(error_set(_collective())).stacked()
+    for e in (-40, 40, -600):
+        alg = close_algebra(error_set([g * 2.0**e for g in _collective()]))
+        assert alg.closed and alg.stacked().tobytes() == basis.tobytes()
+
+
+@pytest.mark.parametrize("gens, shapes", [
+    # once read as one noiseless sector: the generators fell under the floor
+    ([1e-11 * _SZ], [(1, 1), (1, 1)]),
+    ([1e-11 * _SZ, 1e-11 * _SX], [(1, 2)]),
+    # once refused (1e150) or lost to overflow (1e300)
+    ([1e150 * _SZ], [(1, 1), (1, 1)]),
+    ([1e300 * _SZ], [(1, 1), (1, 1)]),
+    # a subnormal largest entry: 2^-e itself would overflow
+    ([1e-310 * _SZ], [(1, 1), (1, 1)]),
+    # the floor is relative to the largest entry
+    ([_SZ, 1e-11 * _SX], [(1, 1), (1, 1)]),
+])
+def test_decompose_does_not_depend_on_the_scale_of_the_set(gens, shapes):
+    with np.errstate(all="raise"):
+        dec = decompose(close_algebra(error_set(gens)))
+    assert dec.sector_shapes == shapes
 
 
 def test_multiples_of_the_identity_close_at_dimension_one():

@@ -173,6 +173,24 @@ def test_output_flag_silences_stdout(tmp_path, capsys):
         assert fh.read() == lattice_to_json(build_torus(2, 2))
 
 
+def test_unwritable_output_exits_2_with_nothing_on_stdout(tmp_path, capsys):
+    for path in (tmp_path, tmp_path / "missing" / "lat.json"):
+        rc, out, err = _run(capsys, ["toric", "--l1", "2", "--l2", "2",
+                                     "--output", str(path)])
+        assert rc == EXIT_VALIDATION and out == "", path
+        assert err.startswith("nsslab: cannot write output: "), err
+
+
+def test_decompose_of_a_tiny_set_finds_no_noiseless_subsystem(tmp_path, capsys):
+    """sigma_z and sigma_x at 1e-11 generate all of M(2), as at unit scale;
+    an absolute drop floor once dropped both and reported [[2, 1]]."""
+    path = tmp_path / "tiny.json"
+    path.write_text(error_set_to_json(error_set([1e-11 * _SZ, 1e-11 * _SX])))
+    rc, out, _ = _run(capsys, ["decompose", "--input", str(path)])
+    assert rc == 0
+    assert json.loads(out)["sector_shapes"] == [[1, 2]]
+
+
 def test_kl_check_report(capsys):
     rc, out, _ = _run(capsys, ["kl-check", "--l1", "2", "--l2", "2",
                                "--max-weight", "1"])
@@ -293,7 +311,10 @@ def test_validation_exit_codes(tmp_path, capsys):
                   {"dimension": 2, "matrices": [[[1, 0], [0, 1]]]}, [1],
                   {"dimension": 1, "matrices": [[[[1, 0]]]], "labels": 5},
                   # JSON NaN parses as a float; the closure would drop it unseen
-                  {"dimension": 1, "matrices": [[[[1, 0]]], [[[float("nan"), 0]]]]})
+                  {"dimension": 1, "matrices": [[[[1, 0]]], [[[float("nan"), 0]]]]},
+                  # a JSON bool is not a number, although Python's bool is an int
+                  {"dimension": True, "matrices": [[[[1, 0]]]]},
+                  {"dimension": 1, "matrices": [[[[True, False]]]]})
     for k, doc in enumerate(scripts + error_sets):
         path = tmp_path / f"malformed{k}.json"
         path.write_text(json.dumps(doc))
