@@ -149,21 +149,20 @@ def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> Matr
     right multiplication by G holds every word in 1 and G, which span the
     generators and their adjoints, so `closed=True` never rests on a sample.
     An empty G (generators all multiples of 1) closes at dimension 1.
-    The set is first scaled by the power of two that puts its largest entry
-    modulus in [1/2, 1) (short of it below 2^-1022): exact and commuting
-    with Gram-Schmidt, so a common scale keeps the basis's bits, and the
-    _HS_DROP_TOL floor is relative to that entry ({Z, 1e-11 X} closes at 2).
+    Each generator is first scaled by the power of two that puts its largest
+    real or imaginary part in [1/2, 1): exact and commuting with
+    Gram-Schmidt, so a power of two on any generator keeps the basis's bits,
+    and the algebra depends only on the line each spans ({1e11 Z, X}: 4).
     """
     d = errs.dim
     if d > config.dense_cap:
         raise ResourceLimitError(f"dense algebra capped at dimension {config.dense_cap}")
     # the seed rows 1, E_a, E_a^dag, one at a time rather than a stack of
     # 2k + 1 copies; the identity always survives, a zero generator is skipped
-    # before any copy, a scaled one of norm at most _HS_DROP_TOL with its adjoint
-    tops = [np.abs(g).max() for g in errs.generators]
-    scale = 2.0 ** min(-int(np.frexp(max(tops))[1]), 1023)
-    live = [g * scale for g, top in zip(errs.generators, tops) if top]
-    live = [g for g in live if np.linalg.norm(g) > _HS_DROP_TOL]
+    # before any copy, and the rest are scaled to a largest part in [1/2, 1)
+    parts = (np.ascontiguousarray(g, dtype=complex).view(float) for g in errs.generators)
+    live = [np.ldexp(f, -np.frexp(top)[1]).view(complex)
+            for f in parts if (top := np.abs(f).max())]
     seed = itertools.chain([np.eye(d, dtype=complex)], live,
                            (g.conj().T for g in live))
     rows = _orthonormal_rows((m.reshape(-1) for m in seed), _HS_DROP_TOL)
@@ -389,11 +388,12 @@ def _matrix_to_pairs(mat: np.ndarray):
 
 
 def _matrix_from_pairs(rows, d):
-    try:
-        pairs = np.array(rows)
+    try:  # numpy reads a JSON true as 1, so bools are sought among the objects
+        pairs, entries = np.array(rows), np.array(rows, dtype=object).flat
     except ValueError:  # ragged nesting
-        pairs = np.array(())
-    if pairs.dtype.kind not in "iuf" or pairs.shape != (d, d, 2):
+        pairs, entries = np.array(()), ()
+    if (pairs.dtype.kind not in "iuf" or pairs.shape != (d, d, 2)
+            or any(type(v) is bool for v in entries)):
         raise ValueError(f"each matrix must be {d}x{d} [re, im] number pairs")
     return pairs.astype(float).view(complex)[..., 0]
 

@@ -631,13 +631,14 @@ def test_zero_generators_leave_the_closure_basis_bit_identical():
     assert np.array_equal(alg.stacked(), close_algebra(error_set([P])).stacked())
 
 
-def test_a_common_scale_of_the_set_leaves_the_closure_basis_bit_identical():
-    """The closure first scales the set by a power of two, so powers of two
-    far beyond the drop tolerance and past the range where squared entries
-    underflow give the unscaled basis, byte for byte."""
+def test_a_scale_on_each_generator_leaves_the_closure_basis_bit_identical():
+    """The closure first scales each generator by a power of two, so powers
+    of two far beyond the drop tolerance and past the range where squared
+    entries underflow or overflow, common to the set or one per generator,
+    give the unscaled basis, byte for byte."""
     basis = close_algebra(error_set(_collective())).stacked()
-    for e in (-40, 40, -600):
-        alg = close_algebra(error_set([g * 2.0**e for g in _collective()]))
+    for es in ((-40,) * 3, (40,) * 3, (-600,) * 3, (-600, 1000, 0)):
+        alg = close_algebra(error_set([g * 2.0**e for g, e in zip(_collective(), es)]))
         assert alg.closed and alg.stacked().tobytes() == basis.tobytes()
 
 
@@ -648,10 +649,14 @@ def test_a_common_scale_of_the_set_leaves_the_closure_basis_bit_identical():
     # once refused (1e150) or lost to overflow (1e300)
     ([1e150 * _SZ], [(1, 1), (1, 1)]),
     ([1e300 * _SZ], [(1, 1), (1, 1)]),
-    # a subnormal largest entry: 2^-e itself would overflow
+    # subnormal largest entries: 2^-e itself would overflow
     ([1e-310 * _SZ], [(1, 1), (1, 1)]),
-    # the floor is relative to the largest entry
-    ([_SZ, 1e-11 * _SX], [(1, 1), (1, 1)]),
+    ([5e-324 * _SZ], [(1, 1), (1, 1)]),
+    # both parts near the top of the range: the modulus would overflow
+    ([(1.3e308 + 1.3e308j) * _SZ], [(1, 1), (1, 1)]),
+    # generators of very different sizes still generate M(2)
+    ([_SZ, 1e-11 * _SX], [(1, 2)]),
+    ([1e11 * _SZ, _SX], [(1, 2)]),
 ])
 def test_decompose_does_not_depend_on_the_scale_of_the_set(gens, shapes):
     with np.errstate(all="raise"):

@@ -314,7 +314,9 @@ def test_validation_exit_codes(tmp_path, capsys):
                   {"dimension": 1, "matrices": [[[[1, 0]]], [[[float("nan"), 0]]]]},
                   # a JSON bool is not a number, although Python's bool is an int
                   {"dimension": True, "matrices": [[[[1, 0]]]]},
-                  {"dimension": 1, "matrices": [[[[True, False]]]]})
+                  {"dimension": 1, "matrices": [[[[True, False]]]]},
+                  {"dimension": 1, "matrices": [[[[True, 0]]]]},
+                  {"dimension": 1, "matrices": [[[[0.5, False]]]]})
     for k, doc in enumerate(scripts + error_sets):
         path = tmp_path / f"malformed{k}.json"
         path.write_text(json.dumps(doc))
