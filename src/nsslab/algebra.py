@@ -3,8 +3,9 @@
 Given a set of error generators, build the generated *-algebra as a
 Hilbert-Schmidt orthonormal basis, compute its commutant, and split the
 carrier space into sectors C^n (x) C^d with explicit isometries.  The
-decomposition is randomized (eigenvalue clustering of seeded random algebra
-elements) but deterministic for a fixed seed.
+decomposition is randomized (eigenvalue clustering of seeded random elements
+of the algebra, or, from an error set, of its commutant, found by conjugate
+gradients with no basis of the algebra) but deterministic for a fixed seed.
 """
 
 import itertools
@@ -28,6 +29,12 @@ _SPAN_MEMBERSHIP_TOL = 1e-8
 # _GAP_RATIO_GUARD times it are ambiguous and abort the decomposition
 _CLUSTER_MERGE_TOL = 1e-8
 _GAP_RATIO_GUARD = 10.0
+# the commutant solve of `decompose` on an ErrorSet: its residual tolerance
+# relative to ||X0|| times a bound on ||L||, its step budget per dimension,
+# and its two draws' streams (`decompose` of a MatrixAlgebra takes 2 and 3)
+_CG_TOL = 1e-14
+_CG_STEPS_PER_DIM = 8
+_COMMUTANT_STREAMS = (6, 7)
 
 
 @dataclass(frozen=True)
@@ -134,6 +141,15 @@ def _orthonormal_rows(cand: np.ndarray, tol: float) -> np.ndarray:
     return np.stack(kept)
 
 
+def _scaled(generators) -> list:
+    """The nonzero generators, each times the power of two that puts its
+    largest real or imaginary part in [1/2, 1); exact zeros are skipped.
+    Exact, and a power of two on any generator gives the same list."""
+    parts = (np.ascontiguousarray(g, dtype=complex).view(float) for g in generators)
+    return [np.ldexp(f, -np.frexp(top)[1]).view(complex)
+            for f in parts if (top := np.abs(f).max())]
+
+
 def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> MatrixAlgebra:
     """Generator-driven closure of {1, E_a, E_a^dag} under products.
 
@@ -149,20 +165,20 @@ def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> Matr
     right multiplication by G holds every word in 1 and G, which span the
     generators and their adjoints, so `closed=True` never rests on a sample.
     An empty G (generators all multiples of 1) closes at dimension 1.
-    Each generator is first scaled by the power of two that puts its largest
-    real or imaginary part in [1/2, 1): exact and commuting with
+    Each generator is first scaled by `_scaled`: exact and commuting with
     Gram-Schmidt, so a power of two on any generator keeps the basis's bits,
     and the algebra depends only on the line each spans ({1e11 Z, X}: 4).
     """
     d = errs.dim
     if d > config.dense_cap:
         raise ResourceLimitError(f"dense algebra capped at dimension {config.dense_cap}")
+    return _close(_scaled(errs.generators), d)
+
+
+def _close(live, d: int) -> MatrixAlgebra:
+    """`close_algebra` of the scaled nonzero generators `live` on C^d."""
     # the seed rows 1, E_a, E_a^dag, one at a time rather than a stack of
-    # 2k + 1 copies; the identity always survives, a zero generator is skipped
-    # before any copy, and the rest are scaled to a largest part in [1/2, 1)
-    parts = (np.ascontiguousarray(g, dtype=complex).view(float) for g in errs.generators)
-    live = [np.ldexp(f, -np.frexp(top)[1]).view(complex)
-            for f in parts if (top := np.abs(f).max())]
+    # 2k + 1 copies; the identity always survives
     seed = itertools.chain([np.eye(d, dtype=complex)], live,
                            (g.conj().T for g in live))
     rows = _orthonormal_rows((m.reshape(-1) for m in seed), _HS_DROP_TOL)
@@ -288,8 +304,44 @@ def _cluster_sorted(w: np.ndarray):
     return clusters
 
 
-def decompose(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> SectorDecomposition:
-    """Central decomposition A = (+)_J 1_{n_J} (x) M(d_J).
+def _group(w, C):
+    """Split the eigenspaces of a random Hermitian element (ascending
+    eigenvalues w) into sectors: index ranges, clustered by `_cluster_sorted`,
+    each joined to the first sector whose first range it couples to through
+    C, a second random element in the same eigenbasis."""
+    tol = _SPAN_MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(C)))
+    groups = []  # the blocks of each sector as index ranges, its first leading
+    for t in (range(a, b) for a, b in _cluster_sorted(w)):
+        g = next((g for g in groups if np.linalg.norm(C[t][:, g[0]]) > tol), None)
+        if g is None:
+            groups.append([t])
+        elif len(g[0]) != len(t):
+            raise DegenerateSpectrumError(
+                f"unequal eigenspace sizes {len(g[0])} and {len(t)} in one "
+                "sector; rerun with a different seed")
+        else:
+            g.append(t)
+    return groups
+
+
+def _align(V, C, g):
+    """The columns V[:, blk] of each block of sector g, the first as it is and
+    each other one times the polar factor of C[blk][:, first]."""
+    blocks = [V[:, g[0]]]
+    for blk in g[1:]:
+        U, sv, Vh = np.linalg.svd(C[blk][:, g[0]])
+        if sv[-1] < _SPAN_MEMBERSHIP_TOL * max(1.0, sv[0]):
+            raise DegenerateSpectrumError(
+                "singular intertwiner draw; rerun with a different seed")
+        blocks.append(V[:, blk] @ (U @ Vh))
+    return blocks
+
+
+def decompose(alg: MatrixAlgebra | ErrorSet,
+              config: EngineConfig = DEFAULT_CONFIG) -> SectorDecomposition:
+    """Central decomposition A = (+)_J 1_{n_J} (x) M(d_J) of a closed
+    MatrixAlgebra, or of the algebra an ErrorSet generates (`_decompose_errors`,
+    which builds no basis of A).
 
     The eigenspaces of a random Hermitian element K of A are the blocks
     Q_t, one per pair (J, t < d_J), each of size n_J.  Two blocks lie in
@@ -301,6 +353,8 @@ def decompose(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Sect
     certify the grouping: a false join raises the second sum, a missed
     one lowers it.
     """
+    if isinstance(alg, ErrorSet):
+        return _decompose_errors(alg, config)
     if not alg.closed:
         raise ValueError("decompose needs a verified-closed algebra")
     d = alg.dim
@@ -316,19 +370,7 @@ def decompose(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Sect
     K = draw(2)
     kw, kV = np.linalg.eigh((K + K.conj().T) / 2)
     C = kV.conj().T @ draw(3) @ kV
-    tol = _SPAN_MEMBERSHIP_TOL * max(1.0, float(np.linalg.norm(C)))
-    groups = []  # the blocks of each sector as index ranges, its first leading
-    for t in (range(a, b) for a, b in _cluster_sorted(kw)):
-        g = next((g for g in groups if np.linalg.norm(C[t][:, g[0]]) > tol), None)
-        if g is None:
-            groups.append([t])
-        elif len(g[0]) != len(t):
-            raise DegenerateSpectrumError(
-                f"unequal eigenspace sizes {len(g[0])} and {len(t)} in one "
-                "sector; rerun with a different seed")
-        else:
-            g.append(t)
-
+    groups = _group(kw, C)
     shapes = [(len(g[0]), len(g)) for g in groups]
     m = alg.algebra_dim
     if sum(n * dj for n, dj in shapes) != d or sum(dj * dj for _, dj in shapes) != m:
@@ -338,16 +380,137 @@ def decompose(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> Sect
 
     sectors = []
     for label, (g, (n_J, d_J)) in enumerate(zip(groups, shapes)):
-        iso = np.zeros((d, n_J * d_J), dtype=complex)
-        iso[:, 0::d_J] = kV[:, g[0]]
-        for t, blk in enumerate(g[1:], 1):
-            U, sv, Vh = np.linalg.svd(C[blk][:, g[0]])
-            if sv[-1] < _SPAN_MEMBERSHIP_TOL * max(1.0, sv[0]):
-                raise DegenerateSpectrumError(
-                    "singular intertwiner draw; rerun with a different seed")
-            iso[:, t::d_J] = kV[:, blk] @ (U @ Vh)
+        # column i of block t is column i*d_J + t of the isometry
+        iso = np.stack(_align(kV, C, g), axis=-1).reshape(d, n_J * d_J)
         sectors.append(Sector(label, iso @ iso.conj().T, n_J, d_J, iso))
     return SectorDecomposition(d, tuple(sectors))
+
+
+def _decompose_errors(errs: ErrorSet, config: EngineConfig) -> SectorDecomposition:
+    """`decompose` read off the commutant A' of the algebra A that `errs`
+    generates, with no basis of A.
+
+    A random Hermitian element C1 of A' is (+)_J c_J (x) 1_{d_J}, so its
+    eigenspaces are copies of sector J's irreducible space, each of size
+    d_J.  A second element C2 joins the copies of one sector (as `_group`
+    joins blocks) and aligns each to the first by the polar factor of
+    Q_b^dag C2 Q_0, so copy i fills columns i*d_J .. i*d_J + d_J - 1 of the
+    isometry.  Both are drawn by `_commutant_draws`, and the sectors are
+    kept only if `_certified`.  Sector order, labels and isometry gauge
+    differ from those of `decompose(close_algebra(errs))`; the shapes do
+    not.  When the solve runs out of its budget or a check fails, the result
+    is `decompose(close_algebra(errs))`, bit for bit: the draws here take
+    their own streams.
+    """
+    d = errs.dim
+    if d > config.dense_cap:
+        raise ResourceLimitError(f"dense algebra capped at dimension {config.dense_cap}")
+    gens = _scaled(errs.generators)
+    try:
+        C1, C2 = _commutant_draws(gens, d, config.seed)
+        w, V = np.linalg.eigh(C1)
+        C = V.conj().T @ C2 @ V
+        sectors = []
+        for label, g in enumerate(_group(w, C)):
+            iso = np.concatenate(_align(V, C, g), axis=1)
+            sectors.append(Sector(label, iso @ iso.conj().T, len(g), len(g[0]), iso))
+        if _certified(gens, sectors):
+            return SectorDecomposition(d, tuple(sectors))
+    except (ConvergenceError, DegenerateSpectrumError):
+        pass
+    return decompose(close_algebra(errs, config), config)
+
+
+def _commutant_draws(gens, d: int, seed: int):
+    """Two seeded Gaussian Hermitian matrices X0 (streams _COMMUTANT_STREAMS)
+    projected onto A' = ker L, L(X) = sum_g [g^dag, [g, X]] + [g, [g^dag, X]].
+
+    L is Hermitian, positive semidefinite and keeps X Hermitian, and
+    <X, L X> = sum_g ||[g, X]||^2 + ||[g^dag, X]||^2, so its kernel is A'.
+    X0 - Y is the projection when Y solves L Y = L X0 by conjugate gradients
+    from Y = 0, which stay in the range of L.  For Hermitian g and X the
+    term is 2 [g, [g, X]], two products: [g, X] = gX - (gX)^dag, and for
+    anti-Hermitian K, [g, K] = gK + (gK)^dag.  Otherwise it is M + M^dag,
+    M = [g^dag, [g, X]].  A solve stops once ||L X0 - L Y|| <= _CG_TOL *
+    ||X0|| * 8 sum ||g||_F^2, a bound on ||L|| times ||X0||, never relative
+    to ||L X0||, which is rounding noise when A' holds X0 already; after
+    _CG_STEPS_PER_DIM * d steps it raises ConvergenceError.
+    """
+    herm = [np.array_equal(g, g.conj().T) for g in gens]
+
+    def apply(X):
+        out = np.zeros_like(X)
+        for g, h in zip(gens, herm):
+            if h:
+                K = g @ X
+                K = g @ (K - K.conj().T)
+                out += 2 * (K + K.conj().T)
+            else:
+                K = g @ X - X @ g
+                M = g.conj().T @ K - K @ g.conj().T
+                out += M + M.conj().T
+        return out
+
+    bound = 8 * sum(np.linalg.norm(g) ** 2 for g in gens)
+    draws = []
+    for stream in _COMMUTANT_STREAMS:
+        rng = spawn_rng(seed, stream)
+        G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        X0 = (G + G.conj().T) / 2
+        stop = (_CG_TOL * bound * np.linalg.norm(X0)) ** 2
+        Y, r = np.zeros_like(X0), apply(X0)
+        p, rr, steps = r, np.vdot(r, r).real, 0
+        while not rr <= stop:  # a NaN residual runs out the budget
+            if steps == _CG_STEPS_PER_DIM * d:
+                raise ConvergenceError(
+                    f"commutant solve left residual {np.sqrt(rr):.2e} above "
+                    f"{np.sqrt(stop):.2e} after {steps} steps")
+            Lp = apply(p)
+            alpha = rr / np.vdot(p, Lp).real
+            Y += alpha * p
+            r = r - alpha * Lp
+            rr, last = np.vdot(r, r).real, rr
+            p = r + (rr / last) * p
+            steps += 1
+        draws.append(X0 - Y)
+    return draws
+
+
+def _certified(gens, sectors) -> bool:
+    """Whether `sectors` decompose the algebra the scaled generators `gens`
+    generate.
+
+    - Each g maps each isometry V to V (1_{n_J} (x) M), M the compression
+      `block_structure_residual` reads, to within _SPAN_MEMBERSHIP_TOL
+      ||g||.  The residual's square is that of `block_structure_residual`
+      plus that of the part of g V outside the sector, so g is block
+      diagonal with these blocks.
+    - The compressions of the k sectors with one d_J, as one direct sum,
+      close at dimension k d_J^2.  Each class of irreducible constituents
+      adds its dimension squared, so this holds only when every sector's
+      compressions generate M(d_J) and no two sectors are equivalent.
+    By Wedderburn's theorem these fix the shapes, and sum n_J d_J = d holds
+    by construction.
+    """
+    by_size = {}
+    for s in sectors:
+        V, comps = s.isometry, []
+        for g in gens:
+            _, M = block_structure_residual(s, g)
+            image = (V.reshape(-1, s.n_J, s.d_J) @ M).reshape(V.shape)
+            if np.linalg.norm(g @ V - image) > _SPAN_MEMBERSHIP_TOL * np.linalg.norm(g):
+                return False
+            comps.append(M)
+        by_size.setdefault(s.d_J, []).append(comps)
+    for d_J, members in by_size.items():
+        k = len(members)
+        sums = np.zeros((len(gens), k * d_J, k * d_J), dtype=complex)
+        for j, comps in enumerate(members):
+            sums[:, j * d_J:(j + 1) * d_J, j * d_J:(j + 1) * d_J] = comps
+        alg = _close(_scaled(sums), k * d_J)
+        if not (alg.closed and alg.algebra_dim == k * d_J * d_J):
+            return False
+    return True
 
 
 def block_structure_residual(sector: Sector, mat: np.ndarray):

@@ -8,6 +8,8 @@ reruns at a fixed BLAS thread count.
 
 The parser is the one list of what each subcommand takes: each subparser
 names its handler, and its options are the keys a config file may give.
+Each handler imports the engine it runs, so a process loads only the
+modules its subcommand needs (`decompose`: `config` and `algebra`).
 
 Exit codes: 0 success, 2 validation failure (an unwritable --output too),
 3 convergence failure, 4 resource-limit refusal.
@@ -17,16 +19,8 @@ import argparse
 import json
 import sys
 
-from .algebra import close_algebra, decompose, decomposition_to_json, \
-    error_set_from_json
-from .anyon import run_trajectory
 from .config import DEFAULT_CONFIG, ConvergenceError, DegenerateSpectrumError, \
     ResourceLimitError
-from .lattice import build_torus, check_rank, code_dimension, homology_basis, \
-    lattice_to_json
-from .pauli import format_pauli, weight
-from .verify import flux_free_spectrum, kl_check_stabilizer, \
-    local_error_generators, scaling_study, scaling_to_csv
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -151,7 +145,8 @@ def _engine_config(opts):
 
 
 def _json_report(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # a NaN or infinity is not JSON (RFC 8259): refuse it rather than print it
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _get(opts, key, default):
@@ -198,6 +193,8 @@ def _require(opts, *keys):
 
 
 def _torus(opts):
+    from .lattice import build_torus
+
     _require(opts, "l1", "l2")
     return build_torus(_number(opts["l1"], "l1"), _number(opts["l2"], "l2"))
 
@@ -205,18 +202,22 @@ def _torus(opts):
 # ------------------------------------------------------------- subcommands
 
 def _cmd_decompose(opts, cfg) -> str:
+    from .algebra import decompose, decomposition_to_json, error_set_from_json
+
     _require(opts, "input")
     try:
         with open(opts["input"], "r", encoding="utf-8") as fh:
             errs = error_set_from_json(fh.read())
     except OSError as exc:
         raise ValueError(f"cannot read input: {exc}") from exc
-    alg = close_algebra(errs, cfg)
-    dec = decompose(alg, cfg)
+    dec = decompose(errs, cfg)
     return decomposition_to_json(dec, include_matrices=bool(opts["matrices"]))
 
 
 def _cmd_toric(opts, cfg) -> str:
+    from .lattice import check_rank, code_dimension, lattice_to_json
+    from .verify import flux_free_spectrum
+
     lat = _torus(opts)
     if not opts["report"]:
         return lattice_to_json(lat)
@@ -243,6 +244,10 @@ def _cmd_toric(opts, cfg) -> str:
 
 
 def _cmd_kl_check(opts, cfg) -> str:
+    from .lattice import homology_basis
+    from .pauli import format_pauli, weight
+    from .verify import kl_check_stabilizer, local_error_generators
+
     lat = _torus(opts)
     max_w = _number(_get(opts, "max_weight", 2), "max_weight")
     if max_w < 0:
@@ -268,6 +273,8 @@ def _cmd_kl_check(opts, cfg) -> str:
 
 
 def _cmd_scaling(opts, cfg) -> str:
+    from .verify import scaling_study, scaling_to_csv
+
     _require(opts, "sizes")
     raw = opts["sizes"]
     if not isinstance(raw, (str, list)):
@@ -298,6 +305,8 @@ def _cmd_scaling(opts, cfg) -> str:
 
 
 def _cmd_braid(opts, cfg) -> str:
+    from .anyon import run_trajectory
+
     lat = _torus(opts)
     _require(opts, "script")
     script = _read_json(opts["script"], "script")

@@ -15,6 +15,8 @@ coset of the star span), solve it with `_lowest` (dense eigh up to
 _DENSE_SPECTRUM_CAP states, seeded ARPACK above) and read the multiplet
 with `_multiplet`.  scipy is imported only in the ARPACK paths (`_lowest`,
 `_sparse_operator`), so every path that stays dense loads none of it.
+`ErrorSet` and `AnyonState` are named only in string annotations, so
+neither `algebra` nor `anyon` is loaded with this module.
 Every tolerance is a fixed module constant, not a config field.
 
 This module is also the one home of the dense bridge for small lattices,
@@ -34,8 +36,6 @@ import numpy as np
 from . import gf2
 from .config import (DEFAULT_CONFIG, ConvergenceError, EngineConfig,
                      ResourceLimitError, spawn_rng)
-from .algebra import ErrorSet
-from .anyon import AnyonState
 from .lattice import (SectorLabel, TorusLattice, build_torus, code_dimension,
                       homology_basis, syndrome)
 from .pauli import (PauliOp, _coset_dense, _coset_states, _coset_sum, _full_sum,
@@ -104,7 +104,7 @@ class ScalingResult:
     points: tuple            # (|lattice| = n_qubits, splitting)
     rows: tuple              # ScalingRow per size
     fits: dict               # n -> (alpha, offset, residual)
-    fit_alpha: float
+    fit_alpha: float         # None when every splitting is zero (no fit)
     fit_n: int
     fit_residual: float
     degenerate: bool
@@ -133,7 +133,7 @@ def kl_check_stabilizer(lat: TorusLattice, errors) -> KLReport:
     return _report(cs, devs)
 
 
-def kl_check_dense(code_projector: np.ndarray, errs: ErrorSet) -> KLReport:
+def kl_check_dense(code_projector: np.ndarray, errs: "ErrorSet") -> KLReport:
     """Numerical condition on a projector, per generator of `errs` in order:
     c(X) = tr(PXP)/tr(P), deviation = operator norm of PXP - c(X) P."""
     P = np.asarray(code_projector, dtype=complex)
@@ -206,7 +206,7 @@ def code_basis(lat: TorusLattice, config: EngineConfig = DEFAULT_CONFIG) -> np.n
     return np.stack(cols, axis=1)
 
 
-def dense_state(state: AnyonState, config: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
+def dense_state(state: "AnyonState", config: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Exact state vector accumulated_phase * applied |J0> (small lattices)."""
     basis = code_basis(state.lat, config)
     vec = basis[:, SECTOR_ORDER.index(tuple(state.sector0.j))]
@@ -374,14 +374,25 @@ def _lowest(dim, k, dense, operator, stream, config):
     """Lowest k eigenpairs, ascending: one dense eigh of dense() up to
     _DENSE_SPECTRUM_CAP, else ARPACK on operator() from a start drawn from
     spawn_rng(config.seed, *stream) (deterministic, yet it still resolves
-    exact multiplicities), each Ritz pair checked against _EIG_RESIDUAL_TOL."""
+    exact multiplicities), each Ritz pair checked against _EIG_RESIDUAL_TOL.
+    An operator with a non-finite entry (a field so strong that h times the
+    number of terms overflows) raises ValueError: its levels would be NaN,
+    which every later guard lets through, and ARPACK fails on it.  The dense
+    matrix is checked whole, the sparse operator by one product with the
+    start vector, which has no zero entry."""
+    overflow = ValueError("the Hamiltonian has a non-finite entry: the field overflows")
     if dim <= _DENSE_SPECTRUM_CAP:
-        w, V = np.linalg.eigh(dense())
+        H = dense()
+        if not np.isfinite(H).all():
+            raise overflow
+        w, V = np.linalg.eigh(H)
         return w[:k], V[:, :k]
     import scipy.sparse.linalg as spla
 
     A = operator()
     v0 = spawn_rng(config.seed, *stream).standard_normal(dim)
+    if not np.isfinite(A @ v0).all():
+        raise overflow
     try:
         w, V = spla.eigsh(A, k=k, which="SA", v0=v0,
                           tol=_EIG_RESIDUAL_TOL * 1e-2, maxiter=_EIG_MAX_ITER)
@@ -606,7 +617,7 @@ def scaling_study(sizes, h: float, kind: str = "z_field",
 
     points = tuple((2 * r.L1 * r.L2, r.splitting) for r in rows)
     if all(r.splitting < 1e-10 for r in rows):
-        return ScalingResult(points, tuple(rows), {}, float("inf"), 0, 0.0,
+        return ScalingResult(points, tuple(rows), {}, None, 0, 0.0,
                              True, tuple(notes) + ("exact degeneracy at every size",))
     fits, best = _fit_exponential([p[0] for p in points], [p[1] for p in points])
     alpha, _, resid = fits[best]

@@ -802,3 +802,162 @@ def test_every_generator_is_block_diagonal_in_the_isometries(n, seed):
     for s in dec.sectors:
         for g in gens:
             assert block_structure_residual(s, g)[0] < 1e-8
+
+
+# ------------------------------------------- decompose read off the commutant
+
+def _haar(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _refuse_whole_closure(monkeypatch):
+    """Fail the test if decompose closes the whole algebra: the commutant
+    path must answer on its own."""
+    from nsslab import algebra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decompose fell back to the closure")
+    monkeypatch.setattr(algebra, "close_algebra", refuse)
+
+
+def _assert_sectors_hold_the_generators(dec, gens):
+    """Orthonormal isometries that fill the space, and every generator of
+    the form 1_n (x) M on each, with nothing outside the sectors."""
+    W = np.concatenate([s.isometry for s in dec.sectors], axis=1)
+    assert np.linalg.norm(W.conj().T @ W - np.eye(dec.dim)) < 1e-10
+    for g in gens:
+        blocks = sum(s.isometry @ np.kron(np.eye(s.n_J), block_structure_residual(s, g)[1])
+                     @ s.isometry.conj().T for s in dec.sectors)
+        assert np.linalg.norm(g - blocks) < 1e-8 * max(1.0, np.linalg.norm(g))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+def test_error_set_decompose_gives_the_schur_weyl_shapes(n, monkeypatch):
+    """Collective noise on n qubits, in a Haar frame, is read off the
+    commutant with no closure of the whole algebra: spin J = n/2 - k has
+    d_J = 2J + 1 = n - 2k + 1 and n_J = C(n, k) - C(n, k - 1)."""
+    from math import comb
+
+    U = _haar(np.random.default_rng(n), 2**n)
+    gens = [U @ g @ U.conj().T for g in _collective(n)]
+    _refuse_whole_closure(monkeypatch)
+    dec = decompose(error_set(gens))
+    want = sorted((comb(n, k) - (comb(n, k - 1) if k else 0), n - 2 * k + 1)
+                  for k in range(n // 2 + 1))
+    assert dec.sector_shapes == want
+    assert dec.total_dim == 2**n
+    _assert_sectors_hold_the_generators(dec, gens)
+
+
+def _planted(rng, blocks, hermitian, count=2):
+    """`count` generators sum over blocks (n, m) of 1_n (x) A, A a random
+    m x m matrix (Hermitian if asked), in a Haar frame."""
+    d = sum(n * m for n, m in blocks)
+    U = _haar(rng, d)
+    gens = []
+    for _ in range(count):
+        g, at = np.zeros((d, d), dtype=complex), 0
+        for n, m in blocks:
+            a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            g[at:at + n * m, at:at + n * m] = np.kron(np.eye(n), a + a.conj().T if hermitian else a)
+            at += n * m
+        gens.append(U @ g @ U.conj().T)
+    return gens
+
+
+@pytest.mark.parametrize("blocks, hermitian", [
+    # scalars (x) 1: A = C 1 and A' = M(4), where L X0 is rounding noise
+    ([(4, 1)], False),
+    ([(4, 1)], True),
+    # a scalar sector beside M(2) and M(3)
+    ([(3, 1), (1, 2), (2, 3)], True),
+    # two scalar sectors and two M(2) sectors: inequivalent, of equal d_J
+    ([(2, 1), (3, 1), (1, 2), (2, 2)], False),
+    ([(1, 3), (2, 3)], False),
+    ([(1, 1), (1, 1), (2, 2), (1, 3)], True),
+    # a small generic pair: irreducible, A' = C 1
+    ([(1, 6)], False),
+])
+def test_error_set_decompose_finds_planted_blocks(blocks, hermitian, monkeypatch):
+    rng = np.random.default_rng(len(blocks) * 10 + hermitian)
+    gens = _planted(rng, blocks, hermitian)
+    _refuse_whole_closure(monkeypatch)
+    dec = decompose(error_set(gens))
+    assert dec.sector_shapes == sorted(blocks)
+    _assert_sectors_hold_the_generators(dec, gens)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_small_error_sets())
+def test_error_set_decompose_matches_the_closure_on_random_error_sets(case):
+    """The commutant path and the closed-algebra path agree on the shapes,
+    and on the planted ones where there are some."""
+    gens, planted = case
+    dec = decompose(error_set(gens))
+    assert dec.sector_shapes == decompose(close_algebra(error_set(gens))).sector_shapes
+    if planted is not None:
+        assert dec.sector_shapes == planted
+    _assert_sectors_hold_the_generators(dec, gens)
+
+
+@pytest.mark.parametrize("failure", ["budget", "certificate"])
+def test_error_set_decompose_falls_back_to_the_closure_bit_for_bit(failure, monkeypatch):
+    """With no solver steps, or with a certificate that fails, decompose of
+    an error set is decompose of its closure, byte for byte: the commutant
+    draws take streams of their own, so the closure path draws as before."""
+    from nsslab import algebra
+
+    es = error_set(_collective(4))
+    want = decompose(close_algebra(es))
+    closures = []
+    close = algebra.close_algebra
+    monkeypatch.setattr(algebra, "close_algebra",
+                        lambda *args: closures.append(1) or close(*args))
+    assert decompose(es).sector_shapes == want.sector_shapes and not closures
+    if failure == "budget":
+        monkeypatch.setattr(algebra, "_CG_STEPS_PER_DIM", 0)
+    else:
+        monkeypatch.setattr(algebra, "_certified", lambda *args: False)
+    got = decompose(es)
+    assert closures == [1]
+    assert len(got.sectors) == len(want.sectors)
+    for a, b in zip(got.sectors, want.sectors):
+        assert (a.label, a.n_J, a.d_J) == (b.label, b.n_J, b.d_J)
+        assert a.isometry.tobytes() == b.isometry.tobytes()
+        assert a.central_projector.tobytes() == b.central_projector.tobytes()
+
+
+def test_error_set_decompose_is_byte_identical_for_a_seed():
+    """One seed gives the same bytes on a rerun; another seed moves the gauge
+    of the isometries, not the shapes."""
+    gens = [g * (1 + 1j) for g in _collective(5)]
+    reports = {}
+    for seed in (1, 7):
+        cfg = DEFAULT_CONFIG.override(seed=seed)
+        reports[seed] = [decomposition_to_json(decompose(error_set(gens), cfg))
+                         for _ in range(2)]
+        assert reports[seed][0] == reports[seed][1]
+    shapes = [json.loads(r[0])["sector_shapes"] for r in reports.values()]
+    assert shapes == [[[1, 6], [4, 4], [5, 2]]] * 2
+    assert reports[1][0] != reports[7][0]
+
+
+def test_the_commutant_certificate_refuses_wrong_sectors():
+    """`_certified` accepts the sectors of collective noise on 3 qubits and
+    refuses the same space cut wrongly: the two copies of the spin-1/2
+    sector as two sectors (equivalent, so their sum closes at 4, not 8), or
+    an isometry turned off the sector by 1e-6."""
+    from nsslab import algebra
+    from nsslab.algebra import Sector
+
+    gens = algebra._scaled(_collective())
+    dec = decompose(error_set(_collective()))
+    assert algebra._certified(gens, dec.sectors)
+    big, half = sorted(dec.sectors, key=lambda s: -s.d_J)
+    assert (half.n_J, half.d_J) == (2, 2)
+    copies = [Sector(k, None, 1, 2, half.isometry[:, 2 * k:2 * k + 2]) for k in range(2)]
+    assert not algebra._certified(gens, [big] + copies)
+    turn = np.eye(8) + 1e-6 * np.roll(np.eye(8), 1, axis=0)
+    tilted = Sector(0, None, 2, 2, np.linalg.qr(turn @ half.isometry)[0])
+    assert not algebra._certified(gens, [big, tilted])

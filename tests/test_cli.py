@@ -43,6 +43,13 @@ def _braid_script(tmp_path):
     return str(path)
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity (RFC 8259)."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def _run(capsys, argv):
     rc = main(argv)
     out = capsys.readouterr()
@@ -228,8 +235,9 @@ def test_scaling_csv_and_json(capsys):
     assert again == out  # byte-identical rerun
 
     rc, out, _ = _run(capsys, argv + ["--format", "json"])
-    doc = json.loads(out)
+    doc = _strict_json(out)
     assert doc["degenerate"] is True and doc["fits"] == {}
+    assert doc["fit_alpha"] is None  # no fit: null, not the non-JSON Infinity
     assert len(doc["rows"]) == 3
     assert doc["notes"] == ["exact degeneracy at every size"]
 
@@ -604,3 +612,94 @@ def test_braid_without_an_enclosing_rectangle_exits_2(tmp_path, capsys):
                                  "--script", str(script)])
     assert rc == EXIT_VALIDATION and out == ""
     assert "nsslab: no valid enclosing rectangle" in err
+
+
+def test_an_overflowing_field_exits_2(capsys):
+    """h times the number of field terms overflows to inf at h = 1e308; the
+    levels would be NaN, which every guard lets through, so the solve
+    refuses the non-finite Hamiltonian and prints nothing."""
+    for argv in (["scaling", "--sizes", "2x2,2x3,3x2", "--h", "1e308"],
+                 ["toric", "--l1", "2", "--l2", "2", "--report", "--h", "1e308"]):
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            rc, out, err = _run(capsys, argv)
+        assert rc == EXIT_VALIDATION and out == "", argv
+        assert "non-finite entry" in err
+
+
+def test_decompose_reads_the_commutant_and_reruns_byte_identical(tmp_path, capsys,
+                                                                 monkeypatch):
+    """The CLI decomposes the error set with no closure of the whole
+    8-dimensional algebra: every closure certificate it runs is one of a
+    sector's, at most 4-dimensional.  A rerun with --matrices prints the
+    same bytes."""
+    from nsslab import algebra
+
+    dims = []
+    verify_closure = algebra.verify_closure
+    monkeypatch.setattr(algebra, "verify_closure",
+                        lambda alg, **kw: dims.append(alg.dim) or verify_closure(alg, **kw))
+    argv = ["decompose", "--input", _collective_file(tmp_path), "--matrices"]
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    assert _run(capsys, argv) == (0, out, "")
+    assert _strict_json(out)["sector_shapes"] == [[1, 4], [2, 2]]
+    assert dims and max(dims) <= 4
+
+
+def test_decompose_above_the_dense_cap_exits_4_before_any_solve(tmp_path, capsys,
+                                                               monkeypatch):
+    from nsslab import algebra
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the commutant solve ran")
+    monkeypatch.setattr(algebra, "_commutant_draws", refuse)
+    cfg = tmp_path / "cap.json"
+    cfg.write_text(json.dumps({"tolerances": {"dense_cap": 4}}))
+    rc, out, err = _run(capsys, ["decompose", "--input", _collective_file(tmp_path),
+                                 "--config", str(cfg)])
+    assert rc == EXIT_RESOURCE and out == ""
+    assert "dense algebra capped at dimension 4" in err
+
+
+def test_a_fresh_process_loads_only_the_modules_it_runs(tmp_path):
+    """`import nsslab` loads no submodule; a decompose run loads `cli`,
+    `config` and `algebra`, as a script and as `python -m nsslab.cli` (whose
+    `cli` runs as __main__); public names still import from the package."""
+    import subprocess
+    import sys
+
+    import nsslab
+
+    src = os.path.dirname(os.path.dirname(nsslab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    data = _collective_file(tmp_path)
+    code = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'nsslab')\n"
+        "import nsslab\n"
+        "assert loaded() == ['nsslab'], loaded()\n"
+        "from nsslab.cli import main\n"
+        f"rc = main(['decompose', '--input', {data!r}, "
+        f"'--output', {str(tmp_path / 'out.json')!r}])\n"
+        "assert rc == 0, rc\n"
+        "assert loaded() == ['nsslab', 'nsslab.algebra', 'nsslab.cli', "
+        "'nsslab.config'], loaded()\n"
+        "from nsslab import close_algebra, scaling_study, braid\n"
+        "assert (close_algebra.__module__, scaling_study.__module__, "
+        "braid.__module__) == ('nsslab.algebra', 'nsslab.verify', 'nsslab.anyon')\n"
+        "assert 'close_algebra' not in vars(nsslab)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "nsslab.cli", "decompose",
+         "--input", data], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {m for m in imported if m.split(".")[0] == "nsslab"} == \
+        {"nsslab", "nsslab.config", "nsslab.algebra"}
+    assert json.loads(proc.stdout)["sector_shapes"] == [[1, 4], [2, 2]]

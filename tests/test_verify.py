@@ -376,6 +376,13 @@ def test_the_dense_bridge_has_one_home():
         assert not hasattr(anyon, name) and not hasattr(lattice, name)
 
 
+def test_verify_loads_neither_the_algebra_nor_the_anyon_engine():
+    """`ErrorSet` and `AnyonState` are string annotations in verify, so a
+    `scaling` or `toric` run loads neither `algebra` nor `anyon`."""
+    imports = _imported_modules(verify)
+    assert not imports & {".algebra", ".anyon", "nsslab.algebra", "nsslab.anyon"}
+
+
 def test_every_config_field_has_a_reader():
     """Each `EngineConfig` field is read as an attribute somewhere in
     `src/nsslab` outside `config.py`: no setting is a knob that does nothing."""
@@ -407,6 +414,17 @@ def test_unperturbed_spectrum_dense_path():
     assert rep.ground_degeneracy == 4
     assert abs(rep.gap_delta - 4) < 1e-9
     assert rep.splitting < 1e-10
+
+
+def test_an_overflowing_field_is_refused_on_both_solver_paths():
+    """At h = 1e308 the field's diagonal overflows to inf.  The dense path
+    (2x2) once failed with a LinAlgError and the ARPACK path (2x3, 4096
+    states) with an ArpackError; both refuse the Hamiltonian instead."""
+    for L1, L2 in ((2, 2), (2, 3)):
+        lat = build_torus(L1, L2)
+        with pytest.warns(RuntimeWarning, match="overflow"), \
+                pytest.raises(ValueError, match="non-finite entry"):
+            spectrum(lat, perturbation_terms(lat, "z_field"), 1e308)
 
 
 def test_unperturbed_spectrum_sparse_path():
