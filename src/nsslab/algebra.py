@@ -506,7 +506,8 @@ def _certified(gens, sectors) -> bool:
         k = len(members)
         sums = np.zeros((len(gens), k * d_J, k * d_J), dtype=complex)
         for j, comps in enumerate(members):
-            sums[:, j * d_J:(j + 1) * d_J, j * d_J:(j + 1) * d_J] = comps
+            blk = slice(j * d_J, (j + 1) * d_J)
+            sums[:, blk, blk] = np.reshape(comps, (len(gens), d_J, d_J))
         alg = _close(_scaled(sums), k * d_J)
         if not (alg.closed and alg.algebra_dim == k * d_J * d_J):
             return False

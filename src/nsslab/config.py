@@ -27,7 +27,8 @@ class EngineConfig:
     # largest dimension of a dense operator, each reader comparing its own:
     # 2^n for the dense bridge (`code_projector`, `code_basis`, `dense_state`;
     # `pauli.to_dense` takes no config and reads the default), d for
-    # `close_algebra`, d^2 for `commutant`'s d^2 x d^2 superoperator
+    # `close_algebra` and `decompose` of an error set, d^2 for `commutant`'s
+    # d^2 x d^2 superoperator
     dense_cap: int = 4096
 
     def __post_init__(self):

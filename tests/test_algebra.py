@@ -657,11 +657,16 @@ def test_a_scale_on_each_generator_leaves_the_closure_basis_bit_identical():
     # generators of very different sizes still generate M(2)
     ([_SZ, 1e-11 * _SX], [(1, 2)]),
     ([1e11 * _SZ, _SX], [(1, 2)]),
+    # all generators skipped: the algebra is C 1
+    ([np.zeros((3, 3))], [(3, 1)]),
 ])
 def test_decompose_does_not_depend_on_the_scale_of_the_set(gens, shapes):
+    """Both paths, the closed algebra's and the error set's, which scales
+    its generators as the closure does."""
     with np.errstate(all="raise"):
         dec = decompose(close_algebra(error_set(gens)))
-    assert dec.sector_shapes == shapes
+        direct = decompose(error_set(gens))
+    assert dec.sector_shapes == direct.sector_shapes == shapes
 
 
 def test_multiples_of_the_identity_close_at_dimension_one():
