@@ -583,13 +583,34 @@ def error_set_from_json(text: str) -> ErrorSet:
     return ErrorSet(tuple(mats), tuple(labels))
 
 
+def _indented(obj, level: int = 0) -> str:
+    """The bytes of json.dumps(obj, indent=2) for dicts, non-empty lists,
+    scalars and complex arrays of finite entries, each array written as
+    `_matrix_to_pairs` nests it.  A row of pairs is one format string per
+    entry: json's own indented encoder visits every number in Python and
+    takes about twice as long on a `--matrices` report."""
+    pad, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
+    if isinstance(obj, np.ndarray):
+        entry, pair = inner + "  ", inner + "    "
+        fmt = f"[{pair}%r,{pair}%r{entry}]"
+        rows = (f"[{entry}" + f",{entry}".join([fmt % (z.real, z.imag) for z in row])
+                + f"{inner}]" for row in obj.tolist())
+        return f"[{inner}" + f",{inner}".join(rows) + f"{pad}]"
+    if isinstance(obj, dict):
+        items = (f"{json.dumps(k)}: {_indented(v, level + 1)}" for k, v in obj.items())
+        return "{" + inner + f",{inner}".join(items) + pad + "}"
+    if isinstance(obj, list):
+        return f"[{inner}" + f",{inner}".join(_indented(v, level + 1) for v in obj) + f"{pad}]"
+    return json.dumps(obj)
+
+
 def decomposition_to_json(dec: SectorDecomposition, include_matrices: bool = True) -> str:
     sectors = []
     for s in dec.sectors:
         rec = {"label": s.label, "n": s.n_J, "d": s.d_J}
         if include_matrices:
-            rec["central_projector"] = _matrix_to_pairs(s.central_projector)
-            rec["isometry"] = _matrix_to_pairs(s.isometry)
+            rec["central_projector"] = np.asarray(s.central_projector, dtype=complex)
+            rec["isometry"] = np.asarray(s.isometry, dtype=complex)
         sectors.append(rec)
     doc = {
         "dimension": dec.dim,
@@ -598,4 +619,4 @@ def decomposition_to_json(dec: SectorDecomposition, include_matrices: bool = Tru
         "algebra_dim": dec.algebra_dim,
         "commutant_dim": dec.commutant_dim,
     }
-    return json.dumps(doc, indent=2)
+    return _indented(doc)

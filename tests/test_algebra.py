@@ -534,6 +534,28 @@ def test_decomposition_json_structure():
     assert "isometry" in full["sectors"][0] and "central_projector" in full["sectors"][0]
 
 
+def test_decomposition_report_has_the_bytes_of_json_dumps():
+    """The report writer formats each matrix itself; its bytes are those of
+    json.dumps(indent=2) over the `_matrix_to_pairs` nesting, on both
+    decomposition paths, with and without matrices, signed zeros and
+    extreme exponents included."""
+    sets = [_collective(3), _collective(4), [np.diag([1.0, -0.0, 2.5e-300, 1e300])],
+            [np.zeros((2, 2))]]
+    for gens in sets:
+        for dec in (decompose(close_algebra(error_set(gens))), decompose(error_set(gens))):
+            for matrices in (True, False):
+                doc = {"dimension": dec.dim, "sectors": [], "sector_shapes":
+                       [list(p) for p in dec.sector_shapes],
+                       "algebra_dim": dec.algebra_dim, "commutant_dim": dec.commutant_dim}
+                for s in dec.sectors:
+                    rec = {"label": s.label, "n": s.n_J, "d": s.d_J}
+                    if matrices:
+                        rec["central_projector"] = _matrix_to_pairs(s.central_projector)
+                        rec["isometry"] = _matrix_to_pairs(s.isometry)
+                    doc["sectors"].append(rec)
+                assert decomposition_to_json(dec, matrices) == json.dumps(doc, indent=2)
+
+
 def test_decompose_is_deterministic_for_a_fixed_seed():
     alg = close_algebra(error_set(_collective()))
     a, b = decompose(alg), decompose(alg)
