@@ -32,7 +32,7 @@ _GAP_RATIO_GUARD = 10.0
 # the commutant solve of `decompose` on an ErrorSet: its residual tolerance
 # relative to ||X0|| times a bound on ||L||, its step budget per dimension,
 # and its two draws' streams (`decompose` of a MatrixAlgebra takes 2 and 3)
-_CG_TOL = 1e-13
+_CG_TOL = 1e-14
 _CG_STEPS_PER_DIM = 8
 _COMMUTANT_STREAMS = (6, 7)
 
