@@ -4,7 +4,8 @@ abelian anyon dynamics as logical operations.
 
 Importing the package loads none of its modules: each public name is read
 from its module on first access (`__getattr__`), and never stored here, so
-every access sees the module's current binding.
+every access sees the module's current binding.  `dir(nsslab)` lists the
+public names and the modules.
 """
 
 import importlib
@@ -42,12 +43,17 @@ _EXPORTS = {
         "sector_of", "sector_orbits", "spectrum"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_MODULES = (*_EXPORTS, "cli", "gf2")
 __all__ = sorted(_HOME)
 
 
 def __getattr__(name):
     if name in _HOME:
         return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    if name in _EXPORTS:  # `nsslab.verify` after a bare `import nsslab`
+    if name in _MODULES:  # `nsslab.gf2` after a bare `import nsslab`
         return importlib.import_module(f".{name}", __name__)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_MODULES})

@@ -10,6 +10,7 @@ gradients with no basis of the algebra) but deterministic for a fixed seed.
 
 import itertools
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,16 @@ _CLUSTER_MERGE_TOL = 1e-8
 _GAP_RATIO_GUARD = 10.0
 # the commutant solve of `decompose` on an ErrorSet: its residual tolerance
 # relative to ||X0|| times a bound on ||L||, its step budget per dimension,
-# and its two draws' streams (`decompose` of a MatrixAlgebra takes 2 and 3)
+# the most steps it takes with no tenfold fall of its residual, and its two
+# draws' streams (`decompose` of a MatrixAlgebra takes 2 and 3)
 _CG_TOL = 1e-14
 _CG_STEPS_PER_DIM = 8
+_CG_STALL_STEPS = 32
 _COMMUTANT_STREAMS = (6, 7)
+# `decompose` of an ErrorSet closes an algebra of at most this dimension
+# itself: a closure row costs one product per generator, a solver step at
+# least four (two draws, two products each), so this costs about two steps
+_SMALL_ALGEBRA_DIM = 8
 
 
 @dataclass(frozen=True)
@@ -175,13 +182,16 @@ def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> Matr
     return _close(_scaled(errs.generators), d)
 
 
-def _close(live, d: int) -> MatrixAlgebra:
-    """`close_algebra` of the scaled nonzero generators `live` on C^d."""
+def _close(live, d: int, cap: float = np.inf) -> MatrixAlgebra | None:
+    """`close_algebra` of the scaled nonzero generators `live` on C^d, or
+    None as soon as the basis holds more than `cap` elements."""
     # the seed rows 1, E_a, E_a^dag, one at a time rather than a stack of
     # 2k + 1 copies; the identity always survives
     seed = itertools.chain([np.eye(d, dtype=complex)], live,
                            (g.conj().T for g in live))
     rows = _orthonormal_rows((m.reshape(-1) for m in seed), _HS_DROP_TOL)
+    if len(rows) > cap:
+        return None
     new = gens = rows[1:].reshape(-1, d, d)
     while True:
         new_rows = np.empty((0, d * d), dtype=complex)
@@ -193,6 +203,8 @@ def _close(live, d: int) -> MatrixAlgebra:
             if big.size:
                 extracted = _orthonormal_rows(big, _HS_DROP_TOL)
                 new_rows = np.vstack([new_rows, extracted]) if new_rows.size else extracted
+            if len(rows) + len(new_rows) > cap:
+                return None
         if not new_rows.size:
             break
         rows = np.vstack([rows, new_rows])
@@ -388,9 +400,12 @@ def decompose(alg: MatrixAlgebra | ErrorSet,
 
 def _decompose_errors(errs: ErrorSet, config: EngineConfig) -> SectorDecomposition:
     """`decompose` read off the commutant A' of the algebra A that `errs`
-    generates, with no basis of A.
+    generates, with no basis of A unless A is small.
 
-    A random Hermitian element C1 of A' is (+)_J c_J (x) 1_{d_J}, so its
+    An algebra that closes at dimension _SMALL_ALGEBRA_DIM or below is
+    decomposed through that closure, which is `decompose(close_algebra(errs))`
+    bit for bit and cheaper there than the solve.  Otherwise a random
+    Hermitian element C1 of A' is (+)_J c_J (x) 1_{d_J}, so its
     eigenspaces are copies of sector J's irreducible space, each of size
     d_J.  A second element C2 joins the copies of one sector (as `_group`
     joins blocks) and aligns each to the first by the polar factor of
@@ -406,6 +421,9 @@ def _decompose_errors(errs: ErrorSet, config: EngineConfig) -> SectorDecompositi
     if d > config.dense_cap:
         raise ResourceLimitError(f"dense algebra capped at dimension {config.dense_cap}")
     gens = _scaled(errs.generators)
+    small = _close(gens, d, cap=_SMALL_ALGEBRA_DIM)
+    if small is not None:
+        return decompose(small, config)
     try:
         C1, C2 = _commutant_draws(gens, d, config.seed)
         w, V = np.linalg.eigh(C1)
@@ -431,11 +449,20 @@ def _commutant_draws(gens, d: int, seed: int):
     from Y = 0, which stay in the range of L.  For Hermitian g and X the
     term is 2 [g, [g, X]], two products: [g, X] = gX - (gX)^dag, and for
     anti-Hermitian K, [g, K] = gK + (gK)^dag.  Otherwise it is M + M^dag,
-    M = [g^dag, [g, X]].  A solve stops once ||L X0 - L Y|| <= _CG_TOL *
-    ||X0|| * 8 sum ||g||_F^2, a bound on ||L|| times ||X0||, never relative
-    to ||L X0||, which is rounding noise when A' holds X0 already; after
-    _CG_STEPS_PER_DIM * d steps it raises ConvergenceError.
+    M = [g^dag, [g, X]].  Each g enters L with unit Frobenius norm, which
+    leaves the kernel as it is: collective noise's three generators then
+    weigh alike, L is a multiple of the Casimir, and CG ends in n steps on n
+    qubits.  A solve stops once ||L X0 - L Y|| <= _CG_TOL * ||X0|| * 8k,
+    a bound on ||L|| times ||X0|| (k generators, ||[g^dag, [g, X]]|| <= 4
+    ||X||), never relative to ||L X0||, which is rounding noise when A'
+    holds X0 already.  It raises ConvergenceError after _CG_STEPS_PER_DIM * d
+    steps, or after _CG_STALL_STEPS steps in which the residual has not
+    fallen tenfold: the solve then costs more than the closure that
+    replaces it.  Without such a fall, planted sectors (n, d_J <= 3, up to
+    four) go at most 18 steps, collective noise at most 4, the cyclic shift
+    on 128 dimensions 32, and diag(cos(pi (k + 1/2) / d)) hundreds.
     """
+    gens = [g / np.linalg.norm(g) for g in gens]
     herm = [np.array_equal(g, g.conj().T) for g in gens]
 
     def apply(X):
@@ -451,7 +478,7 @@ def _commutant_draws(gens, d: int, seed: int):
                 out += M + M.conj().T
         return out
 
-    bound = 8 * sum(np.linalg.norm(g) ** 2 for g in gens)
+    bound = 8 * len(gens)
     draws = []
     for stream in _COMMUTANT_STREAMS:
         rng = spawn_rng(seed, stream)
@@ -460,8 +487,9 @@ def _commutant_draws(gens, d: int, seed: int):
         stop = (_CG_TOL * bound * np.linalg.norm(X0)) ** 2
         Y, r = np.zeros_like(X0), apply(X0)
         p, rr, steps = r, np.vdot(r, r).real, 0
-        while not rr <= stop:  # a NaN residual runs out the budget
-            if steps == _CG_STEPS_PER_DIM * d:
+        mark, since = rr, 0  # the residual at its last tenfold fall, and steps since
+        while not rr <= stop:  # a NaN residual stalls
+            if steps == _CG_STEPS_PER_DIM * d or since == _CG_STALL_STEPS:
                 raise ConvergenceError(
                     f"commutant solve left residual {np.sqrt(rr):.2e} above "
                     f"{np.sqrt(stop):.2e} after {steps} steps")
@@ -471,7 +499,9 @@ def _commutant_draws(gens, d: int, seed: int):
             r = r - alpha * Lp
             rr, last = np.vdot(r, r).real, rr
             p = r + (rr / last) * p
-            steps += 1
+            steps, since = steps + 1, since + 1
+            if rr < mark / 100:  # squared norms
+                mark, since = rr, 0
         draws.append(X0 - Y)
     return draws
 
@@ -480,11 +510,16 @@ def _certified(gens, sectors) -> bool:
     """Whether `sectors` decompose the algebra the scaled generators `gens`
     generate.
 
-    - Each g maps each isometry V to V (1_{n_J} (x) M), M the compression
-      `block_structure_residual` reads, to within _SPAN_MEMBERSHIP_TOL
-      ||g||.  The residual's square is that of `block_structure_residual`
-      plus that of the part of g V outside the sector, so g is block
-      diagonal with these blocks.
+    - The generators lie near the algebra B = (+)_J 1_{n_J} (x) M(d_J)
+      the isometries V define: the sum over g of dist(g, B) / ||g||_F is at
+      most _HS_DROP_TOL.  dist(g, B)^2 is the sum over sectors of
+      ||g V - V (1_{n_J} (x) M)||^2, M the compression
+      `block_structure_residual` reads: each term is that residual's square
+      plus that of the part of g V outside the sector.  The closure keeps
+      any part of a generator, scaled as here, above _HS_DROP_TOL outside
+      the span of the others, and two generators tilted off B in opposite
+      ways show it the sum of their tilts: a coupling the closure would see
+      fails this test, and the closure answers instead.
     - The compressions of the k sectors with one d_J, as one direct sum,
       close at dimension k d_J^2.  Each class of irreducible constituents
       adds its dimension squared, so this holds only when every sector's
@@ -492,16 +527,17 @@ def _certified(gens, sectors) -> bool:
     By Wedderburn's theorem these fix the shapes, and sum n_J d_J = d holds
     by construction.
     """
-    by_size = {}
+    by_size, outside = {}, np.zeros(len(gens))
     for s in sectors:
         V, comps = s.isometry, []
-        for g in gens:
+        for i, g in enumerate(gens):
             _, M = block_structure_residual(s, g)
             image = (V.reshape(-1, s.n_J, s.d_J) @ M).reshape(V.shape)
-            if np.linalg.norm(g @ V - image) > _SPAN_MEMBERSHIP_TOL * np.linalg.norm(g):
-                return False
+            outside[i] += np.linalg.norm(g @ V - image) ** 2
             comps.append(M)
         by_size.setdefault(s.d_J, []).append(comps)
+    if sum(np.sqrt(o) / np.linalg.norm(g) for o, g in zip(outside, gens)) > _HS_DROP_TOL:
+        return False
     for d_J, members in by_size.items():
         k = len(members)
         sums = np.zeros((len(gens), k * d_J, k * d_J), dtype=complex)
@@ -583,34 +619,27 @@ def error_set_from_json(text: str) -> ErrorSet:
     return ErrorSet(tuple(mats), tuple(labels))
 
 
-def _indented(obj, level: int = 0) -> str:
-    """The bytes of json.dumps(obj, indent=2) for dicts, non-empty lists,
-    scalars and complex arrays of finite entries, each array written as
-    `_matrix_to_pairs` nests it.  A row of pairs is one format string per
-    entry: json's own indented encoder visits every number in Python and
-    takes about twice as long on a `--matrices` report."""
-    pad, inner = "\n" + "  " * level, "\n" + "  " * (level + 1)
-    if isinstance(obj, np.ndarray):
-        entry, pair = inner + "  ", inner + "    "
-        fmt = f"[{pair}%r,{pair}%r{entry}]"
-        rows = (f"[{entry}" + f",{entry}".join([fmt % (z.real, z.imag) for z in row])
-                + f"{inner}]" for row in obj.tolist())
-        return f"[{inner}" + f",{inner}".join(rows) + f"{pad}]"
-    if isinstance(obj, dict):
-        items = (f"{json.dumps(k)}: {_indented(v, level + 1)}" for k, v in obj.items())
-        return "{" + inner + f",{inner}".join(items) + pad + "}"
-    if isinstance(obj, list):
-        return f"[{inner}" + f",{inner}".join(_indented(v, level + 1) for v in obj) + f"{pad}]"
-    return json.dumps(obj)
+def _pairs_json(mat: np.ndarray, pad: str) -> str:
+    """json.dumps(_matrix_to_pairs(mat), indent=2) for a complex matrix of
+    finite entries, each line after the first starting with `pad` (a
+    newline and the indent of the line the matrix starts on).  Each
+    entry is one format string: json's indented encoder visits every number
+    in Python and takes about twice as long on a `--matrices` report."""
+    row, entry, pair = pad + "  ", pad + "    ", pad + "      "
+    fmt = f"[{pair}%r,{pair}%r{entry}]"
+    rows = (f"[{entry}" + f",{entry}".join([fmt % (z.real, z.imag) for z in r]) + f"{row}]"
+            for r in mat.tolist())
+    return f"[{row}" + f",{row}".join(rows) + f"{pad}]"
 
 
 def decomposition_to_json(dec: SectorDecomposition, include_matrices: bool = True) -> str:
-    sectors = []
+    sectors, mats = [], []
     for s in dec.sectors:
         rec = {"label": s.label, "n": s.n_J, "d": s.d_J}
-        if include_matrices:
-            rec["central_projector"] = np.asarray(s.central_projector, dtype=complex)
-            rec["isometry"] = np.asarray(s.isometry, dtype=complex)
+        if include_matrices:  # a placeholder string, "\u0000<index>" in the text
+            for key in ("central_projector", "isometry"):
+                rec[key] = f"\0{len(mats)}"
+                mats.append(np.asarray(getattr(s, key), dtype=complex))
         sectors.append(rec)
     doc = {
         "dimension": dec.dim,
@@ -619,4 +648,6 @@ def decomposition_to_json(dec: SectorDecomposition, include_matrices: bool = Tru
         "algebra_dim": dec.algebra_dim,
         "commutant_dim": dec.commutant_dim,
     }
-    return _indented(doc)
+    text = json.dumps(doc, indent=2)
+    return re.sub(r'^( *)(.*)"\\u0000(\d+)"', lambda m: m[1] + m[2] + _pairs_json(
+        mats[int(m[3])], "\n" + m[1]), text, flags=re.M)

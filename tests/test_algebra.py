@@ -681,14 +681,65 @@ def test_a_scale_on_each_generator_leaves_the_closure_basis_bit_identical():
     ([1e11 * _SZ, _SX], [(1, 2)]),
     # all generators skipped: the algebra is C 1
     ([np.zeros((3, 3))], [(3, 1)]),
+    # a coupling ten times the drop tolerance: the closure keeps it, and
+    # the commutant path, which cannot resolve it, must not split sigma_z
+    ([_SZ, _SZ + 1e-9 * _SX], [(1, 2)]),
 ])
-def test_decompose_does_not_depend_on_the_scale_of_the_set(gens, shapes):
+def test_decompose_does_not_depend_on_the_scale_of_the_set(gens, shapes, monkeypatch):
     """Both paths, the closed algebra's and the error set's, which scales
-    its generators as the closure does."""
+    its generators as the closure does: through the closure of a small
+    algebra, and down the commutant path."""
+    from nsslab import algebra
+
     with np.errstate(all="raise"):
         dec = decompose(close_algebra(error_set(gens)))
         direct = decompose(error_set(gens))
-    assert dec.sector_shapes == direct.sector_shapes == shapes
+        monkeypatch.setattr(algebra, "_SMALL_ALGEBRA_DIM", 0)
+        solved = decompose(error_set(gens))
+    assert dec.sector_shapes == direct.sector_shapes == solved.sector_shapes == shapes
+
+
+@pytest.mark.parametrize("frame", [0, 1, 2])
+def test_a_weak_coupling_gives_the_shapes_of_the_closure(frame, monkeypatch):
+    """Pairs of 2 x 2 generators whose second term couples the two
+    eigenvectors of sigma_z by c, the two tilted the same way, by different
+    sizes, or in opposite ways, in the computational frame or a Haar frame.
+    Away from the knife edge near the drop tolerance (c from about 3e-11 to
+    1e-10, where the closure keeps or drops the coupling on its own
+    rounding), the commutant path gives the closure's shapes: two sectors
+    (1, 1) for a coupling below it, M(2) above."""
+    from nsslab import algebra
+
+    U = _haar(np.random.default_rng(frame), 2) if frame else np.eye(2)
+    monkeypatch.setattr(algebra, "_SMALL_ALGEBRA_DIM", 0)
+    for c in (1e-12, 3e-12, 1e-11, 3e-10, 1e-9, 1e-8, 1e-7):
+        for pair in ([_SZ, _SZ + c * _SX], [3 * _SZ, _SZ + c * _SY],
+                     [_SZ + c * _SX, _SZ - c * _SX]):
+            gens = [U @ g @ U.conj().T for g in pair]
+            want = decompose(close_algebra(error_set(gens))).sector_shapes
+            assert want == ([(1, 2)] if c > 1e-10 else [(1, 1), (1, 1)])
+            assert decompose(error_set(gens)).sector_shapes == want, (c, pair)
+
+
+def test_a_small_algebra_is_decomposed_through_its_closure(monkeypatch):
+    """The compressed weight-1 set with the code projector generates a
+    2-dimensional algebra on 256 dimensions: decompose of the error set
+    closes it, runs no solve, and returns decompose of its closure, byte
+    for byte."""
+    from nsslab import algebra
+
+    mats, P = _compressed_weight1()
+    es = error_set(mats + [P])
+    want = decompose(close_algebra(es))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the commutant solve ran")
+    monkeypatch.setattr(algebra, "_commutant_draws", refuse)
+    got = decompose(es)
+    assert got.sector_shapes == [(4, 1), (252, 1)]
+    for a, b in zip(got.sectors, want.sectors, strict=True):
+        assert (a.label, a.n_J, a.d_J) == (b.label, b.n_J, b.d_J)
+        assert a.isometry.tobytes() == b.isometry.tobytes()
 
 
 def test_multiples_of_the_identity_close_at_dimension_one():
@@ -838,13 +889,15 @@ def _haar(rng, d):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _refuse_whole_closure(monkeypatch):
-    """Fail the test if decompose closes the whole algebra: the commutant
-    path must answer on its own."""
+def _commutant_path_only(monkeypatch):
+    """Send every error set down the commutant path, small algebras too, and
+    fail the test if decompose closes the whole algebra: the commutant path
+    must answer on its own."""
     from nsslab import algebra
 
     def refuse(*args, **kwargs):
         raise AssertionError("decompose fell back to the closure")
+    monkeypatch.setattr(algebra, "_SMALL_ALGEBRA_DIM", 0)
     monkeypatch.setattr(algebra, "close_algebra", refuse)
 
 
@@ -868,7 +921,7 @@ def test_error_set_decompose_gives_the_schur_weyl_shapes(n, monkeypatch):
 
     U = _haar(np.random.default_rng(n), 2**n)
     gens = [U @ g @ U.conj().T for g in _collective(n)]
-    _refuse_whole_closure(monkeypatch)
+    _commutant_path_only(monkeypatch)
     dec = decompose(error_set(gens))
     want = sorted((comb(n, k) - (comb(n, k - 1) if k else 0), n - 2 * k + 1)
                   for k in range(n // 2 + 1))
@@ -909,7 +962,7 @@ def _planted(rng, blocks, hermitian, count=2):
 def test_error_set_decompose_finds_planted_blocks(blocks, hermitian, monkeypatch):
     rng = np.random.default_rng(len(blocks) * 10 + hermitian)
     gens = _planted(rng, blocks, hermitian)
-    _refuse_whole_closure(monkeypatch)
+    _commutant_path_only(monkeypatch)
     dec = decompose(error_set(gens))
     assert dec.sector_shapes == sorted(blocks)
     _assert_sectors_hold_the_generators(dec, gens)
@@ -918,10 +971,14 @@ def test_error_set_decompose_finds_planted_blocks(blocks, hermitian, monkeypatch
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(_small_error_sets())
 def test_error_set_decompose_matches_the_closure_on_random_error_sets(case):
-    """The commutant path and the closed-algebra path agree on the shapes,
-    and on the planted ones where there are some."""
+    """The commutant path, small algebras included, and the closed-algebra
+    path agree on the shapes, and on the planted ones where there are some."""
+    from nsslab import algebra
+
     gens, planted = case
-    dec = decompose(error_set(gens))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(algebra, "_SMALL_ALGEBRA_DIM", 0)
+        dec = decompose(error_set(gens))
     assert dec.sector_shapes == decompose(close_algebra(error_set(gens))).sector_shapes
     if planted is not None:
         assert dec.sector_shapes == planted
@@ -988,3 +1045,16 @@ def test_the_commutant_certificate_refuses_wrong_sectors():
     turn = np.eye(8) + 1e-6 * np.roll(np.eye(8), 1, axis=0)
     tilted = Sector(0, None, 2, 2, np.linalg.qr(turn @ half.isometry)[0])
     assert not algebra._certified(gens, [big, tilted])
+
+
+@pytest.mark.parametrize("c, certified", [(4e-11, True), (6e-11, False)])
+def test_the_commutant_certificate_sums_opposite_tilts(c, certified):
+    """sigma_z +- c sigma_x each lie c (relative) off the diagonal sectors,
+    within the drop tolerance, but the closure sees their difference, so the
+    certificate takes the sum of the two: 2c against 1e-10."""
+    from nsslab import algebra
+    from nsslab.algebra import Sector
+
+    gens = algebra._scaled([_SZ + c * _SX, _SZ - c * _SX])
+    units = [Sector(k, None, 1, 1, np.eye(2)[:, k:k + 1]) for k in range(2)]
+    assert algebra._certified(gens, units) is certified

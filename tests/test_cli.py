@@ -664,7 +664,9 @@ def test_decompose_above_the_dense_cap_exits_4_before_any_solve(tmp_path, capsys
 def test_a_fresh_process_loads_only_the_modules_it_runs(tmp_path):
     """`import nsslab` loads no submodule; a decompose run loads `cli`,
     `config` and `algebra`, as a script and as `python -m nsslab.cli` (whose
-    `cli` runs as __main__); public names still import from the package."""
+    `cli` runs as __main__); public names still import from the package,
+    `dir(nsslab)` lists them with the modules, and a module outside the
+    public names, `gf2`, resolves as an attribute."""
     import subprocess
     import sys
 
@@ -679,6 +681,8 @@ def test_a_fresh_process_loads_only_the_modules_it_runs(tmp_path):
         "    return sorted(m for m in sys.modules if m.split('.')[0] == 'nsslab')\n"
         "import nsslab\n"
         "assert loaded() == ['nsslab'], loaded()\n"
+        "assert {'close_algebra', 'spectrum', 'algebra', 'gf2'} <= set(dir(nsslab))\n"
+        "assert loaded() == ['nsslab'], loaded()\n"
         "from nsslab.cli import main\n"
         f"rc = main(['decompose', '--input', {data!r}, "
         f"'--output', {str(tmp_path / 'out.json')!r}])\n"
@@ -689,6 +693,7 @@ def test_a_fresh_process_loads_only_the_modules_it_runs(tmp_path):
         "assert (close_algebra.__module__, scaling_study.__module__, "
         "braid.__module__) == ('nsslab.algebra', 'nsslab.verify', 'nsslab.anyon')\n"
         "assert 'close_algebra' not in vars(nsslab)\n"
+        "assert nsslab.gf2.__name__ == 'nsslab.gf2'\n"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
