@@ -3,8 +3,10 @@
 Vectors are Python ints (bit i = coordinate i).  Everything here is exact,
 and every routine starts from the one row reduction `_eliminate`.  `rank`
 backs the check count of the toric code and its error-orbit sizes, `solve`
-the coset coordinates of the spectral kernel and the orbit overlaps.  Toric
-stabilizer membership needs neither: it is a zero `lattice.syndrome`.
+the coset coordinates of the spectral kernel (every term and every
+translation image of a frame against one elimination) and the orbit
+overlaps.  Toric stabilizer membership needs neither: it is a zero
+`lattice.syndrome`.
 """
 
 
@@ -37,14 +39,19 @@ def solve(rows, target):
     Returns a bitmask over row indices whose XOR equals target, or None if
     target is outside the span.  The mask is the canonical one produced by
     elimination order, so identical inputs give identical certificates.
+    A list of targets is reduced against one elimination of rows, and gives
+    the list of their masks, each the one `solve` gives that target alone.
     """
     basis = _eliminate(rows)
-    v, c = target, 0
-    for p, bv, bc in basis:
-        if v >> p & 1:
-            v ^= bv
-            c ^= bc
-    return c if v == 0 else None
+
+    def reduce(v):
+        c = 0
+        for p, bv, bc in basis:
+            if v >> p & 1:
+                v ^= bv
+                c ^= bc
+        return c if v == 0 else None
+    return [reduce(t) for t in target] if isinstance(target, list) else reduce(target)
 
 
 def nullspace(rows, width):

@@ -117,14 +117,17 @@ def _coset_sum(terms, z0, basis):
     (-1)^|z & state(c)|: a scalar when z commutes with the basis, and real
     unless some term carries a Y or an odd phase.  Terms that share a add,
     in term order (a lone term's value kept as it is, signed zeros too), so
-    the sum is one diagonal plus one shift per distinct a."""
-    if gf2.rank(basis) != len(basis):
+    the sum is one diagonal plus one shift per distinct a.  One `gf2.solve`
+    reduces the basis itself (independent exactly when basis[i] has the
+    coordinates 1 << i) and every term's x."""
+    basis = list(basis)
+    coords = gf2.solve(basis, basis + [op.x_bits for op, _ in terms])
+    if coords[:len(basis)] != [1 << i for i in range(len(basis))]:
         raise ValueError("coset basis vectors are not independent")
     real = not any(op.x_bits & op.z_bits or op.phase & 1 for op, _ in terms)
     states = _coset_states(z0, basis)
     groups = {}
-    for op, coeff in terms:
-        a = gf2.solve(basis, op.x_bits)
+    for (op, coeff), a in zip(terms, coords[len(basis):]):
         if a is None:
             raise ValueError(f"term {format_pauli(op)} leaves the coset")
         value = coeff * (1j ** op.phase).real if real else coeff * 1j ** op.phase

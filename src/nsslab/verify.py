@@ -11,10 +11,14 @@ Pauli type in the four flux-free symmetry sectors; the full-space
 `spectrum`, for any Pauli perturbation, is its oracle and has no CLI
 caller.  Both build the Hamiltonian with one kernel, `pauli._coset_sum`
 (the full space is its unit frame, `_full_sum`; a flux-free sector is a
-coset of the star span), solve it with `_lowest` (dense eigh up to
-_DENSE_SPECTRUM_CAP states, seeded ARPACK above) and read the multiplet
-with `_multiplet`.  scipy is imported only in the ARPACK paths (`_lowest`,
-`_sparse_operator`), so every path that stays dense loads none of it.
+coset of the star span) and read the multiplet with `_multiplet`.
+`spectrum` solves its space with `_lowest` (dense eigh up to
+_DENSE_SPECTRUM_CAP states, seeded ARPACK above); `flux_free_spectrum`
+splits each sector into real translation-momentum blocks
+(`_MomentumBlocks`), solved in one stacked eigvalsh while every sector has
+at most _DENSE_SPECTRUM_CAP orbits, each by `_lowest` above.  scipy is
+imported only in the ARPACK paths (`_lowest`, `_sparse_operator`,
+`_MomentumBlocks.sparse`), so every path that stays dense loads none of it.
 `ErrorSet` and `AnyonState` are named only in string annotations, so
 neither `algebra` nor `anyon` is loaded with this module.
 Every tolerance is a fixed module constant, not a config field.
@@ -47,15 +51,19 @@ _PROJECTOR_TOL = 1e-8
 # a dense state is a loop eigenvector when ||L v - j v|| is within this
 # fraction of ||v||
 _LOOP_EIGEN_TOL = 1e-8
-# up to this Hilbert dimension `_lowest` takes one dense eigh, not ARPACK:
-# a path choice made from the observed size
-_DENSE_SPECTRUM_CAP = 1024
+# up to this dimension a dense solve beats ARPACK, so `_lowest` takes one
+# dense eigh, and `flux_free_spectrum` stacks its momentum blocks when no
+# sector has more orbits: 3x4's 180 orbits a sector solve dense, 2x7's 600
+# on ARPACK in a quarter of the dense time
+_DENSE_SPECTRUM_CAP = 256
 # every ARPACK Ritz pair must meet this relative residual, within this many
 # iterations
 _EIG_RESIDUAL_TOL = 1e-9
 _EIG_MAX_ITER = 20000
 # relative (to the gap) width of one quasi-degenerate multiplet
 _DEGENERACY_CLUSTER_REL = 1e-6
+# what `_lowest` and `flux_free_spectrum` raise on a non-finite operator
+_OVERFLOW = "the Hamiltonian has a non-finite entry: the field overflows"
 # `local_error_generators` refuses to enumerate more Paulis than this
 _MAX_ERROR_GENERATORS = 1 << 20
 
@@ -295,8 +303,8 @@ def sector_orbits(lat: TorusLattice, errors=None,
                  for checks, loops in (syndrome(lat, g) for g in gens)]
     dims = (2 ** gf2.rank(syndromes),) * len(SECTOR_ORDER)
     # the loop flips between two labels of SECTOR_ORDER: g1_Z, g2_Z or both
-    coincide = any(gf2.solve(syndromes, flip << loop_bit) is not None
-                   for flip in (1, 2, 3))
+    coincide = any(mask is not None for mask in
+                   gf2.solve(syndromes, [flip << loop_bit for flip in (1, 2, 3)]))
     return OrbitReport(dims, 1.0 if coincide else 0.0, sum(dims),
                        sum(dims) == 1 << lat.n_qubits)
 
@@ -380,11 +388,10 @@ def _lowest(dim, k, dense, operator, stream, config):
     which every later guard lets through, and ARPACK fails on it.  The dense
     matrix is checked whole, the sparse operator by one product with the
     start vector, which has no zero entry."""
-    overflow = ValueError("the Hamiltonian has a non-finite entry: the field overflows")
     if dim <= _DENSE_SPECTRUM_CAP:
         H = dense()
         if not np.isfinite(H).all():
-            raise overflow
+            raise ValueError(_OVERFLOW)
         w, V = np.linalg.eigh(H)
         return w[:k], V[:, :k]
     import scipy.sparse.linalg as spla
@@ -392,7 +399,7 @@ def _lowest(dim, k, dense, operator, stream, config):
     A = operator()
     v0 = spawn_rng(config.seed, *stream).standard_normal(dim)
     if not np.isfinite(A @ v0).all():
-        raise overflow
+        raise ValueError(_OVERFLOW)
     try:
         w, V = spla.eigsh(A, k=k, which="SA", v0=v0,
                           tol=_EIG_RESIDUAL_TOL * 1e-2, maxiter=_EIG_MAX_ITER)
@@ -459,7 +466,7 @@ def spectrum(lat: TorusLattice, perturbation=None, h: float = 0.0,
 
 # Energy of the cheapest flux: one pair of violated checks, +2 each.
 _FLUX_PAIR_COST = 4.0
-# `flux_free_spectrum` builds each multiplet sector's sign rows in chunks of at
+# `flux_free_spectrum` builds the multiplet sectors' sign rows in chunks of at
 # most this many entries (1 MB as float64): at 4x4 one chunk of all 32 rows and
 # its int64 temporary would raise the run's peak memory by a seventh
 _SIGN_ROW_ENTRIES = 1 << 17
@@ -489,6 +496,204 @@ def _check_sector_cap(L1, L2, config):
         raise ResourceLimitError(f"size {L1}x{L2} exceeds the sparse cap")
 
 
+def _symmetry_maps(lat: TorusLattice, frames, basis):
+    """The torus translations and the inversion as affine maps
+    c -> P c ^ a of the coset coordinates of `_coset_states`:
+    (lin, shifts), lin[g, c] = P_g c for every coordinate c (the same in
+    every frame, since the basis is) and shifts[J, g] = a_g of frames[J].
+
+    Map g < N = L1 * L2 is the translation g = g1 * L2 + g2, which moves
+    every edge g1 rows down and g2 columns right; map N is the inversion
+    (r, c) -> (-r, -c) of the vertices.  Each maps the basis vectors (the
+    stars, or the plaquettes when swapped, but the last) into their span,
+    which gives P, and a frame's coset onto itself when z0 ^ image(z0), the
+    frame's a, lies in that span.  One `gf2.solve` reduces every image; one
+    outside the span raises ValueError.
+    """
+    N = lat.L1 * lat.L2
+    moved = [[1 << lat.edge_index(r + g1, c + g2, d)
+              for g1 in range(lat.L1) for g2 in range(lat.L2)]
+             + [1 << lat.edge_index(-r - d, d - c - 1, d)]
+             for r, c, d in map(lat.edge_coords, range(lat.n_qubits))]
+
+    def images(mask):
+        out = [0] * (N + 1)
+        for e in range(mask.bit_length()):
+            if mask >> e & 1:
+                out = [o | bit for o, bit in zip(out, moved[e])]
+        return out
+
+    targets = [images(b) for b in basis] + \
+              [[t ^ z0 for t in images(z0)] for z0 in frames]
+    coords = gf2.solve(basis, [t for row in targets for t in row])
+    if None in coords:
+        raise ValueError("a lattice symmetry leaves the flux-free coset")
+    dim = 1 << len(basis)
+    dtype = np.int32 if dim <= 1 << 31 else np.int64
+    coords = np.array(coords, dtype).reshape(-1, N + 1)
+    lin = np.zeros((N + 1, 1), coords.dtype)
+    for col in coords[:len(basis)]:
+        lin = np.concatenate([lin, lin ^ col[:, None]], axis=1)
+    return lin, coords[len(basis):]
+
+
+class _MomentumBlocks:
+    """The flux-free sectors of an L1 x L2 torus in translation-momentum
+    blocks, each real, indexed (J, b): sector J, momentum ks[b].
+
+    Map g of sector J takes coordinate c to lin[g, c] ^ shifts[J, g]
+    (`_symmetry_maps`: the translations, then the inversion).  Sector J's
+    Hamiltonian is the shift groups of `checks` (a `_coset_sum` of the check
+    terms) on the diagonal diags[J].  Momentum k = k1 * L2 + k2 has the
+    character e^{ik.g} = exp(2 pi i (k1 g1 / L1 + k2 g2 / L2)); ks holds one
+    momentum of each pair +-k, negs the other, and phase[b, g] = e^{-ik.g},
+    exact where it is +-1.
+
+    A state's orbit representative is its least image under the
+    translations, which translation gstar reaches.  An orbit r holds a
+    state of momentum k, |r, k> = the normalised sum over g of
+    e^{-ik.g} |g r>, when e^{ik.g} = 1 on r's stabiliser (`allowed[b,
+    orbit]`).  H|r, k> is the sum over shifts a of
+    v_a[r] e^{-ik.gstar(r ^ a)} sqrt(|orbit r| / |orbit r'|) |r', k>, r'
+    the orbit of r ^ a.  That block is real when every e^{ik.g} is +-1
+    (`real[b]`).  Otherwise the inversion followed by complex conjugation
+    maps |r, k> to t_r |partner of r, k> and commutes with H, so the block
+    is real in the basis U of its invariant vectors: t_r^(1/2) |r, k> for an
+    orbit that is its own partner, and for partners r < p,
+    (|r, k> + t_r |p, k>) / sqrt(2) and i (|r, k> - t_r |p, k>) / sqrt(2).
+    Row r of U holds diag[b, r] at r and off[b, r] at the partner.
+
+    All of this needs each sector to commute with every map, which is
+    certified exactly, else ValueError: the diagonal equals its value at
+    each state's representative and inversion image, and the shifts carry
+    one constant and are permuted among themselves by every P.  Orbits are
+    numbered by sector (start and count per sector), then by
+    representative; `local` is an orbit's number within its sector.
+    """
+
+    def __init__(self, L1, L2, lin, shifts, checks, diags):
+        N, dim = lin.shape[0] - 1, lin.shape[1]
+        S = len(shifts)
+        k1, k2 = np.divmod(np.arange(N), L2)
+        neg = -k1 % L1 * L2 + -k2 % L2
+        self.ks = np.flatnonzero(np.arange(N) <= neg)
+        self.negs = neg[self.ks]
+        turns = (np.outer(k1[self.ks], k1) * L2 + np.outer(k2[self.ks], k2) * L1) % N
+        roots = np.exp(-2j * np.pi * np.arange(N) / N)
+        if N % 2 == 0:
+            roots[N // 2] = -1.0      # exactly, so that real blocks stay real
+        self.phase = roots[turns]
+        self.real = (self.phase.imag == 0).all(1)
+
+        rep = lin[0] ^ shifts[:, :1]
+        gstar = np.zeros((S, dim), np.min_scalar_type(N))
+        for g in range(1, N):
+            image = lin[g] ^ shifts[:, g, None]
+            less = image < rep
+            rep = np.where(less, image, rep)
+            gstar[less] = g
+        mirror = lin[N] ^ shifts[:, N, None]
+        keys = np.array([a for a in checks if a], dtype=lin.dtype)
+        values = np.array([checks[a] for a in keys.tolist()])
+        if (values.ndim != 1 or (values != values[0]).any()
+                or (np.sort(lin[:, keys]) != np.sort(keys)).any()
+                or (np.take_along_axis(diags, rep, 1) != diags).any()
+                or (np.take_along_axis(diags, mirror, 1) != diags).any()):
+            raise ValueError("a flux-free sector is not translation and inversion invariant")
+
+        J, c = np.nonzero(rep == np.arange(dim))
+        self.count = np.bincount(J, minlength=S)
+        self.start = np.cumsum(self.count) - self.count
+        self.orbit = np.searchsorted(J * dim + c, np.arange(S)[:, None] * dim + rep)
+        self.orbit = self.orbit.astype(lin.dtype)
+        self.gstar, self.J = gstar, J
+        self.local = np.arange(len(c)) - self.start[J]
+        self.size = np.bincount(self.orbit.ravel())
+        self.allowed = ~((turns != 0) @ (lin[:N, c] ^ shifts[J, :N].T == c))
+        self.bound = float(np.abs(diags).max() + np.abs(values).sum())
+        shifted = c ^ np.append(0, keys)[:, None]
+        self.target = self.orbit[J, shifted]
+        self.via = gstar[J, shifted]
+        self.value = np.vstack([diags[J, c], np.repeat(values[:, None], len(c), 1)]) \
+            * np.sqrt(self.size / self.size[self.target])
+
+        self.partner = self.orbit[J, mirror[J, c]]
+        t = self.phase[:, gstar[J, mirror[J, c]]]
+        low, high = self.partner > np.arange(len(c)), self.partner < np.arange(len(c))
+        plain = self.real[:, None] | ~self.allowed
+        self.diag = np.where(plain, 1.0, np.where(
+            low, 0.5 ** 0.5, np.where(high, -1j * 0.5 ** 0.5 * t, np.sqrt(t))))
+        self.off = np.where(plain | ~(low | high), 0.0, np.where(low, 1j, t) * 0.5 ** 0.5)
+
+    def orbits(self, J):
+        """Sector J's orbits, a slice of the global numbers."""
+        return slice(self.start[J], self.start[J] + self.count[J])
+
+    def _entries(self, b, part):
+        """(row, col, block, value) of the real blocks U^H H_k U for the
+        array of blocks b, over the orbits `part` (a slice), by global orbit
+        number, broadcast to one shape: each entry of H_k is split four ways
+        by the two entries of a row of U."""
+        b = np.asarray(b)[:, None, None]
+        target = self.target[:, part]
+        col = np.arange(len(self.J))[part]
+        entry = self.value[:, part] * self.phase[b, self.via[:, part]] \
+            * (self.allowed[b, target] & self.allowed[b, col])
+        left = np.stack([self.diag[b, target], self.off[b, target]]).conj() * entry
+        right = np.stack([self.diag[b, col], self.off[b, col]])
+        rows = np.stack([target, self.partner[target]])[:, None, None]
+        cols = np.stack([col, self.partner[col]])[None, :, None, None]
+        return np.broadcast_arrays(rows, cols, b, (left[:, None] * right).real)
+
+    def dense(self):
+        """Every block as one real (sectors, momenta, n, n) stack, n the most
+        orbits of a sector.  A row of an orbit the block lacks, or past the
+        sector's orbits, holds only a diagonal above every level."""
+        S, K = len(self.count), len(self.ks)
+        n = int(self.count.max())
+        row, col, b, value = self._entries(np.arange(K), slice(None))
+        flat = ((self.J[col] * K + b) * n + self.local[row]) * n + self.local[col]
+        H = np.bincount(flat.ravel(), value.ravel(), S * K * n * n).reshape(S, K, n, n)
+        keep = np.zeros((K, S, n), bool)
+        keep[:, self.J, self.local] = self.allowed
+        pad = np.where(keep.transpose(1, 0, 2), 0.0, 1.0 + self.bound)
+        H[..., range(n), range(n)] += pad
+        return H
+
+    def sparse(self, J, b):
+        """Block (J, b) on its own orbits, as real CSR."""
+        import scipy.sparse as sp
+
+        allowed = self.allowed[b, self.orbits(J)]
+        pos = np.cumsum(allowed) - 1
+        row, col, _, value = self._entries([b], self.orbits(J))
+        keep = value != 0
+        n = int(allowed.sum())
+        return sp.csr_matrix((value[keep], (pos[self.local[row[keep]]],
+                                            pos[self.local[col[keep]]])), shape=(n, n))
+
+    def vectors(self, J, b, y):
+        """Coset vectors, one per row: sector J[p] with coordinates y[p], in
+        block b[p]'s basis U, on the sector's orbits by local number (zero
+        past them and off the block's).  x = U y is the vector in the
+        |r, k> basis, and |r, k> holds e^{ik.g} / sqrt(|orbit r|) on the
+        state g r; real when every block is."""
+        at = self.start[J][:, None] + np.arange(y.shape[1])
+        inside = np.arange(y.shape[1]) < self.count[J][:, None]
+        at = np.where(inside, at, 0)
+        b = b[:, None]
+        x = self.diag[b, at] * y + self.off[b, at] * np.take_along_axis(
+            y, np.where(inside, self.local[self.partner[at]], 0), 1)
+        x *= self.allowed[b, at] & inside
+        phase = self.phase[b[:, 0]].conj()
+        if self.real[b].all():
+            x, phase = x.real, phase.real
+        phase = np.take_along_axis(phase, self.gstar[J], 1)
+        orbit = self.orbit[J]
+        return np.take_along_axis(x, orbit - self.start[J][:, None], 1) * phase \
+            / np.sqrt(self.size[orbit])
+
+
 def flux_free_spectrum(lat: TorusLattice, kind: str, h: float,
                        config: EngineConfig = DEFAULT_CONFIG):
     """(SpectralReport of the q + 1 lowest levels, deviation_max) for the
@@ -508,12 +713,25 @@ def flux_free_spectrum(lat: TorusLattice, kind: str, h: float,
     (q+1)-th lies at or below w0 + 4 (to within _EIG_RESIDUAL_TOL); else the
     run refuses, as it does on a tie of levels q and q + 1.
 
-    Each sector is read from its own coset states.  The field's terms are
-    distinct single edges with unit coefficients, so on state s it is the
-    number of terms minus 2|s & mask|, mask the OR of their bits: one
-    popcount per state.  Each multiplet sector's blocks G^T Z_t G are one
-    batched product over its sign rows, built in chunks of terms of at most
-    _SIGN_ROW_ENTRIES entries.
+    Each sector commutes with the torus translations and the inversion, so
+    it is solved in real `_MomentumBlocks`, one per momentum k, of about
+    2^(L1*L2 - 1) / (L1*L2) orbits.  H_{-k} is conj(H_k), so each pair +-k
+    is solved once and its levels counted twice.  Every block yields its
+    lowest min(q + 1, size) levels.  When no sector has more than
+    _DENSE_SPECTRUM_CAP orbits, one stacked eigvalsh solves every block and
+    one eigh the multiplet's; otherwise each block is a CSR matrix for
+    `_lowest`, its ARPACK start drawn from stream (5, L1, L2, J, k) for
+    sector J.  The multiplet's vectors are expanded to coset states, complex
+    when they come from a complex block (the -k copy conjugated).
+
+    The field's terms are distinct single edges with unit coefficients, so
+    on state s it is the number of terms minus 2|s & mask|, mask the OR of
+    their bits: one popcount per state.  The multiplet's blocks G^H Z_t G
+    are one batched product over the sectors' sign rows, built in chunks of
+    at most _SIGN_ROW_ENTRIES entries.  deviation_max is the largest
+    |eigenvalue| of such a block less its multiplet mean times 1, and
+    coupling_k the root of the largest eigenvalue of the Gram matrix of
+    (1 - G G^H) V G.
     """
     swap = kind == "x_field"
     field_bits = np.array([op.x_bits if swap else op.z_bits
@@ -521,23 +739,46 @@ def flux_free_spectrum(lat: TorusLattice, kind: str, h: float,
     _check_sector_cap(lat.L1, lat.L2, config)
     checks, frames, basis = _loop_frames(lat, swap)
     q = code_dimension(lat)
-    dim = 1 << len(basis)
-    states = [_coset_states(z0, basis) for z0 in frames]
+    states = _coset_states(0, basis) ^ np.array(frames)[:, None]
     mask = np.bitwise_or.reduce(field_bits)
-    fields = [len(field_bits) - 2.0 * np.bitwise_count(s & mask) for s in states]
+    fields = len(field_bits) - 2.0 * np.bitwise_count(states & mask)
     # the same in every sector: the X loops of z0 commute with every
     # plaquette, and the stars carry no Z
     check_groups = _coset_sum(checks, frames[0], basis)
-    solved = []
-    for J in range(len(frames)):
-        groups = dict(check_groups)
-        groups[0] = h * fields[J] + groups[0]
-        solved.append(_lowest(dim, q + 1, lambda: _coset_dense(groups, dim),
-                              lambda: _sparse_operator(groups, dim),
-                              (5, lat.L1, lat.L2, J), config))
+    diags = h * fields + check_groups[0]
+    if not np.isfinite(diags).all():
+        raise ValueError(_OVERFLOW)
+    blocks = _MomentumBlocks(lat.L1, lat.L2, *_symmetry_maps(lat, frames, basis),
+                             check_groups, diags)
 
-    levels = sorted((float(x), J) for J, (w, _) in enumerate(solved) for x in w)
-    w = [x for x, _ in levels]
+    S, K, m = len(frames), len(blocks.ks), q + 1
+    levels = np.full((S, K, m), np.inf)
+    dense = blocks.count.max() <= _DENSE_SPECTRUM_CAP
+    if dense:
+        H = blocks.dense()
+        w = np.linalg.eigvalsh(H)[..., :m]
+        held = np.add.reduceat(blocks.allowed, blocks.start, axis=1, dtype=int).T
+        take = w.shape[-1]
+        levels[..., :take] = np.where(np.arange(take) < held[..., None], w, np.inf)
+    else:
+        found = {}     # (J, b) -> the block's vectors on the sector's orbits
+        for J in range(S):
+            for b, k in enumerate(blocks.ks):
+                A = blocks.sparse(J, b)
+                if A.shape[0]:
+                    w, V = _lowest(A.shape[0], min(m, A.shape[0]), A.toarray, lambda: A,
+                                   (5, lat.L1, lat.L2, J, int(k)), config)
+                    levels[J, b, :len(w)] = w
+                    found[J, b] = np.zeros((blocks.count[J], len(w)))
+                    found[J, b][blocks.allowed[b, blocks.orbits(J)]] = V
+
+    # every level, those of a pair +-k twice (the second the -k copy); ties
+    # are ranked by sector, block copy and index
+    copy = np.repeat(np.arange(K), np.where(blocks.negs != blocks.ks, 2, 1))
+    second = np.r_[False, copy[1:] == copy[:-1]]
+    flat = levels[:, copy].ravel()
+    order = np.argsort(flat, kind="stable")[:m]
+    w = flat[order].tolist()
     if w[q] - w[0] > _FLUX_PAIR_COST + _EIG_RESIDUAL_TOL * max(1.0, abs(w[0])):
         raise SectorCertificateError(
             f"flux-free certificate failed on {lat.L1}x{lat.L2} at h={h!r}: "
@@ -547,25 +788,44 @@ def flux_free_spectrum(lat: TorusLattice, kind: str, h: float,
             f"full spectrum")
     degeneracy, gap, splitting = _multiplet(lat, h, w, q)
 
-    # the multiplet: the lowest q levels, with each sector's share of vectors
-    share = [sum(1 for _, J in levels[:q] if J == K) for K in range(len(solved))]
-    multiplet = [(J, solved[J][1][:, :m]) for J, m in enumerate(share) if m]
+    # the multiplet: the lowest q levels as coset vectors, a sector's vectors
+    # side by side in G (zero columns past its share)
+    J, c, i = np.unravel_index(order[:q], (S, len(copy), m))
+    b = copy[c]
+    if dense:
+        need, at = np.unique(J * K + b, return_inverse=True)
+        y = np.linalg.eigh(H.reshape(S * K, *H.shape[2:])[need])[1][at, :, i]
+    else:
+        width = blocks.count.max()
+        y = np.stack([np.pad(found[Jp, bp][:, ip], (0, width - blocks.count[Jp]))
+                      for Jp, bp, ip in zip(J, b, i)])
+    psi = blocks.vectors(J, b, y)
+    psi[second[c]] = psi[second[c]].conj()
+    sectors, sector = np.unique(J, return_inverse=True)
+    slot = np.array([np.count_nonzero(sector[:p] == sector[p]) for p in range(q)])
+    G = np.zeros((len(sectors), psi.shape[1], slot.max() + 1), psi.dtype)
+    G[sector, :, slot] = psi
+    columns = np.zeros(G.shape[::2])
+    columns[sector, slot] = 1.0
+    Gh = G.conj().transpose(0, 2, 1)
+
     deviation = 0.0
-    step = max(1, _SIGN_ROW_ENTRIES // dim)
+    rows = states[sectors][:, None]
+    step = max(1, _SIGN_ROW_ENTRIES // rows.size)
     for start in range(0, len(field_bits), step):
         z = field_bits[start:start + step, None]
-        # blocks[i][t] = G^T Z_t G in the i-th multiplet sector
-        blocks = [np.matmul(G.T, _signs(states[J], z)[:, :, None] * G)
-                  for J, G in multiplet]
-        c = sum(np.trace(b, axis1=1, axis2=2) for b in blocks) / q
-        for b in blocks:
-            dev = np.linalg.norm(b - c[:, None, None] * np.eye(b.shape[1]), 2, axis=(1, 2))
-            deviation = max(deviation, float(dev.max()))
-    coupling = 0.0
-    for J, G in multiplet:
-        vg = fields[J][:, None] * G
-        coupling = max(coupling, float(np.linalg.norm(vg - G @ (G.T @ vg), 2)))
-    return SpectralReport(tuple(w[:q + 1]), degeneracy, gap, splitting, coupling), deviation
+        # terms[s, t] = G^H Z_t G in the multiplet's s-th sector
+        signs = _signs(rows, z)
+        terms = Gh[:, None] @ (signs[..., None] * G[:, None])
+        mean = np.trace(terms, axis1=2, axis2=3).real.sum(0) / q
+        terms -= mean[:, None, None] * (columns[:, None, :, None] * np.eye(G.shape[2]))
+        deviation = max(deviation, float(np.abs(np.linalg.eigvalsh(terms)).max()))
+    vg = fields[sectors][:, :, None] * G
+    residual = vg - G @ (Gh @ vg)
+    gram = residual.conj().transpose(0, 2, 1) @ residual
+    coupling = float(np.sqrt(max(np.linalg.eigvalsh(gram).max(), 0.0)))
+    report = SpectralReport(tuple(w[:q + 1]), degeneracy, gap, splitting, coupling)
+    return report, deviation
 
 
 # ------------------------------------------------------------ scaling fit

@@ -563,7 +563,7 @@ def _assert_rows_agree(rows_a, rows_b, where):
             assert abs(getattr(a, field) - getattr(b, field)) < 1e-12, (where, a, b, field)
 
 
-_DENSE_SIZES = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3)]
+_DENSE_SIZES = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (3, 4), (4, 3)]
 
 
 @pytest.mark.parametrize("h", [0.1, 0.3])
@@ -592,9 +592,10 @@ def test_sector_rows_of_transposed_tori_agree():
 
 
 def _per_term_row(lat, perturbation, h, config):
-    """`verify.flux_free_spectrum` one term at a time: per sector, one sign
-    vector per field term, summed for the field and again for each term's
-    block of the multiplet."""
+    """The coset solve, one term at a time: per sector, one sign vector per
+    field term, summed for the field and again for each term's block of the
+    multiplet, and the whole 2^(L1*L2 - 1)-state sector solved by
+    `verify._lowest` (dense eigh up to the cap, ARPACK above)."""
     ops = [op for op, _ in perturbation]
     swap = all(op.z_bits == 0 for op in ops)
     field_bits = [op.x_bits if swap else op.z_bits for op in ops]
@@ -633,32 +634,97 @@ def _per_term_row(lat, perturbation, h, config):
     return SpectralReport(tuple(w[:q + 1]), degeneracy, gap, splitting, coupling), deviation
 
 
+def _assert_blocks_match_the_coset_solve(lat, kind, h):
+    """Levels, gap and splitting to 1e-12, coupling_k and deviation_max to
+    1e-10: the blocks and the coset solve round differently, and the two
+    ARPACK paths start from different vectors."""
+    got, dev = verify.flux_free_spectrum(lat, kind, h, DEFAULT_CONFIG)
+    want, want_dev = _per_term_row(lat, perturbation_terms(lat, kind), h, DEFAULT_CONFIG)
+    where = (kind, h, lat.L1, lat.L2)
+    assert len(got.energies) == len(want.energies), where
+    assert got.ground_degeneracy == want.ground_degeneracy, where
+    assert np.abs(np.subtract(got.energies, want.energies)).max() < 1e-12, where
+    assert abs(got.gap_delta - want.gap_delta) < 1e-12, where
+    assert abs(got.splitting - want.splitting) < 1e-12, where
+    assert abs(got.coupling_k - want.coupling_k) < 1e-10, where
+    assert abs(dev - want_dev) < 1e-10, where
+
+
 @pytest.mark.parametrize("chunked", [False, True], ids=["budget", "one-term-chunks"])
-def test_shared_sign_rows_match_the_per_term_loop_exactly(chunked, monkeypatch):
-    """`flux_free_spectrum` takes each sector's field as one popcount and
-    its multiplet blocks from chunked sign rows; with unit field
-    coefficients every field is the same integer as the per-term loop's sum
-    and every block the same product, so the reports (levels, degeneracy,
-    gap, splitting, coupling_k) and deviation_max are equal, not close.
-    Covers every kind, a sector holding two multiplet levels (z_field_right
-    at h = 1.2), the ARPACK branch (3x3 with the dense cap at 1) and, with
+def test_momentum_blocks_match_the_coset_solve(chunked, monkeypatch):
+    """`flux_free_spectrum` solves each sector in translation-momentum
+    blocks; the coset solve is its oracle.  Covers every kind, a sector
+    holding two multiplet levels (z_field_right at h = 1.2, both from real
+    blocks), and 2x4 z_field at h = 0.7, pinned by a sweep of h: there the
+    third sector's multiplet levels are the pair +-k of a complex block, so
+    its vectors are complex and one is the other's conjugate.  With
     `chunked`, a sign-row budget that puts every term in its own chunk."""
     if chunked:
         monkeypatch.setattr(verify, "_SIGN_ROW_ENTRIES", 1)
     cases = [(kind, h, size) for kind in PERTURBATION_KINDS for h in (0.0, 0.1, -0.2)
-             for size in ((2, 2), (2, 3), (3, 2), (2, 4))]
+             for size in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3))]
     cases += [("z_field_right", 1.2, size) for size in ((2, 2), (2, 3))]
     for kind, h, size in cases:
-        lat = build_torus(*size)
-        pert = perturbation_terms(lat, kind)
-        assert verify.flux_free_spectrum(lat, kind, h, DEFAULT_CONFIG) == \
-            _per_term_row(lat, pert, h, DEFAULT_CONFIG), (kind, h, size)
-    monkeypatch.setattr(verify, "_DENSE_SPECTRUM_CAP", 1)
-    lat = build_torus(3, 3)
+        _assert_blocks_match_the_coset_solve(build_torus(*size), kind, h)
+
+    expand, expanded = verify._MomentumBlocks.vectors, []
+
+    def recorded(blocks, J, b, y):
+        expanded.extend(zip(J.tolist(), blocks.ks[b].tolist(), blocks.real[b].tolist()))
+        return expand(blocks, J, b, y)
+
+    monkeypatch.setattr(verify._MomentumBlocks, "vectors", recorded)
+    _assert_blocks_match_the_coset_solve(build_torus(2, 4), "z_field", 0.7)
+    assert sorted(expanded) == [(0, 0, True), (2, 0, True), (2, 1, False), (2, 1, False)]
+
+
+def test_arpack_blocks_match_the_coset_solve(monkeypatch):
+    """A 4x4 sector has 2068 to 2108 orbits, above _DENSE_SPECTRUM_CAP, so
+    every block is a CSR matrix for ARPACK; the oracle solves 2^15 coset
+    states with ARPACK.  A 3x3 sector has 32 orbits and blocks of 28 and 32:
+    with the cap lowered to 24 they take the same branch."""
+    lowest, streams = verify._lowest, []
+
+    def recorded(dim, k, dense, operator, stream, config):
+        streams.append((dim, stream))
+        return lowest(dim, k, dense, operator, stream, config)
+
+    monkeypatch.setattr(verify, "_lowest", recorded)
+    _assert_blocks_match_the_coset_solve(build_torus(4, 4), "z_field", 0.1)
+    blocks = [dim for dim, stream in streams if len(stream) == 5]
+    assert len(blocks) == 4 * 10 and min(blocks) > verify._DENSE_SPECTRUM_CAP
+    monkeypatch.setattr(verify, "_DENSE_SPECTRUM_CAP", 24)
+    streams.clear()
     for kind in ("z_field", "x_field"):
-        pert = perturbation_terms(lat, kind)
-        assert verify.flux_free_spectrum(lat, kind, 0.1, DEFAULT_CONFIG) == \
-            _per_term_row(lat, pert, 0.1, DEFAULT_CONFIG), kind
+        _assert_blocks_match_the_coset_solve(build_torus(3, 3), kind, 0.1)
+    blocks = [dim for dim, stream in streams if len(stream) == 5]
+    assert len(blocks) == 2 * 4 * 5 and min(blocks) > 24
+
+
+def test_a_field_that_breaks_translations_is_refused(monkeypatch):
+    """The blocks need every sector to commute with the translations; a
+    field missing one edge does not, and the solve refuses it."""
+    terms = verify.perturbation_terms
+    monkeypatch.setattr(verify, "perturbation_terms", lambda lat, kind: terms(lat, kind)[1:])
+    with pytest.raises(ValueError, match="not translation and inversion invariant"):
+        verify.flux_free_spectrum(build_torus(2, 3), "z_field", 0.1)
+    assert verify.flux_free_spectrum(build_torus(2, 3), "z_field", 0.0)[0].splitting < 1e-12
+
+
+def test_one_elimination_per_frame(monkeypatch):
+    """`_coset_sum` reduces its basis and every term against one GF(2)
+    elimination, and the translation images of every frame share another:
+    a flux-free solve runs three (one more ranks the checks), whatever the
+    size."""
+    eliminate, rows = gf2._eliminate, []
+    monkeypatch.setattr(gf2, "_eliminate", lambda r: rows.append(len(r)) or eliminate(r))
+    lat = build_torus(3, 3)
+    verify._coset_sum(perturbation_terms(lat, "x_field"), 0, [1 << i for i in range(18)])
+    assert rows == [18]
+    for size in ((2, 2), (3, 4)):
+        rows.clear()
+        verify.flux_free_spectrum(build_torus(*size), "z_field", 0.1)
+        assert len(rows) == 3, (size, rows)
 
 
 def test_scaling_refuses_when_the_flux_free_certificate_fails(capsys):
