@@ -4,7 +4,7 @@ Vectors are Python ints (bit i = coordinate i).  Everything here is exact,
 and every routine starts from the one row reduction `_eliminate`.  `rank`
 backs the check count of the toric code and its error-orbit sizes, `solve`
 the coset coordinates of the spectral kernel (every term and every
-translation image of a frame against one elimination) and the orbit
+symmetry image of a frame against one elimination) and the orbit
 overlaps.  Toric stabilizer membership needs neither: it is a zero
 `lattice.syndrome`.
 """

@@ -556,11 +556,11 @@ def test_decompose_runs_without_loading_scipy(tmp_path):
 
 
 def test_dense_scaling_runs_without_loading_scipy(tmp_path):
-    """Sectors of at most _DENSE_SPECTRUM_CAP states are assembled and solved
-    with numpy alone: a fresh-process scaling run over 2x2, 2x3 and 2x4
-    (8 to 128 states per sector) loads no scipy module.  Nor does it, or
-    `import nsslab` before it, load `numpy.random` (about 17 ms): only the
-    seeded routines need it, and this run draws nothing."""
+    """Sectors of at most _DENSE_SPECTRUM_CAP orbits are assembled and solved
+    in momentum blocks with numpy alone: a fresh-process scaling run over
+    2x2, 2x3 and 2x4 (3 to 24 orbits per sector) loads no scipy module.
+    Nor does it, or `import nsslab` before it, load `numpy.random` (about
+    17 ms): only the seeded routines need it, and this run draws nothing."""
     import subprocess
     import sys
 

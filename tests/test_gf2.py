@@ -68,6 +68,26 @@ def test_solve_rejects_targets_outside_span():
     assert gf2.solve(rows, 0b0111) is None
 
 
+def test_a_list_of_targets_is_solved_against_one_elimination(monkeypatch):
+    """Each mask is the one `solve` gives that target alone, None outside
+    the span included, and the rows are eliminated once."""
+    rng = np.random.default_rng(103)
+    eliminate, calls, outside = gf2._eliminate, [], 0
+    for _ in range(30):
+        width = int(rng.integers(2, 16))
+        rows = _random_rows(rng, int(rng.integers(1, 8)), width)
+        targets = [int(t) for t in rng.integers(0, 1 << width, 12)] + rows
+        alone = [gf2.solve(rows, t) for t in targets]
+        monkeypatch.setattr(gf2, "_eliminate", lambda r: calls.append(r) or eliminate(r))
+        assert gf2.solve(rows, targets) == alone
+        monkeypatch.undo()
+        assert len(calls) == 1
+        calls.clear()
+        outside += alone.count(None)
+    assert outside > 0
+    assert gf2.solve([0b11], []) == []
+
+
 def test_solve_handles_dependent_rows():
     rows = [0b101, 0b011, 0b110]  # third = first ^ second
     combo = gf2.solve(rows, 0b110)
