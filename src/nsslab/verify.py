@@ -466,10 +466,6 @@ def spectrum(lat: TorusLattice, perturbation=None, h: float = 0.0,
 
 # Energy of the cheapest flux: one pair of violated checks, +2 each.
 _FLUX_PAIR_COST = 4.0
-# `flux_free_spectrum` builds the multiplet sectors' sign rows in chunks of at
-# most this many entries (1 MB as float64): at 4x4 one chunk of all 32 rows and
-# its int64 temporary would raise the run's peak memory by a seventh
-_SIGN_ROW_ENTRIES = 1 << 17
 
 
 def _loop_frames(lat: TorusLattice, swap: bool = False):
@@ -726,12 +722,14 @@ def flux_free_spectrum(lat: TorusLattice, kind: str, h: float,
 
     The field's terms are distinct single edges with unit coefficients, so
     on state s it is the number of terms minus 2|s & mask|, mask the OR of
-    their bits: one popcount per state.  The multiplet's blocks G^H Z_t G
-    are one batched product over the sectors' sign rows, built in chunks of
-    at most _SIGN_ROW_ENTRIES entries.  deviation_max is the largest
-    |eigenvalue| of such a block less its multiplet mean times 1, and
-    coupling_k the root of the largest eigenvalue of the Gram matrix of
-    (1 - G G^H) V G.
+    their bits: one popcount per state.  The multiplet's vectors are the
+    rows psi, from sectors J; for a diagonal W, G^H W G is the q x q matrix
+    same * ((psi^* W[J]) psi^T), same zero between sectors.  A translation
+    maps Z_e to Z_g(e) and each row, of one momentum, to a phase times
+    itself, so the terms on edges 0 and 1 (right and down of vertex (0, 0))
+    give deviation_max: the largest |eigenvalue| of such a matrix less its
+    mean times 1.  coupling_k is the root of the largest eigenvalue of the
+    same-masked Gram matrix of the rows of (1 - G G^H) V G.
     """
     swap = kind == "x_field"
     field_bits = np.array([op.x_bits if swap else op.z_bits
@@ -753,6 +751,9 @@ def flux_free_spectrum(lat: TorusLattice, kind: str, h: float,
 
     S, K, m = len(frames), len(blocks.ks), q + 1
     levels = np.full((S, K, m), np.inf)
+    # every level, those of a pair +-k twice (the second the -k copy); ties
+    # are ranked by sector, block copy and index
+    copy = np.repeat(np.arange(K), np.where(blocks.negs != blocks.ks, 2, 1))
     dense = blocks.count.max() <= _DENSE_SPECTRUM_CAP
     if dense:
         H = blocks.dense()
@@ -771,10 +772,10 @@ def flux_free_spectrum(lat: TorusLattice, kind: str, h: float,
                     levels[J, b, :len(w)] = w
                     found[J, b] = np.zeros((blocks.count[J], len(w)))
                     found[J, b][blocks.allowed[b, blocks.orbits(J)]] = V
+                # drop the blocks whose lowest level lies above the q-th so far
+                top = np.sort(levels[:, copy], axis=None)[q - 1]
+                found = {key: V for key, V in found.items() if levels[key][0] <= top}
 
-    # every level, those of a pair +-k twice (the second the -k copy); ties
-    # are ranked by sector, block copy and index
-    copy = np.repeat(np.arange(K), np.where(blocks.negs != blocks.ks, 2, 1))
     second = np.r_[False, copy[1:] == copy[:-1]]
     flat = levels[:, copy].ravel()
     order = np.argsort(flat, kind="stable")[:m]
@@ -788,8 +789,7 @@ def flux_free_spectrum(lat: TorusLattice, kind: str, h: float,
             f"full spectrum")
     degeneracy, gap, splitting = _multiplet(lat, h, w, q)
 
-    # the multiplet: the lowest q levels as coset vectors, a sector's vectors
-    # side by side in G (zero columns past its share)
+    # the lowest q levels' coset vectors: the rows of psi, from sectors J
     J, c, i = np.unravel_index(order[:q], (S, len(copy), m))
     b = copy[c]
     if dense:
@@ -801,28 +801,18 @@ def flux_free_spectrum(lat: TorusLattice, kind: str, h: float,
                       for Jp, bp, ip in zip(J, b, i)])
     psi = blocks.vectors(J, b, y)
     psi[second[c]] = psi[second[c]].conj()
-    sectors, sector = np.unique(J, return_inverse=True)
-    slot = np.array([np.count_nonzero(sector[:p] == sector[p]) for p in range(q)])
-    G = np.zeros((len(sectors), psi.shape[1], slot.max() + 1), psi.dtype)
-    G[sector, :, slot] = psi
-    columns = np.zeros(G.shape[::2])
-    columns[sector, slot] = 1.0
-    Gh = G.conj().transpose(0, 2, 1)
+    same = J[:, None] == J
 
-    deviation = 0.0
-    rows = states[sectors][:, None]
-    step = max(1, _SIGN_ROW_ENTRIES // rows.size)
-    for start in range(0, len(field_bits), step):
-        z = field_bits[start:start + step, None]
-        # terms[s, t] = G^H Z_t G in the multiplet's s-th sector
-        signs = _signs(rows, z)
-        terms = Gh[:, None] @ (signs[..., None] * G[:, None])
-        mean = np.trace(terms, axis1=2, axis2=3).real.sum(0) / q
-        terms -= mean[:, None, None] * (columns[:, None, :, None] * np.eye(G.shape[2]))
-        deviation = max(deviation, float(np.abs(np.linalg.eigvalsh(terms)).max()))
-    vg = fields[sectors][:, :, None] * G
-    residual = vg - G @ (Gh @ vg)
-    gram = residual.conj().transpose(0, 2, 1) @ residual
+    def block(diagonal):
+        """G^H W G for W given by its diagonal on every sector's states."""
+        return same * ((psi.conj() * diagonal[J]) @ psi.T)
+
+    # the terms on edges 0 and 1 give every deviation (see above)
+    terms = np.stack([block(_signs(states, z)) for z in field_bits[field_bits < 4]])
+    terms -= np.trace(terms, axis1=1, axis2=2).real[:, None, None] / q * np.eye(q)
+    deviation = float(np.abs(np.linalg.eigvalsh(terms)).max())
+    residual = fields[J] * psi - block(fields).T @ psi
+    gram = same * (residual.conj() @ residual.T)
     coupling = float(np.sqrt(max(np.linalg.eigvalsh(gram).max(), 0.0)))
     report = SpectralReport(tuple(w[:q + 1]), degeneracy, gap, splitting, coupling)
     return report, deviation

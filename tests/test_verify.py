@@ -395,6 +395,21 @@ def test_every_config_field_has_a_reader():
     assert set(fields) <= read, set(fields) - read
 
 
+def test_every_module_constant_has_a_reader():
+    """Each module-level constant (an upper-case name assigned at the top of
+    a module in `src/nsslab`) is read as a name somewhere in `src/nsslab`:
+    a deleted mechanism leaves no constant behind."""
+    src = pathlib.Path(nsslab.__file__).parent
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in src.glob("*.py")]
+    constants = {target.id for tree in trees for node in tree.body
+                 if isinstance(node, ast.Assign) for target in node.targets
+                 if isinstance(target, ast.Name) and target.id.lstrip("_").isupper()}
+    read = {node.id for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert {"SECTOR_ORDER", "_DENSE_SPECTRUM_CAP"} <= constants
+    assert constants <= read, constants - read
+
+
 def test_the_stabilizer_frame_has_one_reader():
     """Anticommutation with the checks and loops is read only by
     `lattice.syndrome`: neither anyon nor verify imports `commutes`."""
@@ -591,11 +606,13 @@ def test_sector_rows_of_transposed_tori_agree():
                            scaling_study(transposed, h, kind="z_field_down").rows, h)
 
 
-def _per_term_row(lat, perturbation, h, config):
+def _coset_solve(lat, perturbation, h, config):
     """The coset solve, one term at a time: per sector, one sign vector per
-    field term, summed for the field and again for each term's block of the
-    multiplet, and the whole 2^(L1*L2 - 1)-state sector solved by
-    `verify._lowest` (dense eigh up to the cap, ARPACK above)."""
+    field term, summed for the field, and the whole 2^(L1*L2 - 1)-state
+    sector solved by `verify._lowest` (dense eigh up to the cap, ARPACK
+    above).  (levels, multiplet, states, fields, field_bits): the q + 1
+    lowest levels, ascending, and the lowest q's vectors as (J, G), sector J
+    with its vectors in the columns of G (ties ranked by sector)."""
     ops = [op for op, _ in perturbation]
     swap = all(op.z_bits == 0 for op in ops)
     field_bits = [op.x_bits if swap else op.z_bits for op in ops]
@@ -615,23 +632,37 @@ def _per_term_row(lat, perturbation, h, config):
                                      lambda: verify._sparse_operator(groups, dim),
                                      (5, lat.L1, lat.L2, J), config))
     levels = sorted((float(x), J) for J, (w, _) in enumerate(solved) for x in w)
-    w = [x for x, _ in levels]
-    if w[q] - w[0] > verify._FLUX_PAIR_COST + verify._EIG_RESIDUAL_TOL * max(1.0, abs(w[0])):
-        raise SectorCertificateError("flux-free certificate failed")
-    degeneracy, gap, splitting = verify._multiplet(lat, h, w, q)
     share = [sum(1 for _, J in levels[:q] if J == K) for K in range(len(solved))]
     multiplet = [(J, solved[J][1][:, :m]) for J, m in enumerate(share) if m]
-    deviation = 0.0
+    return [x for x, _ in levels[:q + 1]], multiplet, states, fields, field_bits
+
+
+def _term_deviations(multiplet, states, field_bits, q):
+    """The projected-condition deviation of each field term, in term order:
+    the largest over sectors of ||G^T Z G - c 1||, c the multiplet mean."""
+    deviations = []
     for z in field_bits:
         blocks = [G.T @ (verify._signs(states[J], z)[:, None] * G) for J, G in multiplet]
         c = sum(np.trace(b) for b in blocks) / q
-        for b in blocks:
-            deviation = max(deviation, float(np.linalg.norm(b - c * np.eye(len(b)), 2)))
+        deviations.append(max(float(np.linalg.norm(b - c * np.eye(len(b)), 2))
+                              for b in blocks))
+    return deviations
+
+
+def _per_term_row(lat, perturbation, h, config):
+    """The coset solve's row: levels, certificate and multiplet as
+    `flux_free_spectrum` reads them, deviation_max over every term."""
+    w, multiplet, states, fields, field_bits = _coset_solve(lat, perturbation, h, config)
+    q = code_dimension(lat)
+    if w[q] - w[0] > verify._FLUX_PAIR_COST + verify._EIG_RESIDUAL_TOL * max(1.0, abs(w[0])):
+        raise SectorCertificateError("flux-free certificate failed")
+    degeneracy, gap, splitting = verify._multiplet(lat, h, w, q)
+    deviation = max(_term_deviations(multiplet, states, field_bits, q))
     coupling = 0.0
     for J, G in multiplet:
         vg = fields[J][:, None] * G
         coupling = max(coupling, float(np.linalg.norm(vg - G @ (G.T @ vg), 2)))
-    return SpectralReport(tuple(w[:q + 1]), degeneracy, gap, splitting, coupling), deviation
+    return SpectralReport(tuple(w), degeneracy, gap, splitting, coupling), deviation
 
 
 def _assert_blocks_match_the_coset_solve(lat, kind, h):
@@ -650,17 +681,13 @@ def _assert_blocks_match_the_coset_solve(lat, kind, h):
     assert abs(dev - want_dev) < 1e-10, where
 
 
-@pytest.mark.parametrize("chunked", [False, True], ids=["budget", "one-term-chunks"])
-def test_momentum_blocks_match_the_coset_solve(chunked, monkeypatch):
+def test_momentum_blocks_match_the_coset_solve(monkeypatch):
     """`flux_free_spectrum` solves each sector in translation-momentum
     blocks; the coset solve is its oracle.  Covers every kind, a sector
     holding two multiplet levels (z_field_right at h = 1.2, both from real
     blocks), and 2x4 z_field at h = 0.7, pinned by a sweep of h: there the
     third sector's multiplet levels are the pair +-k of a complex block, so
-    its vectors are complex and one is the other's conjugate.  With
-    `chunked`, a sign-row budget that puts every term in its own chunk."""
-    if chunked:
-        monkeypatch.setattr(verify, "_SIGN_ROW_ENTRIES", 1)
+    its vectors are complex and one is the other's conjugate."""
     cases = [(kind, h, size) for kind in PERTURBATION_KINDS for h in (0.0, 0.1, -0.2)
              for size in ((2, 2), (2, 3), (3, 2), (2, 4), (3, 3))]
     cases += [("z_field_right", 1.2, size) for size in ((2, 2), (2, 3))]
@@ -676,6 +703,36 @@ def test_momentum_blocks_match_the_coset_solve(chunked, monkeypatch):
     monkeypatch.setattr(verify._MomentumBlocks, "vectors", recorded)
     _assert_blocks_match_the_coset_solve(build_torus(2, 4), "z_field", 0.7)
     assert sorted(expanded) == [(0, 0, True), (2, 0, True), (2, 1, False), (2, 1, False)]
+
+
+def _deviation_spread(L1, L2, kind, h):
+    """The largest gap, over the field's terms, between a term's deviation
+    on the coset solve's multiplet and that of the vertex-(0, 0) edge in its
+    direction (edge 0 right, edge 1 down)."""
+    lat = build_torus(L1, L2)
+    terms = perturbation_terms(lat, kind)
+    _, multiplet, states, _, field_bits = _coset_solve(lat, terms, h, DEFAULT_CONFIG)
+    deviations = _term_deviations(multiplet, states, field_bits, code_dimension(lat))
+    edges = [int(z).bit_length() - 1 for z in field_bits]
+    at_origin = dict(zip(edges, deviations))
+    return max(abs(d - at_origin[e % 2]) for e, d in zip(edges, deviations))
+
+
+def test_one_edge_per_translation_orbit_gives_every_deviation():
+    """`flux_free_spectrum` reads deviation_max from the terms on edges 0
+    and 1 alone: a translation maps each edge to one of them and keeps the
+    multiplet.  The coset solve's vectors, found without the translations,
+    give every edge the deviation of its direction's vertex-(0, 0) edge;
+    2x4 z_field at h = 0.7 holds a complex block's pair.  The control is
+    the tied 3x2 z_field_right multiplet at h = 1.2, which `_multiplet`
+    refuses: its q-th vector is one of a tied pair, the multiplet is not
+    translation invariant, and the deviations differ by edge."""
+    spread = max(_deviation_spread(L1, L2, kind, h) for kind in PERTURBATION_KINDS
+                 for h in (0.1, 0.7) for L1, L2 in ((2, 3), (3, 3), (2, 4)))
+    assert spread < 1e-12
+    assert _deviation_spread(3, 2, "z_field_right", 1.2) > 1e-3
+    with pytest.raises(ValueError, match="tied multiplet"):
+        verify.flux_free_spectrum(build_torus(3, 2), "z_field_right", 1.2)
 
 
 def test_arpack_blocks_match_the_coset_solve(monkeypatch):
