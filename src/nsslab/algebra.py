@@ -132,9 +132,9 @@ def _project_out(rows: np.ndarray, cand: np.ndarray) -> np.ndarray:
 def _orthonormal_rows(cand: np.ndarray, tol: float) -> np.ndarray:
     """Sequential MGS over candidate rows; drops residuals below tol.
 
-    `cand` may also be any iterable of rows, fed one at a time, as long as
-    one of them survives (the empty result takes its width from an array).
-    """
+    `cand` may also be any iterable of rows, fed one at a time.  Its first
+    row lies above tol (the identity, or a row filtered by norm), so the
+    result is never empty."""
     kept = []
     for v in cand:
         for _ in range(2):
@@ -143,8 +143,6 @@ def _orthonormal_rows(cand: np.ndarray, tol: float) -> np.ndarray:
         nrm = np.linalg.norm(v)
         if nrm > tol:
             kept.append(v / nrm)
-    if not kept:
-        return np.empty((0, cand.shape[1]), dtype=complex)
     return np.stack(kept)
 
 

@@ -2,7 +2,7 @@
 
 An AnyonState is the exact Pauli word `applied` acting on a fixed reference
 code vector |J0>, plus bookkeeping: anyon records, the accumulated scalar
-phase, and derived views (check signs, frame signs, energy).  The frame
+phase, and derived views (frame signs, energy).  The frame
 signs are the state's Z-loop sector label, read symplectically from the
 crossings of `applied` with the two Z loops.  Strings are applied
 dynamically (exact Pauli products), never adiabatically; a transport path
@@ -69,12 +69,6 @@ class AnyonState:
         _, loops = syndrome(self.lat, self.applied)
         return {lo.homology_class: j * (-1 if loops >> i & 1 else 1)
                 for i, (lo, j) in enumerate(zip(self.lat.loops, self.sector0.j))}
-
-    @property
-    def check_signs(self) -> tuple:
-        """Signs of all stars then all plaquettes: one per edge on a torus."""
-        checks, _ = syndrome(self.lat, self.applied)
-        return tuple(-1 if checks >> k & 1 else 1 for k in range(self.lat.n_qubits))
 
     @property
     def energy(self) -> int:

@@ -3,9 +3,9 @@
 Vectors are Python ints (bit i = coordinate i).  Everything here is exact,
 and every routine starts from the one row reduction `_eliminate`.  `rank`
 backs the check count of the toric code and its error-orbit sizes, `solve`
-the coset coordinates of the spectral kernel (every term and every
-symmetry image of a frame against one elimination) and the orbit
-overlaps.  Toric stabilizer membership needs neither: it is a zero
+(a list of targets against one elimination) the coset coordinates of the
+spectral kernel (every term and every symmetry image of a frame) and the
+orbit overlaps.  Toric stabilizer membership needs neither: it is a zero
 `lattice.syndrome`.
 """
 
@@ -33,14 +33,14 @@ def rank(rows) -> int:
     return len(_eliminate(rows))
 
 
-def solve(rows, target):
-    """Express target in the span of rows.
+def solve(rows, targets):
+    """Express each of a list of targets in the span of rows.
 
-    Returns a bitmask over row indices whose XOR equals target, or None if
-    target is outside the span.  The mask is the canonical one produced by
-    elimination order, so identical inputs give identical certificates.
-    A list of targets is reduced against one elimination of rows, and gives
-    the list of their masks, each the one `solve` gives that target alone.
+    Returns the list of their masks: for each target, a bitmask over row
+    indices whose XOR equals it, or None if it is outside the span.  All
+    targets are reduced against one elimination of rows, and each mask is
+    the canonical one produced by elimination order, so identical inputs
+    give identical certificates.
     """
     basis = _eliminate(rows)
 
@@ -51,7 +51,7 @@ def solve(rows, target):
                 v ^= bv
                 c ^= bc
         return c if v == 0 else None
-    return [reduce(t) for t in target] if isinstance(target, list) else reduce(target)
+    return [reduce(t) for t in targets]
 
 
 def nullspace(rows, width):

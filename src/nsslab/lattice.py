@@ -41,7 +41,6 @@ class TorusLattice:
     plaquette_checks: tuple
     loops: tuple = ()       # LoopOperators g1_Z, g2_Z, g1_X, g2_X
     edge_flips: tuple = ()  # per edge: (checks a Z on it flips, checks an X flips)
-    genus: int = 1
 
     def edge_index(self, r: int, c: int, d: int) -> int:
         return 2 * ((r % self.L1) * self.L2 + (c % self.L2)) + d
@@ -167,7 +166,7 @@ def lattice_to_json(lat: TorusLattice) -> str:
     doc = {
         "L1": lat.L1,
         "L2": lat.L2,
-        "genus": lat.genus,
+        "genus": 1,
         "n_qubits": lat.n_qubits,
         "edges": [
             {"index": e, "row": r, "col": c, "direction": _DIRECTIONS[d]}

@@ -39,37 +39,27 @@ class PauliOp:
             raise ValueError("bit vector exceeds qubit count")
         object.__setattr__(self, "phase", self.phase % 4)
 
-    def __mul__(self, other: "PauliOp") -> "PauliOp":
-        return multiply(self, other)
-
     def adjoint(self) -> "PauliOp":
         # (i^p XZ)^dag = (-i)^p Z X = i^(-p) (-1)^|x&z| XZ
         ph = (-self.phase + 2 * (self.x_bits & self.z_bits).bit_count()) % 4
         return PauliOp(self.n, self.x_bits, self.z_bits, ph)
-
-    @property
-    def support(self) -> int:
-        return self.x_bits | self.z_bits
-
-    def __str__(self) -> str:
-        return format_pauli(self)
 
 
 def identity(n: int) -> PauliOp:
     return PauliOp(n, 0, 0, 0)
 
 
-def single(n: int, qubit: int, kind: str, phase: int = 0) -> PauliOp:
+def single(n: int, qubit: int, kind: str) -> PauliOp:
     """One-site X, Y, or Z embedded in n qubits."""
     if not 0 <= qubit < n:
         raise ValueError("qubit index out of range")
     if kind == "X":
-        return PauliOp(n, 1 << qubit, 0, phase)
+        return PauliOp(n, 1 << qubit, 0)
     if kind == "Z":
-        return PauliOp(n, 0, 1 << qubit, phase)
+        return PauliOp(n, 0, 1 << qubit)
     if kind == "Y":
         # Y = i XZ
-        return PauliOp(n, 1 << qubit, 1 << qubit, (phase + 1) % 4)
+        return PauliOp(n, 1 << qubit, 1 << qubit, 1)
     raise ValueError(f"unknown Pauli letter: {kind}")
 
 

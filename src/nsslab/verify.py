@@ -757,10 +757,9 @@ def flux_free_spectrum(lat: TorusLattice, kind: str, h: float,
     dense = blocks.count.max() <= _DENSE_SPECTRUM_CAP
     if dense:
         H = blocks.dense()
+        # no pad is merged: each sector has 2^(L1*L2 - 1) >= 8 > q + 1 levels below
         w = np.linalg.eigvalsh(H)[..., :m]
-        held = np.add.reduceat(blocks.allowed, blocks.start, axis=1, dtype=int).T
-        take = w.shape[-1]
-        levels[..., :take] = np.where(np.arange(take) < held[..., None], w, np.inf)
+        levels[..., :w.shape[-1]] = w
     else:
         found = {}     # (J, b) -> the block's vectors on the sector's orbits
         for J in range(S):
@@ -793,8 +792,7 @@ def flux_free_spectrum(lat: TorusLattice, kind: str, h: float,
     J, c, i = np.unravel_index(order[:q], (S, len(copy), m))
     b = copy[c]
     if dense:
-        need, at = np.unique(J * K + b, return_inverse=True)
-        y = np.linalg.eigh(H.reshape(S * K, *H.shape[2:])[need])[1][at, :, i]
+        y = np.linalg.eigh(H[J, b])[1][np.arange(q), :, i]
     else:
         width = blocks.count.max()
         y = np.stack([np.pad(found[Jp, bp][:, ip], (0, width - blocks.count[Jp]))

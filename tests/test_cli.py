@@ -11,7 +11,7 @@ import pytest
 
 from nsslab import (DEFAULT_CONFIG, build_torus, cli, error_set, error_set_to_json,
                     lattice_to_json, spectrum)
-from nsslab.cli import EXIT_RESOURCE, EXIT_VALIDATION, build_parser, main
+from nsslab.cli import EXIT_CONVERGENCE, EXIT_RESOURCE, EXIT_VALIDATION, build_parser, main
 from nsslab.verify import perturbation_terms
 
 _SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -314,7 +314,8 @@ def test_validation_exit_codes(tmp_path, capsys):
                [{"op": "create_pair", "type": "e", "edge": True}],
                [pair, {"op": "move", "anyon": 0, "path": "1"}],
                [pair, {"op": "move", "anyon": 0, "path": ["1"]}],
-               [pair, {"op": "move", "anyon": "0", "path": [1]}])
+               [pair, {"op": "move", "anyon": "0", "path": [1]}],
+               pair)
     error_sets = ({"dimension": 2, "matrices": [1]},
                   {"dimension": 2, "matrices": [[[1, 0], [0, 1]]]}, [1],
                   {"dimension": 1, "matrices": [[[[1, 0]]]], "labels": 5},
@@ -324,7 +325,9 @@ def test_validation_exit_codes(tmp_path, capsys):
                   {"dimension": True, "matrices": [[[[1, 0]]]]},
                   {"dimension": 1, "matrices": [[[[True, False]]]]},
                   {"dimension": 1, "matrices": [[[[True, 0]]]]},
-                  {"dimension": 1, "matrices": [[[[0.5, False]]]]})
+                  {"dimension": 1, "matrices": [[[[0.5, False]]]]},
+                  # ragged nesting, which numpy refuses to make an array of
+                  {"dimension": 1, "matrices": [[[[1, 0], [1]]]]})
     for k, doc in enumerate(scripts + error_sets):
         path = tmp_path / f"malformed{k}.json"
         path.write_text(json.dumps(doc))
@@ -384,7 +387,9 @@ def test_validation_exit_codes(tmp_path, capsys):
 
 def test_config_file_values_are_refused_not_coerced(tmp_path, capsys):
     """int() and float() would turn 2.9 into 2, true into 1 and "0.1" into
-    0.1; a config file's value is used as given or refused with exit 2."""
+    0.1; a config file's value is used as given or refused with exit 2, and
+    so is a file that is not an object, or whose `tolerances` or `format`
+    has the wrong kind."""
     script = _braid_script(tmp_path)
     cases = [
         ("kl-check", {"l1": 2.9, "l2": 2, "max_weight": True}, "l1"),
@@ -407,6 +412,9 @@ def test_config_file_values_are_refused_not_coerced(tmp_path, capsys):
         # open() would take these as file descriptors (0 is stdin)
         ("braid", {"l1": 2, "l2": 2, "script": 0}, "script must be a path string"),
         ("decompose", {"input": True}, "input must be a path string"),
+        ("toric", [2, 2], "config file must hold a JSON object"),
+        ("toric", {"l1": 2, "l2": 2, "tolerances": [1]}, "'tolerances' must be an object"),
+        ("scaling", {"sizes": "2x2,2x3,3x2", "format": "xml"}, "unknown format 'xml'"),
     ]
     for k, (command, doc, name) in enumerate(cases):
         cfg = tmp_path / f"coerce{k}.json"
@@ -659,6 +667,28 @@ def test_decompose_above_the_dense_cap_exits_4_before_any_solve(tmp_path, capsys
                                  "--config", str(cfg)])
     assert rc == EXIT_RESOURCE and out == ""
     assert "dense algebra capped at dimension 4" in err
+
+
+@pytest.mark.parametrize("knobs, command, message", [
+    ({"verify._DENSE_SPECTRUM_CAP": 24, "verify._EIG_MAX_ITER": 1},
+     "toric", "eigensolver did not converge"),
+    ({"verify._DENSE_SPECTRUM_CAP": 24, "verify._EIG_RESIDUAL_TOL": 0},
+     "toric", "Ritz residual"),
+    ({"algebra._GAP_RATIO_GUARD": 1e9}, "decompose", "cluster gap"),
+], ids=["arpack-iterations", "ritz-residual", "cluster-guard"])
+def test_convergence_failures_exit_3(tmp_path, capsys, monkeypatch, knobs, command,
+                                     message):
+    """Each route to exit code 3, with nothing on stdout: ARPACK stopped
+    after one iteration and a Ritz pair above a zero residual tolerance (the
+    3x3 blocks made ARPACK's by a lower dense cap), and a commutant whose
+    cluster gaps all fall inside a widened guard band."""
+    for name, value in knobs.items():
+        monkeypatch.setattr(f"nsslab.{name}", value)
+    argv = (["toric", "--l1", "3", "--l2", "3", "--report", "--h", "0.1"]
+            if command == "toric" else ["decompose", "--input", _collective_file(tmp_path)])
+    rc, out, err = _run(capsys, argv)
+    assert rc == EXIT_CONVERGENCE and out == ""
+    assert err.startswith("nsslab: convergence:") and message in err, err
 
 
 def test_a_fresh_process_loads_only_the_modules_it_runs(tmp_path):

@@ -152,8 +152,8 @@ def _expansion_oracle(lat, op):
     n = lat.n_qubits
     gens = list(lat.vertex_stars) + list(lat.plaquette_checks) + \
         [lo.op for lo in homology_basis(lat)[:2]]
-    combo = gf2.solve([(g.x_bits << n) | g.z_bits for g in gens],
-                      (op.x_bits << n) | op.z_bits)
+    (combo,) = gf2.solve([(g.x_bits << n) | g.z_bits for g in gens],
+                         [(op.x_bits << n) | op.z_bits])
     if combo is None:
         return None
     loop_bits = combo >> (len(gens) - 2)

@@ -144,6 +144,8 @@ def test_parse_rejects_malformed_strings():
     for bad in ("", "+", "XQ", "+iW", "*XX", "+X I"):
         with pytest.raises(ValueError):
             parse_pauli(bad)
+    with pytest.raises(ValueError, match="bad phase prefix"):
+        parse_pauli("+-X")
 
 
 def test_apply_to_vector_matches_dense_matmul():
@@ -161,11 +163,6 @@ def test_apply_to_vector_matches_dense_matmul():
 def test_apply_to_vector_rejects_wrong_length():
     with pytest.raises(ValueError):
         apply_to_vector(identity(3), np.ones(7))
-
-
-def test_support_mask_covers_acted_qubits():
-    op = PauliOp(5, 0b10010, 0b00110)
-    assert op.support == 0b10110
 
 
 def test_square_has_zero_bit_parts():

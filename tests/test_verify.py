@@ -281,7 +281,8 @@ def _reduced_frame_orbits(lat, gens):
     frame = lat.vertex_stars[:-1] + lat.plaquette_checks[:-1] + (g1_z, g2_z)
     rows = [sum(1 << k for k, f in enumerate(frame) if not commutes(g, f)) for g in gens]
     loop_bit = len(frame) - 2
-    coincide = any(gf2.solve(rows, flip << loop_bit) is not None for flip in (1, 2, 3))
+    coincide = any(mask is not None
+                   for mask in gf2.solve(rows, [flip << loop_bit for flip in (1, 2, 3)]))
     return (2 ** gf2.rank(rows),) * 4, 1.0 if coincide else 0.0
 
 
@@ -395,6 +396,21 @@ def test_every_config_field_has_a_reader():
     assert set(fields) <= read, set(fields) - read
 
 
+def test_the_dense_bridge_keeps_its_exact_zeros():
+    """On 2x2 the code projector holds only 0 and 2^-3, so each of the 24
+    weight-1 Paulis compresses to P E P = 0 exactly.  The closure scales any
+    nonzero generator to unit size, rounding noise included, so criterion 4
+    needs these zeros exact: a projector G G^H from the code basis, off by
+    rounding, leaves residues near 1e-32 that close to a different algebra."""
+    lat = build_torus(2, 2)
+    P = code_projector(lat)
+    assert set(np.unique(P).tolist()) == {0.0, 0.125}
+    weight1 = local_error_generators(lat, 1, loop_commuting=False)
+    assert len(weight1) == 24
+    for E in weight1:
+        assert not (P @ to_dense(E) @ P).any(), E
+
+
 def test_every_module_constant_has_a_reader():
     """Each module-level constant (an upper-case name assigned at the top of
     a module in `src/nsslab`) is read as a name somewhere in `src/nsslab`:
@@ -408,6 +424,33 @@ def test_every_module_constant_has_a_reader():
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert {"SECTOR_ORDER", "_DENSE_SPECTRUM_CAP"} <= constants
     assert constants <= read, constants - read
+
+
+def test_every_definition_has_a_reader():
+    """Each function, class and method defined in `src/nsslab` (dunders
+    aside) is loaded as a name or an attribute somewhere in `src/nsslab` or
+    `bench/`, unless it is one of the declared test-only definitions: a
+    deleted caller leaves no definition behind."""
+    # the dense cross-check oracles, `single`, and `nullspace` and
+    # `parse_pauli`, kept for planned callers
+    test_only = {"dense_state", "sector_of", "kl_check_dense", "kl_check_ground_basis",
+                 "span_projector_distance", "single", "nullspace", "parse_pauli"}
+
+    def parse(folder):
+        return [ast.parse(path.read_text(encoding="utf-8")) for path in folder.glob("*.py")]
+
+    src = pathlib.Path(nsslab.__file__).parent
+    bench = src.parents[1] / "bench"
+    assert bench.is_dir()
+    own = parse(src)
+    defined = {node.name for tree in own for node in ast.walk(tree)
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in own + parse(bench) for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    assert {"PauliOp", "flux_free_spectrum", "frame_signs"} <= defined
+    assert defined - read == test_only, (defined - read) ^ test_only
 
 
 def test_the_stabilizer_frame_has_one_reader():
