@@ -67,7 +67,11 @@ class ErrorSet:
 
 
 def error_set(mats, labels=None) -> ErrorSet:
-    mats = tuple(np.asarray(m, dtype=complex) for m in mats)
+    """Float64 and complex128 arrays are kept as they are, with no copy (the
+    engines cast each generator to complex as they read it); anything else
+    is cast to complex."""
+    mats = tuple(m if type(m) is np.ndarray and m.dtype in (np.float64, np.complex128)
+                 else np.asarray(m, dtype=complex) for m in mats)
     if labels is None:
         labels = tuple(f"E{i}" for i in range(len(mats)))
     return ErrorSet(mats, tuple(labels))

@@ -242,24 +242,31 @@ def _rectangle_tables(lat: TorusLattice, kind: str) -> tuple:
     return layout(rows, ahead), layout(cols, 1 - ahead)
 
 
-def _rectangle_cycle(tables: tuple, corner: tuple, dr: int, dc: int):
-    """Boundary cycle of a dr x dc cell rectangle, clockwise from corner.
+def _rectangle_cycle(tables: tuple, corner: tuple, dr: int, dc: int) -> list:
+    """Boundary nodes of a dr x dc cell rectangle, clockwise from corner.
 
     `tables` are `_rectangle_tables` of the mover's graph (vertices for e,
     faces for m); corner (r0, c0) has r0 < L1 and c0 < L2, and dr <= L1,
-    dc <= L2.  Returns (ordered edge steps, boundary nodes): step k joins
-    nodes[k] to nodes[k + 1], so each side's steps are the same slice as
-    its nodes, read from the table of the side's direction.
+    dc <= L2.  `braid` builds these nodes for every candidate; the edge
+    steps, `_rectangle_steps`, only for the candidates that pass every
+    filter.
     """
     by_row, by_col = tables
     r0, c0 = corner
     r1, c1 = r0 + dr, c0 + dc
-    top, right, bottom, left = by_row[r0], by_col[c1], by_row[r1], by_col[c0]
-    nodes = (top[0][c0:c1] + right[0][r0:r1] +
-             bottom[0][c1:c0:-1] + left[0][r1:r0:-1])
-    steps = (top[1][c0:c1] + right[1][r0:r1] +
-             bottom[2][c1:c0:-1] + left[2][r1:r0:-1])
-    return steps, nodes
+    return (by_row[r0][0][c0:c1] + by_col[c1][0][r0:r1] +
+            by_row[r1][0][c1:c0:-1] + by_col[c0][0][r1:r0:-1])
+
+
+def _rectangle_steps(tables: tuple, corner: tuple, dr: int, dc: int) -> list:
+    """Ordered edge steps of the `_rectangle_cycle` with the same arguments:
+    step k joins its nodes[k] to nodes[k + 1], so each side's steps are the
+    same slice as its nodes, read from the table of the side's direction."""
+    by_row, by_col = tables
+    r0, c0 = corner
+    r1, c1 = r0 + dr, c0 + dc
+    return (by_row[r0][1][c0:c1] + by_col[c1][1][r0:r1] +
+            by_row[r1][2][c1:c0:-1] + by_col[c0][2][r1:r0:-1])
 
 
 def braid(state: AnyonState, mover: int, around: int) -> AnyonState:
@@ -273,9 +280,12 @@ def braid(state: AnyonState, mover: int, around: int) -> AnyonState:
     Encircling the dual type multiplies the phase by -1, the same type
     by +1.
 
-    Every candidate rectangle is still built, in the order (dr, dc, r0,
-    c0), each side as one slice of the mover's graph's index tables; the
-    tables are built once per call, in O(L1 L2), and dropped on return.
+    Every candidate rectangle's boundary nodes are built, in the order
+    (dr, dc, r0, c0), each side as one slice of the mover's graph's index
+    tables; the tables are built once per call, in O(L1 L2), and dropped
+    on return.  A candidate must enclose the target (tested first), hold
+    the mover among its nodes and enclose no dual-type anyon; only then
+    are its edge steps read from the same tables, for its key.
     Enclosure is offset arithmetic.  A rectangle from corner (r0, c0)
     encloses the same-type node (r, c) when 0 < (r - r0) mod L1 < dr and
     0 < (c - c0) mod L2 < dc, and the dual-type cell (r, c) when
@@ -308,15 +318,16 @@ def braid(state: AnyonState, mover: int, around: int) -> AnyonState:
         for dc in range(1, L2):
             for r0 in range(L1):
                 for c0 in range(L2):
-                    steps, nodes = _rectangle_cycle(tables, (r0, c0), dr, dc)
-                    if mv.position not in nodes:
-                        continue
+                    nodes = _rectangle_cycle(tables, (r0, c0), dr, dc)
                     if not (lo <= (tr - r0) % L1 < dr and lo <= (tc - c0) % L2 < dc):
+                        continue
+                    if mv.position not in nodes:
                         continue
                     if any((r - r0) % L1 < dr and (c - c0) % L2 < dc
                            for r, c in dual_cells):
                         continue
                     crossed = len(same_positions & set(nodes))
+                    steps = _rectangle_steps(tables, (r0, c0), dr, dc)
                     key = (crossed, len(steps), tuple(sorted(steps)))
                     if best is None or key < best[0]:
                         best = (key, steps, nodes)

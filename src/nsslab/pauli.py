@@ -142,12 +142,13 @@ def _coset_dense(groups, dim):
 
 
 def to_dense(a: PauliOp) -> np.ndarray:
-    """Dense complex 2^n x 2^n unitary, the one-term `_full_sum`, refused
-    above the default `dense_cap` (this takes no config)."""
+    """Dense 2^n x 2^n unitary, the one-term `_full_sum`: float64 for a
+    Pauli with no Y and an even phase, complex128 otherwise.  Refused above
+    the default `dense_cap` (this takes no config)."""
     dim, cap = 1 << a.n, DEFAULT_CONFIG.dense_cap
     if dim > cap:
         raise ResourceLimitError(f"dense bridge capped at dimension {cap}, got 2^{a.n}")
-    return _coset_dense(_full_sum([(a, 1 + 0j)], a.n), dim)
+    return _coset_dense(_full_sum([(a, 1.0)], a.n), dim)
 
 
 def format_pauli(a: PauliOp) -> str:

@@ -185,12 +185,13 @@ def kl_check_ground_basis(basis_cols: np.ndarray, errors) -> KLReport:
 # ----------------------------------------------------------- dense bridge
 
 def code_projector(lat: TorusLattice, config: EngineConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Dense projector onto the joint +1 check eigenspace: 2^-(L1*L2 - 1) on
-    each pair of states in one flux-free coset (`_loop_frames`)."""
+    """Dense real projector onto the joint +1 check eigenspace:
+    2^-(L1*L2 - 1) on each pair of states in one flux-free coset
+    (`_loop_frames`)."""
     if 1 << lat.n_qubits > config.dense_cap:
         raise ResourceLimitError("code projector needs the dense bridge")
     _, frames, basis = _loop_frames(lat)
-    P = np.zeros((1 << lat.n_qubits,) * 2, dtype=complex)
+    P = np.zeros((1 << lat.n_qubits,) * 2)
     for z0 in frames:
         states = _coset_states(z0, basis)
         P[np.ix_(states, states)] = 2.0 ** -len(basis)

@@ -641,6 +641,30 @@ def _compressed_weight1():
     return [P @ to_dense(E) @ P for E in weight1], P
 
 
+def test_error_set_keeps_real_and_complex_arrays_without_a_copy():
+    real, cplx, ints = np.eye(4), np.eye(4, dtype=complex), np.eye(4, dtype=int)
+    es = error_set([real, cplx, ints])
+    assert es.generators[0] is real and es.generators[1] is cplx
+    assert es.generators[2].dtype == np.complex128
+    assert np.array_equal(es.generators[2], ints)
+
+
+def test_real_generators_close_and_decompose_to_the_bytes_of_complex_copies():
+    """The compressed weight-1 set holds float64 (no Y) and complex128 (a Y)
+    matrices; the closure casts each to complex as it reads it."""
+    mats, P = _compressed_weight1()
+    mats = mats + [P]
+    assert {m.dtype for m in mats} == {np.dtype(np.float64), np.dtype(np.complex128)}
+    runs = []
+    for gens in (mats, [m.astype(complex) for m in mats]):
+        alg = close_algebra(error_set(gens))
+        dec = decompose(alg)
+        runs.append((alg.stacked().tobytes(),
+                     [(s.central_projector.tobytes(), s.isometry.tobytes())
+                      for s in dec.sectors]))
+    assert runs[0] == runs[1]
+
+
 def test_zero_generators_leave_the_closure_basis_bit_identical():
     """An exactly zero generator is skipped with its adjoint; Gram-Schmidt
     would drop both, so the basis does not move."""

@@ -32,7 +32,7 @@ from nsslab import (
     sector_of,
 )
 from nsslab import anyon, gf2
-from nsslab.anyon import _rectangle_cycle, _rectangle_tables
+from nsslab.anyon import _rectangle_cycle, _rectangle_steps, _rectangle_tables
 from nsslab.lattice import homology_basis, syndrome
 from nsslab.pauli import PauliOp, apply_to_vector, commutes
 from nsslab.verify import SECTOR_ORDER, code_basis
@@ -353,9 +353,10 @@ def _old_braid(state, mover, around):
 
 
 def test_rectangle_cycle_matches_the_closure_builder():
-    """Every corner and size up to a whole period, so the slices reach the
-    last rows and columns of the doubled tables; the long thin shapes make
-    the two periods differ most."""
+    """The nodes and the steps, read apart, against the old builder's pair:
+    every corner and size up to a whole period, so the slices reach the last
+    rows and columns of the doubled tables; the long thin shapes make the
+    two periods differ most."""
     for shape in ((2, 2), (2, 3), (3, 4), (4, 5), (5, 3), (6, 6), (2, 7), (7, 3)):
         lat = build_torus(*shape)
         for kind in "em":
@@ -365,8 +366,9 @@ def test_rectangle_cycle_matches_the_closure_builder():
                     for r0 in range(lat.L1):
                         for c0 in range(lat.L2):
                             args = ((r0, c0), dr, dc)
-                            assert (_rectangle_cycle(tables, *args) ==
-                                    _old_rectangle_cycle(lat, kind, *args)), (shape, kind, args)
+                            steps, nodes = _old_rectangle_cycle(lat, kind, *args)
+                            assert _rectangle_cycle(tables, *args) == nodes, (shape, kind, args)
+                            assert _rectangle_steps(tables, *args) == steps, (shape, kind, args)
 
 
 def test_braid_builds_one_rectangle_per_candidate(monkeypatch):

@@ -118,11 +118,18 @@ def test_weight_counts_non_identity_sites():
 
 
 def test_to_dense_matches_oracle_and_respects_cap():
-    rng = np.random.default_rng(11)
+    """Every Pauli on up to three qubits is the oracle's matrix, float64 for
+    each X/Z string with an even phase and complex128 with a Y or an odd
+    phase."""
     for n in (1, 2, 3):
-        for _ in range(20):
-            a = _random_op(rng, n)
-            assert np.allclose(to_dense(a), _dense_oracle(a))
+        for x in range(1 << n):
+            for z in range(1 << n):
+                for phase in range(4):
+                    a = PauliOp(n, x, z, phase)
+                    dense = to_dense(a)
+                    real = not x & z and phase % 2 == 0
+                    assert dense.dtype == (np.float64 if real else np.complex128), a
+                    assert np.array_equal(dense, _dense_oracle(a)), a
     with pytest.raises(ResourceLimitError):
         to_dense(identity(13))
 
