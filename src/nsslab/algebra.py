@@ -152,11 +152,12 @@ def _orthonormal_rows(cand: np.ndarray, tol: float) -> np.ndarray:
 
 def _scaled(generators) -> list:
     """The nonzero generators, each times the power of two that puts its
-    largest real or imaginary part in [1/2, 1); exact zeros are skipped.
-    Exact, and a power of two on any generator gives the same list."""
-    parts = (np.ascontiguousarray(g, dtype=complex).view(float) for g in generators)
-    return [np.ldexp(f, -np.frexp(top)[1]).view(complex)
-            for f in parts if (top := np.abs(f).max())]
+    largest real or imaginary part in [1/2, 1); exact zeros are skipped
+    before any complex copy is made.  Exact, and a power of two on any
+    generator gives the same list."""
+    parts = (np.ascontiguousarray(g, dtype=complex).view(float)
+             for g in generators if g.any())
+    return [np.ldexp(f, -np.frexp(np.abs(f).max())[1]).view(complex) for f in parts]
 
 
 def close_algebra(errs: ErrorSet, config: EngineConfig = DEFAULT_CONFIG) -> MatrixAlgebra:
@@ -584,11 +585,6 @@ def span_projector_distance(a: MatrixAlgebra, b: MatrixAlgebra) -> float:
 
 # ---------------------------------------------------------------- JSON I/O
 
-def _matrix_to_pairs(mat: np.ndarray):
-    m = np.asarray(mat, dtype=complex)
-    return np.stack((m.real, m.imag), -1).tolist()
-
-
 def _matrix_from_pairs(rows, d):
     try:  # numpy reads a JSON true as 1, so bools are sought among the objects
         pairs, entries = np.array(rows), np.array(rows, dtype=object).flat
@@ -601,12 +597,12 @@ def _matrix_from_pairs(rows, d):
 
 
 def error_set_to_json(errs: ErrorSet) -> str:
-    doc = {
-        "dimension": errs.dim,
-        "labels": list(errs.labels),
-        "matrices": [_matrix_to_pairs(g) for g in errs.generators],
-    }
-    return json.dumps(doc, indent=2)
+    """json.dumps(indent=2) of the dimension, the labels and the matrices,
+    each matrix written by `_pairs_json`."""
+    head = json.dumps({"dimension": errs.dim, "labels": list(errs.labels)}, indent=2)
+    mats = ",\n    ".join(_pairs_json(np.asarray(g, dtype=complex), "\n    ")
+                          for g in errs.generators)
+    return f'{head[:-2]},\n  "matrices": [\n    {mats}\n  ]\n}}'
 
 
 def error_set_from_json(text: str) -> ErrorSet:
@@ -622,8 +618,8 @@ def error_set_from_json(text: str) -> ErrorSet:
 
 
 def _pairs_json(mat: np.ndarray, pad: str) -> str:
-    """json.dumps(_matrix_to_pairs(mat), indent=2) for a complex matrix of
-    finite entries, each line after the first starting with `pad` (a
+    """json.dumps(indent=2) of a complex matrix of finite entries as rows of
+    [re, im] pairs, each line after the first starting with `pad` (a
     newline and the indent of the line the matrix starts on).  Each
     entry is one format string: json's indented encoder visits every number
     in Python and takes about twice as long on a `--matrices` report."""

@@ -247,15 +247,18 @@ def _rectangle_cycle(tables: tuple, corner: tuple, dr: int, dc: int) -> list:
 
     `tables` are `_rectangle_tables` of the mover's graph (vertices for e,
     faces for m); corner (r0, c0) has r0 < L1 and c0 < L2, and dr <= L1,
-    dc <= L2.  `braid` builds these nodes for every candidate; the edge
-    steps, `_rectangle_steps`, only for the candidates that pass every
-    filter.
+    dc <= L2.  `braid` builds these nodes for every candidate, in its scan
+    order, though its filters are offset arithmetic and read none of them:
+    `test_braid_builds_one_rectangle_per_candidate` and the benchmark's
+    rectangle count (`bench/test_bench.py`) pin one build per candidate.
+    The edge steps, `_rectangle_steps`, are read only for the candidates
+    that pass every filter and whose key can beat or tie the best so far.
     """
     by_row, by_col = tables
     r0, c0 = corner
     r1, c1 = r0 + dr, c0 + dc
-    return (by_row[r0][0][c0:c1] + by_col[c1][0][r0:r1] +
-            by_row[r1][0][c1:c0:-1] + by_col[c0][0][r1:r0:-1])
+    return [*by_row[r0][0][c0:c1], *by_col[c1][0][r0:r1],
+            *by_row[r1][0][c1:c0:-1], *by_col[c0][0][r1:r0:-1]]
 
 
 def _rectangle_steps(tables: tuple, corner: tuple, dr: int, dc: int) -> list:
@@ -280,18 +283,26 @@ def braid(state: AnyonState, mover: int, around: int) -> AnyonState:
     Encircling the dual type multiplies the phase by -1, the same type
     by +1.
 
-    Every candidate rectangle's boundary nodes are built, in the order
-    (dr, dc, r0, c0), each side as one slice of the mover's graph's index
-    tables; the tables are built once per call, in O(L1 L2), and dropped
-    on return.  A candidate must enclose the target (tested first), hold
-    the mover among its nodes and enclose no dual-type anyon; only then
-    are its edge steps read from the same tables, for its key.
-    Enclosure is offset arithmetic.  A rectangle from corner (r0, c0)
+    Every filter is offset arithmetic on the corner (r0, c0).  A rectangle
     encloses the same-type node (r, c) when 0 < (r - r0) mod L1 < dr and
     0 < (c - c0) mod L2 < dc, and the dual-type cell (r, c) when
     (r - r0 - shift) mod L1 < dr and (c - c0 - shift) mod L2 < dc, with
     shift 1 for a face-graph rectangle (the vertex inside face (r, c) is
-    (r + 1, c + 1)) and 0 otherwise.
+    (r + 1, c + 1)) and 0 otherwise.  Its boundary holds the node at
+    offsets (a, b) = ((r - r0) mod L1, (c - c0) mod L2) when a <= dr,
+    b <= dc and a or b lies on an edge of that range.  The target's
+    enclosure is read from one row table per height and one column table
+    per width, the mover's place on the boundary from its offsets, and then
+    the dual-type cells are tested.  A candidate that passes is keyed by
+    (crossings, edges, sorted edges), and its edge steps are read and sorted
+    only when (crossings, 2 (dr + dc)) can beat or tie the best key so far.
+
+    The candidates run in the order (dr, dc, r0, c0), and each one's
+    boundary nodes are still built by `_rectangle_cycle`, as one slice of
+    the mover's graph's index tables per side (the tables are built once per
+    call, in O(L1 L2), and dropped on return), before any filter: a tier-1
+    test and the benchmark's tracer count one build per candidate, so the
+    nodes serve only the crossings count and the final rotation.
     """
     _require_anyons(state, mover, around)
     if mover == around:
@@ -299,7 +310,6 @@ def braid(state: AnyonState, mover: int, around: int) -> AnyonState:
     mv, tg = state.anyons[mover], state.anyons[around]
     lat = state.lat
     L1, L2 = lat.L1, lat.L2
-    same_type = mv.kind == tg.kind
     same_positions = {an.position for k, an in enumerate(state.anyons)
                       if an.kind == mv.kind and k != mover}
     # dual-type positions, shifted so that enclosure reads like a node's
@@ -309,26 +319,43 @@ def braid(state: AnyonState, mover: int, around: int) -> AnyonState:
                   if an.kind != mv.kind and k != around]
     # a same-type target must be an interior node, a dual-type one a cell
     tr, tc = divmod(tg.position, L2)
+    same_type = mv.kind == tg.kind
     lo = 1 if same_type else 0
     if not same_type:
         tr, tc = tr - shift, tc - shift
+    # row_encloses[dr][r0]: the target's row lies inside dr rows from r0 (the
+    # columns likewise), read once per candidate instead of two modulos
+    row_encloses = [[lo <= (tr - r0) % L1 < dr for r0 in range(L1)] for dr in range(L1)]
+    col_encloses = [[lo <= (tc - c0) % L2 < dc for c0 in range(L2)] for dc in range(L2)]
+    mr, mc = divmod(mv.position, L2)
     tables = _rectangle_tables(lat, mv.kind)
+    corners = [[(r0, c0) for c0 in range(L2)] for r0 in range(L1)]  # built once
     best = None
     for dr in range(1, L1):
+        rows_in = row_encloses[dr]
         for dc in range(1, L2):
+            cols_in = col_encloses[dc]
+            length = 2 * (dr + dc)
             for r0 in range(L1):
-                for c0 in range(L2):
-                    nodes = _rectangle_cycle(tables, (r0, c0), dr, dc)
-                    if not (lo <= (tr - r0) % L1 < dr and lo <= (tc - c0) % L2 < dc):
+                row_in = rows_in[r0]
+                a = (mr - r0) % L1
+                a_side = a == 0 or a == dr
+                for corner in corners[r0]:
+                    nodes = _rectangle_cycle(tables, corner, dr, dc)
+                    c0 = corner[1]
+                    if not (row_in and cols_in[c0]):
                         continue
-                    if mv.position not in nodes:
+                    b = (mc - c0) % L2
+                    if not (a <= dr and b <= dc and (a_side or b == 0 or b == dc)):
                         continue
                     if any((r - r0) % L1 < dr and (c - c0) % L2 < dc
                            for r, c in dual_cells):
                         continue
-                    crossed = len(same_positions & set(nodes))
-                    steps = _rectangle_steps(tables, (r0, c0), dr, dc)
-                    key = (crossed, len(steps), tuple(sorted(steps)))
+                    crossed = len(same_positions.intersection(nodes))
+                    if best is not None and (crossed, length) > best[0][:2]:
+                        continue
+                    steps = _rectangle_steps(tables, corner, dr, dc)
+                    key = (crossed, length, tuple(sorted(steps)))
                     if best is None or key < best[0]:
                         best = (key, steps, nodes)
     if best is None:

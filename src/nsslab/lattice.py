@@ -137,12 +137,16 @@ def syndrome(lat: TorusLattice, op: PauliOp) -> tuple:
     with homology_basis(lat)[i]; a qubit-count mismatch raises ValueError.
     Check bits are read by incidence in O(weight of op): a Z on an edge
     flips the stars at its ends, an X the plaquettes on its sides."""
-    loops = sum(1 << i for i, lo in enumerate(lat.loops) if not commutes(op, lo.op))
+    loops = 0
+    for i, lo in enumerate(lat.loops):
+        if not commutes(op, lo.op):
+            loops |= 1 << i
     checks = 0
+    flips = lat.edge_flips
     for bits, k in ((op.z_bits, 0), (op.x_bits, 1)):
         while bits:
             e = bits.bit_length() - 1
-            checks ^= lat.edge_flips[e][k]
+            checks ^= flips[e][k]
             bits ^= 1 << e
     return checks, loops
 

@@ -63,22 +63,20 @@ def single(n: int, qubit: int, kind: str) -> PauliOp:
     raise ValueError(f"unknown Pauli letter: {kind}")
 
 
-def _check_same_n(a: PauliOp, b: PauliOp):
-    if a.n != b.n:
-        raise ValueError(f"qubit count mismatch: {a.n} vs {b.n}")
-
-
 def multiply(a: PauliOp, b: PauliOp) -> PauliOp:
     """Exact group product with phase tracking."""
-    _check_same_n(a, b)
+    if a.n != b.n:
+        raise ValueError(f"qubit count mismatch: {a.n} vs {b.n}")
     ph = (a.phase + b.phase + 2 * (a.z_bits & b.x_bits).bit_count()) % 4
     return PauliOp(a.n, a.x_bits ^ b.x_bits, a.z_bits ^ b.z_bits, ph)
 
 
 def commutes(a: PauliOp, b: PauliOp) -> bool:
-    """True iff ab == ba (symplectic pairing is even)."""
-    _check_same_n(a, b)
-    return ((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) % 2 == 0
+    """True iff ab == ba (symplectic pairing is even: the two overlaps'
+    popcounts have the parity of their XOR's)."""
+    if a.n != b.n:
+        raise ValueError(f"qubit count mismatch: {a.n} vs {b.n}")
+    return not ((a.x_bits & b.z_bits) ^ (a.z_bits & b.x_bits)).bit_count() & 1
 
 
 def weight(a: PauliOp) -> int:

@@ -268,16 +268,16 @@ def local_error_generators(lat: TorusLattice, max_weight: int = 2,
     if count > _MAX_ERROR_GENERATORS:
         raise ResourceLimitError(f"{count} Paulis of weight <= {max_weight} on "
                                  f"{n} qubits exceed {_MAX_ERROR_GENERATORS}")
+    # per qubit, the (x, z) bits of X, Z and Y = XZ up to phase, in that order
+    letters = [((1 << q, 0), (0, 1 << q), (1 << q, 1 << q)) for q in range(n)]
     gens = []
     for w in range(1, max_weight + 1):
-        for qs in itertools.combinations(range(n), w):
-            for kinds in itertools.product("XZY", repeat=w):
+        for sites in itertools.combinations(letters, w):
+            for word in itertools.product(*sites):
                 x = z = 0
-                for q, kind in zip(qs, kinds):
-                    if kind in "XY":
-                        x |= 1 << q
-                    if kind in "ZY":
-                        z |= 1 << q
+                for xb, zb in word:
+                    x |= xb
+                    z |= zb
                 op = PauliOp(n, x, z)
                 if not loop_commuting or not syndrome(lat, op)[1]:
                     gens.append(op)

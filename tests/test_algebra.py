@@ -27,7 +27,7 @@ from nsslab import (
     error_set_from_json,
     error_set_to_json,
 )
-from nsslab.algebra import _matrix_to_pairs, span_projector_distance
+from nsslab.algebra import span_projector_distance
 from nsslab.gf2 import nullspace
 from nsslab.pauli import PauliOp, to_dense
 
@@ -51,6 +51,12 @@ def _collective(n=3):
 def _clebsch_gordan_dims(n):
     """Block sizes 2j+1 of n spin-1/2 sites, j = n/2, n/2 - 1, ... >= 0."""
     return [n + 1 - 2 * k for k in range(n // 2 + 1)]
+
+
+def _matrix_to_pairs(mat):
+    """The [re, im] nesting of a matrix, the oracle of the JSON writers."""
+    m = np.asarray(mat, dtype=complex)
+    return np.stack((m.real, m.imag), -1).tolist()
 
 
 def _span_residual(alg, mat):
@@ -95,6 +101,24 @@ def test_error_set_json_round_trip_and_shape_check():
     doc["dimension"] = 5
     with pytest.raises(ValueError):
         error_set_from_json(json.dumps(doc))
+
+
+def test_error_set_report_has_the_bytes_of_json_dumps():
+    """`error_set_to_json` writes each matrix itself; its bytes are those of
+    json.dumps(indent=2) over the `_matrix_to_pairs` nesting, for complex,
+    real and integer dtypes, signed zeros, extreme exponents and labels that
+    look like the decomposition writer's placeholders."""
+    rng = np.random.default_rng(11)
+    sets = [(_collective(3), ("Jx", "Jy", "Jz")),
+            ([np.diag([1.0, -0.0, 2.5e-300, 1e300]),
+              rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))], None),
+            ([np.array([[complex(-0.0, -0.0)]])], ["\u00000"]),
+            ([np.eye(3, dtype=int), rng.standard_normal((3, 3)).astype(np.float32)], [1, "b"])]
+    for gens, labels in sets:
+        es = error_set(gens, labels=labels)
+        doc = {"dimension": es.dim, "labels": list(es.labels),
+               "matrices": [_matrix_to_pairs(g) for g in es.generators]}
+        assert error_set_to_json(es) == json.dumps(doc, indent=2)
 
 
 def test_matrix_pairs_equal_the_per_element_floats():

@@ -315,11 +315,9 @@ def _old_enclosed_cells(lat, kind, corner, dr, dc):
     return dual, interior
 
 
-def _old_braid(state, mover, around):
-    if not all(0 <= k < len(state.anyons) for k in (mover, around)):
-        raise ValueError("no such anyon")
-    if mover == around:
-        raise ValueError("mover and target must differ")
+def _old_candidates(state, mover, around):
+    """Every valid rectangle of the old scan, in its (dr, dc, r0, c0) order:
+    (key, steps, nodes, corner)."""
     mv, tg = state.anyons[mover], state.anyons[around]
     lat = state.lat
     same_type = mv.kind == tg.kind
@@ -327,7 +325,7 @@ def _old_braid(state, mover, around):
                       if an.kind == mv.kind and k != mover}
     dual_anyons = {an.position for k, an in enumerate(state.anyons)
                    if an.kind != mv.kind and k != around}
-    best = None
+    found = []
     for dr in range(1, lat.L1):
         for dc in range(1, lat.L2):
             for r0 in range(lat.L1):
@@ -343,13 +341,26 @@ def _old_braid(state, mover, around):
                         continue
                     crossed = len(same_positions & set(nodes))
                     key = (crossed, len(steps), tuple(sorted(steps)))
-                    if best is None or key < best[0]:
-                        best = (key, steps, nodes)
-    if best is None:
+                    found.append((key, steps, nodes, (r0, c0)))
+    return found
+
+
+def _old_braid(state, mover, around, found):
+    """The old scan's braid, given its `_old_candidates`."""
+    if not all(0 <= k < len(state.anyons) for k in (mover, around)):
+        raise ValueError("no such anyon")
+    if mover == around:
+        raise ValueError("mover and target must differ")
+    if not found:
         raise PathNotFoundError("no valid enclosing rectangle")
-    _, steps, nodes = best
-    k = nodes.index(mv.position)
-    return move_anyon(state, mover, steps[k:] + steps[:k])
+    return move_anyon(state, mover, _old_path(state, mover, found))
+
+
+def _old_path(state, mover, found):
+    """The winning candidate's steps, rotated to start at the mover."""
+    _, steps, nodes, _ = min(found, key=lambda cand: cand[0])
+    k = nodes.index(state.anyons[mover].position)
+    return steps[k:] + steps[:k]
 
 
 def test_rectangle_cycle_matches_the_closure_builder():
@@ -373,39 +384,57 @@ def test_rectangle_cycle_matches_the_closure_builder():
 
 def test_braid_builds_one_rectangle_per_candidate(monkeypatch):
     """The search builds every corner of every size below a full period:
-    (L1 - 1)(L2 - 1) L1 L2 rectangles, found or not."""
+    (L1 - 1)(L2 - 1) L1 L2 rectangles, found or not, in the order
+    (dr, dc, r0, c0)."""
     built = []
 
     def counted(*args):
-        built.append(args)
+        built.append(args[1:])
         return _rectangle_cycle(*args)
+
+    def scan(L1, L2):
+        return [((r0, c0), dr, dc) for dr in range(1, L1) for dc in range(1, L2)
+                for r0 in range(L1) for c0 in range(L2)]
     monkeypatch.setattr(anyon, "_rectangle_cycle", counted)
     s = create_pair(create_pair(ground_state(build_torus(4, 4)), "e", 0), "m", 11)
     assert relative_phase(braid(s, 0, 2), s) == -1
-    assert len(built) == 3 * 3 * 16
+    assert len(built) == 3 * 3 * 16 and built == scan(4, 4)
     del built[:]
     s = create_pair(create_pair(ground_state(build_torus(3, 5)), "m", 0), "e", 7)
     braid(s, 0, 2)
-    assert len(built) == (3 - 1) * (5 - 1) * 3 * 5
+    assert len(built) == (3 - 1) * (5 - 1) * 3 * 5 and built == scan(3, 5)
 
 
-def _outcome(fn, state, mover, around):
+def _outcome(fn, state, mover, around, *args):
     try:
-        return fn(state, mover, around)
+        return fn(state, mover, around, *args)
     except ValueError as exc:
         return type(exc), str(exc)
 
 
-def test_braid_matches_the_full_scan_with_enclosed_cell_lists():
-    """Same state or same refusal as the old scan on 1050 seeded scripts:
-    two or three pairs of mixed kinds, one anyon walked a few steps, then
-    one braid of a random ordered pair, so every kind pair (e/m around e/m),
-    same-type interiors, dual-type blockers and crossings all occur."""
-    outcomes = []
-    for shape in ((2, 3), (3, 3), (3, 4), (4, 5), (5, 5), (4, 3), (6, 4)):
+def test_braid_matches_the_full_scan_with_enclosed_cell_lists(monkeypatch):
+    """Same state or same refusal, and the same path, as the old scan on
+    1130 seeded scripts: two or three pairs of mixed kinds, one anyon walked
+    a few steps, then one braid of a random ordered pair, so every kind pair
+    (e/m around e/m), same-type interiors, dual-type blockers and crossings
+    all occur.  Every enclosing rectangle banks the same phase, so only the
+    path shows which one won.  On the 6x6 and 5x7 tori the old scan's
+    winner must at times follow an earlier candidate of equal crossings and
+    perimeter (a tie broken on the edge set), and at times have its corner
+    past the mover's row or column (offsets that wrap around the torus)."""
+    walked = []
+
+    def recording(state, index, path):
+        walked.append(list(path))
+        return move_anyon(state, index, path)
+    monkeypatch.setattr(anyon, "move_anyon", recording)
+    outcomes, ties, wraps = [], 0, 0
+    for shape, scripts in (((2, 3), 150), ((3, 3), 150), ((3, 4), 150), ((4, 5), 150),
+                           ((5, 5), 150), ((4, 3), 150), ((6, 4), 150),
+                           ((6, 6), 40), ((5, 7), 40)):
         lat = build_torus(*shape)
         rng = random.Random(f"braid-scan {shape}")
-        for _ in range(150):
+        for _ in range(scripts):
             state = ground_state(lat, rng.choice(SECTOR_ORDER))
             pairs = rng.choice((2, 3))
             while len(state.anyons) < 2 * pairs:
@@ -425,14 +454,25 @@ def test_braid_matches_the_full_scan_with_enclosed_cell_lists():
                 pos = b if pos == a else a
             state = move_anyon(state, k, path)
             mover, around = rng.sample(range(len(state.anyons)), 2)
+            found = _old_candidates(state, mover, around)
+            del walked[:]
             new = _outcome(braid, state, mover, around)
-            assert new == _outcome(_old_braid, state, mover, around), \
+            assert new == _outcome(_old_braid, state, mover, around, found), \
+                (shape, mover, around, state.anyons)
+            assert walked == ([_old_path(state, mover, found)] if found else []), \
                 (shape, mover, around, state.anyons)
             outcomes.append((state.anyons[mover].kind, state.anyons[around].kind,
                              isinstance(new, tuple)))
+            if found and shape in ((6, 6), (5, 7)):
+                win = min(found, key=lambda cand: cand[0])
+                first = next(c for c in found if c[0][:2] == win[0][:2])
+                ties += first is not win
+                mr, mc = divmod(state.anyons[mover].position, lat.L2)
+                wraps += win[3][0] > mr or win[3][1] > mc
     assert {(m, a) for m, a, _ in outcomes} == {("e", "e"), ("e", "m"), ("m", "e"), ("m", "m")}
     refused = sum(r for _, _, r in outcomes)
-    assert len(outcomes) == 1050 and 0 < refused < len(outcomes)
+    assert len(outcomes) == 1130 and 0 < refused < len(outcomes)
+    assert ties >= 3 and wraps >= 3, (ties, wraps)
 
 
 def test_dense_replay_oracle_for_a_mixed_trajectory():

@@ -37,7 +37,8 @@ import nsslab
 from nsslab import anyon, gf2, lattice, verify
 from nsslab.cli import EXIT_RESOURCE, EXIT_VALIDATION, main
 from nsslab.lattice import code_dimension, homology_basis
-from nsslab.pauli import PauliOp, apply_to_vector, commutes, multiply, to_dense, weight
+from nsslab.pauli import (PauliOp, apply_to_vector, commutes, multiply, parse_pauli,
+                          to_dense, weight)
 from nsslab.verify import (
     CSV_HEADER,
     PERTURBATION_KINDS,
@@ -154,6 +155,34 @@ def test_local_error_generator_counts_and_loop_filter():
     assert len(filtered) < len(all_w2)
     for g in filtered:
         assert all(commutes(g, lo) for lo in loops)
+
+
+def test_local_error_generators_follow_the_letter_enumeration():
+    """Same Paulis in the same order as an enumeration of letter strings:
+    weight, then sites in lexicographic order, then one of X, Z, Y per site
+    with the last site fastest, each string read by `parse_pauli`.  The
+    generators carry phase 0, Y as the bits of XZ.  `kl-check`'s
+    `first_error` and `logical_examples` depend on this order."""
+    for shape in ((2, 2), (2, 3)):
+        lat = build_torus(*shape)
+        n = lat.n_qubits
+        loops = [lo.op for lo in homology_basis(lat)]
+        for max_weight in (1, 2, 3):
+            want = []
+            for w in range(1, max_weight + 1):
+                for sites in itertools.combinations(range(n), w):
+                    for word in itertools.product("XZY", repeat=w):
+                        letters = ["I"] * n
+                        for q, letter in zip(sites, word):
+                            letters[q] = letter
+                        want.append(parse_pauli("".join(letters)))
+            for loop_commuting in (False, True):
+                got = local_error_generators(lat, max_weight, loop_commuting)
+                kept = [op for op in want if not loop_commuting
+                        or all(commutes(op, lo) for lo in loops)]
+                assert all(op.phase == 0 for op in got)
+                assert [(op.n, op.x_bits, op.z_bits) for op in got] == \
+                    [(op.n, op.x_bits, op.z_bits) for op in kept], (shape, max_weight)
 
 
 def test_error_enumeration_is_refused_before_it_starts(monkeypatch, capsys):
