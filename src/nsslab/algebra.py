@@ -1,8 +1,8 @@
 """Associative *-algebra engine on dense matrices.
 
 Given a set of error generators, build the generated *-algebra as a
-Hilbert-Schmidt orthonormal basis, compute its commutant, and split the
-carrier space into sectors C^n (x) C^d with explicit isometries.  The
+Hilbert-Schmidt orthonormal basis, split the carrier space into sectors
+C^n (x) C^d with explicit isometries, and read the commutant off them.  The
 decomposition is randomized (eigenvalue clustering of seeded random elements
 of the algebra, or, from an error set, of its commutant, found by conjugate
 gradients with no basis of the algebra) but deterministic for a fixed seed.
@@ -257,42 +257,32 @@ def verify_closure(alg: MatrixAlgebra, generators) -> float:
 
 
 def commutant(alg: MatrixAlgebra, config: EngineConfig = DEFAULT_CONFIG) -> MatrixAlgebra:
-    """All X with [X, B_i] = 0: null space N of the stacked commutator map
-    L_i = 1 (x) B_i^T - B_i (x) 1 (row-major vec convention).
-
-    N is read from the eigenvectors of M = sum_i L_i^dag L_i, whose
-    eigenvalues are the squared singular values of the stacked map.  M is
-    d^2 x d^2 whatever the algebra's dimension, so memory stays bounded.
-
-    Closure is certified from the same decomposition, with no sampling.  Let
-    r = ||[N, B]||_F over every null basis element and every B_i, and s+ the
-    smallest singular value of L left out of N.  For unit X, Y in span N,
-    ||L(XY)|| <= ||LX|| + ||LY|| <= 2r, and ||L X^dag|| = ||LX|| because the
-    algebra is *-closed; a vector v lies within ||Lv|| / s+ of span N,
-    because the singular subspaces are orthogonal.  So closure_residual =
-    2r / s+ bounds the span residual of every product and adjoint.
+    """A' = (+)_J M(n_J) (x) 1_{d_J}, read off `decompose(alg, config)`:
+    each sector's matrix units V_i V_j^dag / sqrt(d_J), V_i the columns of
+    copy i in its isometry.  By Wedderburn's theorem these sum n_J^2 span A'
+    once decompose has certified the shapes.  closure_residual is the larger
+    of two exhaustive numbers:
+    - ||W^dag W - 1||_F, W the isometries side by side.  The span is
+      {W ((+)_J x_J (x) 1) W^dag}: it holds every adjoint, and a product of
+      unit elements lies within this of it to first order.
+    - the largest distance of a basis element B of A from
+      (+)_J 1_{n_J} (x) M(d_J), which commutes with the span: half a bound
+      on ||[X, B]|| for every unit X in it.
     """
     if not alg.closed:
         raise ValueError("commutant needs a verified-closed algebra")
     d = alg.dim
-    if d * d > config.dense_cap:
-        raise ResourceLimitError(
-            f"commutant superoperator of dimension {d * d} exceeds {config.dense_cap}")
-    eye = np.eye(d)
-    M = np.zeros((d * d, d * d), dtype=complex)
-    for b in alg.basis:
-        L = np.kron(eye, b.T) - np.kron(b, eye)
-        M += L.conj().T @ L
-    w, V = np.linalg.eigh(M)
-    null_tol = _SPAN_MEMBERSHIP_TOL * max(1.0, float(w[-1]) if len(w) else 1.0)
-    cols = V[:, w < null_tol]
-    s_plus = float(np.sqrt(w[w >= null_tol].min(initial=np.inf)))
-    basis = cols.T.reshape(-1, d, d)
-    mats = np.asarray(alg.basis)
-    r = np.sqrt(sum(np.linalg.norm(np.matmul(x, mats) - np.matmul(mats, x)) ** 2
-                    for x in basis))
-    resid = float(2 * r / s_plus)
-    return MatrixAlgebra(d, basis, closed=resid <= _SPAN_MEMBERSHIP_TOL,
+    sectors = decompose(alg, config).sectors
+    if 16 * d * d * sum(s.n_J**2 for s in sectors) > 2e9:  # as `_close` refuses
+        raise ResourceLimitError(f"commutant basis at dimension {d} exceeds 2 GB")
+    W = np.concatenate([s.isometry for s in sectors], axis=1)
+    units = []
+    for s in sectors:
+        V = s.isometry.reshape(d, s.n_J, s.d_J)
+        units.append(np.einsum("ait,bjt->ijab", V, V.conj()).reshape(-1, d, d) / np.sqrt(s.d_J))
+    _, dist = _compressions(alg.basis, sectors)
+    resid = max(float(np.linalg.norm(W.conj().T @ W - np.eye(d))), float(dist.max()))
+    return MatrixAlgebra(d, np.concatenate(units), closed=resid <= _SPAN_MEMBERSHIP_TOL,
                          closure_residual=resid)
 
 
@@ -439,7 +429,7 @@ def _decompose_errors(errs: ErrorSet, config: EngineConfig) -> SectorDecompositi
             return SectorDecomposition(d, tuple(sectors))
     except (ConvergenceError, DegenerateSpectrumError):
         pass
-    return decompose(close_algebra(errs, config), config)
+    return decompose(_close(gens, d), config)
 
 
 def _commutant_draws(gens, d: int, seed: int):
@@ -514,11 +504,8 @@ def _certified(gens, sectors) -> bool:
     generate.
 
     - The generators lie near the algebra B = (+)_J 1_{n_J} (x) M(d_J)
-      the isometries V define: the sum over g of dist(g, B) / ||g||_F is at
-      most _HS_DROP_TOL.  dist(g, B)^2 is the sum over sectors of
-      ||g V - V (1_{n_J} (x) M)||^2, M the compression
-      `block_structure_residual` reads: each term is that residual's square
-      plus that of the part of g V outside the sector.  The closure keeps
+      the isometries define: the sum over g of dist(g, B) / ||g||_F, read
+      by `_compressions`, is at most _HS_DROP_TOL.  The closure keeps
       any part of a generator, scaled as here, above _HS_DROP_TOL outside
       the span of the others, and two generators tilted off B in opposite
       ways show it the sum of their tilts: a coupling the closure would see
@@ -530,27 +517,41 @@ def _certified(gens, sectors) -> bool:
     By Wedderburn's theorem these fix the shapes, and sum n_J d_J = d holds
     by construction.
     """
-    by_size, outside = {}, np.zeros(len(gens))
-    for s in sectors:
-        V, comps = s.isometry, []
-        for i, g in enumerate(gens):
-            _, M = block_structure_residual(s, g)
-            image = (V.reshape(-1, s.n_J, s.d_J) @ M).reshape(V.shape)
-            outside[i] += np.linalg.norm(g @ V - image) ** 2
-            comps.append(M)
-        by_size.setdefault(s.d_J, []).append(comps)
-    if sum(np.sqrt(o) / np.linalg.norm(g) for o, g in zip(outside, gens)) > _HS_DROP_TOL:
+    comps, dist = _compressions(gens, sectors)
+    if sum(o / np.linalg.norm(g) for o, g in zip(dist, gens)) > _HS_DROP_TOL:
         return False
+    by_size = {}
+    for s, c in zip(sectors, comps):
+        by_size.setdefault(s.d_J, []).append(c)
     for d_J, members in by_size.items():
         k = len(members)
         sums = np.zeros((len(gens), k * d_J, k * d_J), dtype=complex)
-        for j, comps in enumerate(members):
+        for j, c in enumerate(members):
             blk = slice(j * d_J, (j + 1) * d_J)
-            sums[:, blk, blk] = np.reshape(comps, (len(gens), d_J, d_J))
+            sums[:, blk, blk] = np.reshape(c, (len(gens), d_J, d_J))
         alg = _close(_scaled(sums), k * d_J)
         if not (alg.closed and alg.algebra_dim == k * d_J * d_J):
             return False
     return True
+
+
+def _compressions(mats, sectors):
+    """Each matrix g's compression M to each sector, as
+    `block_structure_residual` reads it (one list per sector), and g's
+    Frobenius distance from B = (+)_J 1_{n_J} (x) M(d_J), the algebra the
+    isometries V define: dist(g, B)^2 is the sum over sectors of
+    ||g V - V (1_{n_J} (x) M)||^2, each term that residual's square plus
+    that of the part of g V outside the sector."""
+    comps, outside = [], np.zeros(len(mats))
+    for s in sectors:
+        V, Ms = s.isometry, []
+        for i, g in enumerate(mats):
+            _, M = block_structure_residual(s, g)
+            image = (V.reshape(-1, s.n_J, s.d_J) @ M).reshape(V.shape)
+            outside[i] += np.linalg.norm(g @ V - image) ** 2
+            Ms.append(M)
+        comps.append(Ms)
+    return comps, np.sqrt(outside)
 
 
 def block_structure_residual(sector: Sector, mat: np.ndarray):
@@ -613,8 +614,7 @@ def error_set_from_json(text: str) -> ErrorSet:
         raise ValueError("error set needs an integer dimension and lists of "
                          "matrices and labels")
     mats = [_matrix_from_pairs(m, doc["dimension"]) for m in doc["matrices"]]
-    labels = doc.get("labels") or [f"E{i}" for i in range(len(mats))]
-    return ErrorSet(tuple(mats), tuple(labels))
+    return error_set(mats, doc.get("labels") or None)
 
 
 def _pairs_json(mat: np.ndarray, pad: str) -> str:

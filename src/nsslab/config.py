@@ -27,8 +27,7 @@ class EngineConfig:
     # largest dimension of a dense operator, each reader comparing its own:
     # 2^n for the dense bridge (`code_projector`, `code_basis`, `dense_state`;
     # `pauli.to_dense` takes no config and reads the default), d for
-    # `close_algebra` and `decompose` of an error set, d^2 for `commutant`'s
-    # d^2 x d^2 superoperator
+    # `close_algebra` and `decompose` of an error set
     dense_cap: int = 4096
 
     def __post_init__(self):

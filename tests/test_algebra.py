@@ -312,20 +312,16 @@ def test_double_commutant_recovers_the_algebra():
     assert span_projector_distance(alg, back) < 1e-7
 
 
-def test_commutant_is_certified_without_drawing(monkeypatch):
+def test_commutant_certificate_bounds_products_and_adjoints():
     """A rank-8 projector at d = 24 has the commutant M_8 (+) M_16: 320
-    elements, more than a pair check covers exhaustively.  The certificate
-    comes from the commutant's own SVD, draws nothing, and bounds the span
-    residual of products and adjoints of unit span elements."""
+    elements, more than a pair check covers exhaustively.  The certificate,
+    read off the sectors' isometries, bounds the span residual of products
+    and adjoints of unit span elements."""
     from nsslab import algebra
-
-    def no_draw(*args):
-        raise AssertionError("commutant drew a random stream")
 
     rng = np.random.default_rng(24)
     U, _ = np.linalg.qr(rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24)))
     alg = close_algebra(error_set([U[:, :8] @ U[:, :8].conj().T]))
-    monkeypatch.setattr(algebra, "spawn_rng", no_draw)
     com = commutant(alg)
     assert com.algebra_dim == 64 + 256
     assert com.closed and com.closure_residual < algebra._SPAN_MEMBERSHIP_TOL
@@ -340,12 +336,33 @@ def test_commutant_is_certified_without_drawing(monkeypatch):
         assert _span_residual(com, x.conj().T) <= com.closure_residual
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("case", ["other-algebra", "skewed-isometries"])
+def test_commutant_leaves_wrong_sectors_unclosed(case, monkeypatch):
+    """Sectors of another algebra (J_z alone, whose sectors do not block
+    J_x), or isometries scaled off orthonormal, leave the commutant
+    unclosed."""
+    import dataclasses
+
+    from nsslab import algebra
+
+    alg = close_algebra(error_set(_collective()))
+    if case == "other-algebra":
+        wrong = decompose(close_algebra(error_set(_collective()[2:])))
+    else:
+        good = decompose(alg)
+        wrong = dataclasses.replace(good, sectors=tuple(
+            dataclasses.replace(s, isometry=s.isometry * (1 + 1e-6)) for s in good.sectors))
+    monkeypatch.setattr(algebra, "decompose", lambda *args: wrong)
+    com = commutant(alg)
+    assert not com.closed and com.closure_residual > 1e-6
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_commutant_certifies_collective_noise(n):
-    """The commutant of collective noise has sum n_J^2 elements, certified
-    closed."""
+    """The commutant of collective noise has sum n_J^2 elements, the Catalan
+    numbers, certified closed."""
     com = commutant(close_algebra(error_set(_collective(n))))
-    assert com.algebra_dim == {2: 2, 3: 5, 4: 14}[n]
+    assert com.algebra_dim == {2: 2, 3: 5, 4: 14, 5: 42, 6: 132}[n]
     assert com.closed and com.closure_residual < 1e-12
 
 
@@ -464,20 +481,22 @@ def test_decompose_refuses_sectors_that_miss_the_algebra_dimension(monkeypatch, 
 
 
 def test_resource_caps_reject_oversized_dense_problems():
-    """`dense_cap` bounds d for the closure and d^2 for the commutant's
-    superoperator: at the default 4096, d = 64 is the largest commutant."""
+    """`dense_cap` bounds d for the closure; the commutant, read off the
+    decomposition, reads no cap of its own: at d = 65 the clock algebra's
+    commutant is the algebra itself."""
     es = error_set(_collective())
     with pytest.raises(ResourceLimitError):
         close_algebra(es, DEFAULT_CONFIG.override(dense_cap=4))
-    alg = close_algebra(es)
-    assert commutant(alg, DEFAULT_CONFIG.override(dense_cap=64)).closed
-    with pytest.raises(ResourceLimitError):
-        commutant(alg, DEFAULT_CONFIG.override(dense_cap=63))
     clock = np.diag(np.exp(2j * np.pi * np.arange(65) / 65))
     big = close_algebra(error_set([clock]))
     assert big.closed and big.algebra_dim == 65
-    with pytest.raises(ResourceLimitError):
-        commutant(big)
+    com = commutant(big)
+    assert com.closed and com.algebra_dim == 65
+    # span{1, P} at d = 256 closes at dimension 2, but its commutant
+    # M_4 (+) M_252 would hold 63 520 matrices of 256 x 256 (66 GB)
+    small = close_algebra(error_set([np.diag([1.0] * 4 + [0.0] * 252)]))
+    with pytest.raises(ResourceLimitError, match="commutant basis"):
+        commutant(small)
 
 
 def _span(vecs):
@@ -641,15 +660,15 @@ def _small_error_sets(draw):
 @given(_small_error_sets())
 def test_decomposition_invariants_hold_on_random_error_sets(case):
     """sum n*d = dim, sum d^2 = dim A and sum n^2 = dim A', with dim A from
-    the closure and dim A' from the commutant, both computed apart from the
-    decomposition."""
+    the closure and dim A' from the stacked-SVD oracle, both computed apart
+    from the decomposition (`commutant` is read off it)."""
     gens, planted = case
     alg = close_algebra(error_set(gens))
     dec = decompose(alg)
     shapes = [(s.n_J, s.d_J) for s in dec.sectors]
     assert sum(n * d for n, d in shapes) == alg.dim
     assert sum(d * d for _, d in shapes) == alg.algebra_dim
-    assert sum(n * n for n, _ in shapes) == commutant(alg).algebra_dim
+    assert sum(n * n for n, _ in shapes) == _stacked_svd_commutant(alg).algebra_dim
     if planted is not None:
         assert dec.sector_shapes == planted
 
@@ -1055,9 +1074,14 @@ def test_error_set_decompose_falls_back_to_the_closure_bit_for_bit(failure, monk
     es = error_set(_collective(4))
     want = decompose(close_algebra(es))
     closures = []
-    close = algebra.close_algebra
-    monkeypatch.setattr(algebra, "close_algebra",
-                        lambda *args: closures.append(1) or close(*args))
+    close = algebra._close
+
+    def spy(live, d, cap=np.inf):
+        if d == es.dim and cap == np.inf:  # a closure of the whole algebra
+            closures.append(1)
+        return close(live, d, cap)
+
+    monkeypatch.setattr(algebra, "_close", spy)
     assert decompose(es).sector_shapes == want.sector_shapes and not closures
     if failure == "budget":
         monkeypatch.setattr(algebra, "_CG_STEPS_PER_DIM", 0)
